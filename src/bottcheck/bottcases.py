@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 from .exact import Affine
 from .theorems import (
     DivisorCaseInput,
+    DualPathMismatch,
     PlaneBundleInput,
     ThreefoldNumerics,
     thm1_closed,
@@ -49,12 +50,15 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class RegistryError(ValueError):
-    """A registry record is malformed; carries record id and field."""
+    """A registry record or file is malformed; carries record id and
+    field, both None when the fault lies in the file outside any record."""
 
-    def __init__(self, record_id: str, field: str, message: str):
+    def __init__(self, record_id: Optional[str], field: Optional[str], message: str):
         self.record_id = record_id
         self.field = field
-        super().__init__(f"record {record_id!r}, field {field!r}: {message}")
+        if record_id is not None:
+            message = f"record {record_id!r}, field {field!r}: {message}"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ def _evaluate_thm1(c: CaseRecord) -> Verdict:
     closed = _as_affine(thm1_closed(n)).subs(subs)
     derived = _as_affine(thm1_derived(n)).subs(subs)
     if closed != derived:
-        raise ArithmeticError(
+        raise DualPathMismatch(
             f"record {c.id!r}: closed and derived obstruction disagree"
         )
     return Verdict(_as_affine(closed), _conclude(_as_affine(closed)), note)
@@ -143,7 +147,7 @@ def _evaluate_thm2(c: CaseRecord) -> Verdict:
             chain = thm2_chain(inp)
             closed = thm2_closed(inp)
             if chain != closed:
-                raise ArithmeticError(
+                raise DualPathMismatch(
                     f"record {c.id!r}: chain and closed obstruction disagree"
                 )
             obstruction = _as_affine(closed)
@@ -157,7 +161,7 @@ def _evaluate_thm3(c: CaseRecord) -> Verdict:
     value = thm3_value(inp)
     q = thm3_Q(inp).Q
     if q(-1) != value:
-        raise ArithmeticError(
+        raise DualPathMismatch(
             f"record {c.id!r}: Q(-1) and closed obstruction disagree"
         )
     note = ""
@@ -324,6 +328,8 @@ def _validate(c: CaseRecord):
     for field in _REQUIRED_BY_GEOMETRY.get(c.geometry, ()):
         if getattr(c, field) is None:
             raise RegistryError(c.id, field, "required for this geometry")
+    if c.h is not None and c.h < 0:
+        raise RegistryError(c.id, "h", "the Hodge number h must be >= 0")
     if c.d is not None and c.geometry != "conicBundle":
         raise RegistryError(c.id, "d", "only conic bundles carry a discriminant")
     if c.a is not None:
@@ -337,12 +343,23 @@ def load_registry(path) -> list:
     """Parse a registry file (key-value blocks, one section per record)."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    return [
-        _parse_record(section, dict(parser.items(section)))
-        for section in parser.sections()
-    ]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.DuplicateSectionError as exc:
+        raise RegistryError(
+            exc.section, "id", f"duplicate record on line {exc.lineno}"
+        ) from exc
+    except configparser.DuplicateOptionError as exc:
+        raise RegistryError(
+            exc.section, exc.option, f"duplicate field on line {exc.lineno}"
+        ) from exc
+    except configparser.Error as exc:
+        # No section header, a line that is not "key = value", or a bad
+        # "%" interpolation; configparser's message spans several lines.
+        raise RegistryError(None, None, " ".join(str(exc).split())) from exc
+    return [_parse_record(section, items) for section, items in sections.items()]
 
 
 def serialize_registry(records) -> str:

@@ -129,7 +129,7 @@ class SymClass:
     def __init__(self, raw=()):
         terms = {}
         for m, c in dict(raw).items():
-            c = Fraction(c)
+            c = c if type(c) is Fraction else Fraction(c)
             if c != 0 and _weight(m) <= 3:
                 terms[m] = terms.get(m, Fraction(0)) + c
         object.__setattr__(self, "coeffs", tuple(sorted(terms.items())))

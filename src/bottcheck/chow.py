@@ -50,7 +50,11 @@ Ambient = LineBase4 | PlaneBase2
 
 def _reduce(ambient: Ambient, raw: Mapping[Monomial, Fraction]) -> dict:
     out: dict = {}
-    pending = [((i, j), Fraction(c)) for (i, j), c in raw.items() if c != 0]
+    pending = [
+        ((i, j), c if type(c) is Fraction else Fraction(c))
+        for (i, j), c in raw.items()
+        if c != 0
+    ]
     if isinstance(ambient, LineBase4):
         s1 = sum(ambient.twists)
         while pending:

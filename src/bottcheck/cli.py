@@ -410,6 +410,9 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
+    except theorems.DualPathMismatch as exc:
+        print(f"MISMATCH: {exc}", file=err)
+        return 1
     except (InputError, HypothesisViolation, bottcases.RegistryError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)

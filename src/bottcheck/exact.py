@@ -44,7 +44,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Number] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -102,6 +102,8 @@ class UniPoly:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return UniPoly([c * other for c in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -201,10 +203,11 @@ class Affine:
     __slots__ = ("const", "terms")
 
     def __init__(self, const: Number = 0, terms: Mapping[str, Number] | None = None):
-        object.__setattr__(self, "const", Fraction(const))
+        const = const if type(const) is Fraction else Fraction(const)
+        object.__setattr__(self, "const", const)
         cleaned = {}
         for s, c in (terms or {}).items():
-            c = Fraction(c)
+            c = c if type(c) is Fraction else Fraction(c)
             if c != 0:
                 cleaned[s] = c
         object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
@@ -282,14 +285,20 @@ class Affine:
 
     def subs(self, values: Mapping[str, Union[Number, "Affine"]]):
         """Substitute symbols; returns a Fraction if none remain."""
-        out = Affine(self.const)
+        const = self.const
+        terms: dict = {}
         for s, c in self.terms:
-            if s in values:
-                v = values[s]
-                v = v if isinstance(v, Affine) else Affine(v)
-                out = out + c * v
+            if s not in values:
+                terms[s] = terms.get(s, 0) + c
+                continue
+            v = values[s]
+            if isinstance(v, Affine):
+                const += c * v.const
+                for t, d in v.terms:
+                    terms[t] = terms.get(t, 0) + c * d
             else:
-                out = out + Affine(0, {s: c})
+                const += c * (v if isinstance(v, (int, Fraction)) else Fraction(v))
+        out = Affine(const, terms)
         return out.const if out.is_constant() else out
 
     def render(self) -> str:

@@ -9,6 +9,7 @@ Euler-Jaczewski six-term combination for chi(W, Omega_W(xH + yU)).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .chern import SurfaceChern, cotangent_twist_e_classes, symbolic_degree
 from .exact import Affine, UniPoly, binom, binom_of_poly
@@ -43,8 +44,14 @@ def hrr_threefold_symbolic(e1, e2, e3, rank: int) -> Affine:
     return hrr_threefold(C1_SYM, C2_SYM, e1, e2, e3, rank, symbolic_degree)
 
 
+@cache
 def chi_twisted_cotangent_symbolic() -> Affine:
-    """chi(X, Omega_X(-H + K_X)) as a symbolic affine expression."""
+    """chi(X, Omega_X(-H + K_X)) as a symbolic affine expression.
+
+    The form takes no input, so it is derived once per process, on the
+    first call, and the same object is returned afterwards.  Sharing it
+    is safe because Affine is immutable; callers substitute into it.
+    """
     e1, e2, e3 = cotangent_twist_e_classes()
     return hrr_threefold_symbolic(e1, e2, e3, 3)
 

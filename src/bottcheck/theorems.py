@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Optional, Tuple, Union
 
 from .chern import (
@@ -34,6 +34,10 @@ from .rr import (
 )
 
 NumericsValue = Union[int, Fraction, None]
+
+
+class DualPathMismatch(ArithmeticError):
+    """Two routes that must agree exactly gave different results."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,13 @@ class ThreefoldNumerics:
         return out
 
 
+@cache
 def thm1_closed_form() -> Affine:
-    """The closed form of -chi(X, Omega^2_X(H - K_X)) in the six symbols."""
+    """The closed form of -chi(X, Omega^2_X(H - K_X)) in the six symbols.
+
+    Built once per process, on the first call; later calls return the
+    same object.  Sharing it is safe because Affine is immutable.
+    """
     s = Affine.sym
     return (
         Affine(16)
@@ -149,7 +158,7 @@ def thm2_chain(inp: DivisorCaseInput) -> Fraction:
     p, q = normalized_pq(tuple(ai - t for ai in inp.a))
     poly = thm2_chain_poly(p, q, inp.k)
     if poly.degree not in (None, 0):
-        raise ArithmeticError(
+        raise DualPathMismatch(
             f"chain value unexpectedly depends on the twist: {poly.render('a')}"
         )
     return poly(0) + 8 * t

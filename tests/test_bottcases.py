@@ -143,6 +143,30 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             load_registry(path)
 
+    @pytest.mark.parametrize(
+        "text,record_id,field",
+        [
+            ("h = 3\n[r]\ngeometry = table8\n", None, None),
+            ("[r]\ngeometry = table8\n[r]\ngeometry = table9\n", "r", "id"),
+            ("[r]\ngeometry = table8\nh = 1\nh = 2\n", "r", "h"),
+        ],
+        ids=["no-section-header", "duplicate-section", "duplicate-option"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, record_id, field):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(RegistryError) as err:
+            load_registry(path)
+        assert (err.value.record_id, err.value.field) == (record_id, field)
+        assert "\n" not in str(err.value)
+
+    def test_negative_h_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[r]\ngeometry = table8\nh = -5\n")
+        with pytest.raises(RegistryError) as err:
+            load_registry(path)
+        assert err.value.record_id == "r" and err.value.field == "h"
+
     def test_user_file(self, tmp_path):
         path = tmp_path / "cases.ini"
         path.write_text(

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from bottcheck import cli, theorems
+from bottcheck import bottcases, cli, theorems
 from bottcheck.cli import BundleExpr, InputError, parse_bundle
+from bottcheck.exact import T
 
 
 def run(argv):
@@ -182,6 +183,41 @@ class TestBottReportCommand:
     def test_missing_file(self):
         code, _, err = run(["bott-report", "--cases", "/nonexistent.ini"])
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "h = 3\n[r]\ngeometry = table8\n",
+            "[r]\ngeometry = table8\n[r]\ngeometry = table9\n",
+            "[r]\ngeometry = table8\nh = 1\nh = 2\n",
+            "[r]\ngeometry = table8\nh = -5\n",
+        ],
+        ids=["no-section-header", "duplicate-section", "duplicate-option",
+             "negative-h"],
+    )
+    def test_bad_cases_file_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        code, out, err = run(["bott-report", "--cases", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_registry_mismatch_exits_1(self, monkeypatch):
+        # thm1_closed_form is cached per process; the comparison against
+        # the derived route must still run on every record.
+        real = bottcases.thm1_closed
+        monkeypatch.setattr(bottcases, "thm1_closed", lambda n: real(n) + 1)
+        code, out, err = run(["bott-report"])
+        assert code == 1 and out == ""
+        assert err == (
+            "MISMATCH: record 'conic': closed and derived obstruction disagree\n"
+        )
+
+    def test_chain_depending_on_twist_exits_1(self, monkeypatch):
+        monkeypatch.setattr(theorems, "thm2_chain_poly", lambda p, q, k: T)
+        code, _, err = run(["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "0"])
+        assert code == 1
+        assert err.startswith("MISMATCH: ") and err.count("\n") == 1
 
 
 class TestDeterminism:

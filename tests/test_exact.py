@@ -1,8 +1,12 @@
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bottcheck import bottcases, cli, rr, theorems
+from bottcheck.chern import SymClass
+from bottcheck.chow import GradedClass, PlaneBase2
 from bottcheck.exact import Affine, T, UniPoly, binom, binom_of_poly, binom_poly
 
 
@@ -129,3 +133,105 @@ class TestAffine:
     def test_zero_coefficients_dropped(self):
         e = Affine.sym("h") - Affine.sym("h")
         assert e.is_constant() and e == 0
+
+
+# --- fast paths against their term-by-term references ----------------------
+
+symbols = st.sampled_from(["x", "y", "z", "d"])
+scalars = st.one_of(st.integers(-20, 20), fractions)
+affines = st.builds(Affine, scalars, st.dictionaries(symbols, scalars, max_size=4))
+
+
+def subs_reference(e, values):
+    out = Affine(e.const)
+    for s, c in e.terms:
+        v = values.get(s, Affine.sym(s))
+        out = out + c * (v if isinstance(v, Affine) else Affine(v))
+    return out.const if out.is_constant() else out
+
+
+@given(affines, st.dictionaries(symbols, st.one_of(scalars, affines), max_size=4))
+def test_affine_subs_matches_reference(e, values):
+    got, want = e.subs(values), subs_reference(e, values)
+    assert type(got) is type(want) and got == want
+
+
+@given(affines, st.dictionaries(symbols, scalars, min_size=4, max_size=4))
+def test_affine_subs_collapses_to_fraction(e, values):
+    assert set(values) == {"x", "y", "z", "d"}
+    got = e.subs(values)
+    assert type(got) is Fraction and got == subs_reference(e, values)
+
+
+def test_affine_subs_conic_discriminant():
+    d = Affine.sym("d")
+    values = {"c12H": 12 - d, "c1H2": 2, "c2H": d + 6, "H3": 0}
+    form = theorems.thm1_closed_form()
+    assert form.subs(values) == subs_reference(form, values)
+    assert form.subs(values).coeff("d") == 2
+
+
+@given(st.lists(fractions, max_size=5), scalars)
+def test_unipoly_scalar_product_matches_poly_product(cs, n):
+    p = UniPoly(cs)
+    assert p * n == p * UniPoly((n,))
+    assert n * p == p * UniPoly((n,))
+
+
+def test_unipoly_times_zero_is_zero_polynomial():
+    for n in (0, Fraction(0)):
+        assert ((T + 1) * n).coeffs == ()
+        assert (n * (T + 1)).is_zero()
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.booleans()), max_size=6))
+def test_constructors_normalize_mixed_int_and_fraction(pairs):
+    ints = [v for v, _ in pairs]
+    mixed = [Fraction(v) if wrap else v for v, wrap in pairs]
+
+    def same(build):
+        a, b = build(ints), build(mixed)
+        assert a == b and hash(a) == hash(b)
+        return a, b
+
+    a, b = same(UniPoly)
+    assert a.coeffs == b.coeffs and all(type(c) is Fraction for c in a.coeffs)
+
+    names = ["x", "y", "z", "d", "h", "k"]
+    a, b = same(lambda cs: Affine(cs[0] if cs else 0, dict(zip(names, cs[1:]))))
+    assert (a.const, a.terms) == (b.const, b.terms)
+    assert type(a.const) is Fraction and all(type(c) is Fraction for _, c in a.terms)
+
+    monos = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
+             (0, 0, 0, 1)]
+    a, b = same(lambda cs: SymClass(dict(zip(monos, cs))))
+    assert a.coeffs == b.coeffs and all(type(c) is Fraction for _, c in a.coeffs)
+
+    ambient = PlaneBase2(3, 3)
+    chow_monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    a, b = same(lambda cs: GradedClass(ambient, dict(zip(chow_monos, cs))))
+    assert a.coeffs == b.coeffs and all(type(c) is Fraction for _, c in a.coeffs)
+
+
+def test_thm1_forms_derived_once_per_process(monkeypatch):
+    calls = []
+    real = rr.cotangent_twist_e_classes
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(rr, "cotangent_twist_e_classes", counting)
+    rr.chi_twisted_cotangent_symbolic.cache_clear()
+    for _ in range(2):
+        bottcases.report_rows(bottcases.builtin_registry())
+    argv = ["thm1", "--h", "0", "--c13", "4", "--c12H", "6", "--c1H2", "6",
+            "--c2H", "24", "--H3", "6"]
+    assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    assert len(calls) == 1
+
+
+def test_cached_thm1_forms_equal_fresh_derivations():
+    cached = rr.chi_twisted_cotangent_symbolic
+    assert cached.__wrapped__() == cached()
+    assert theorems.thm1_closed_form.__wrapped__() == theorems.thm1_closed_form()
