@@ -330,6 +330,8 @@ def _validate(c: CaseRecord):
             raise RegistryError(c.id, field, "required for this geometry")
     if c.h is not None and c.h < 0:
         raise RegistryError(c.id, "h", "the Hodge number h must be >= 0")
+    if c.h is not None and Fraction(c.h).denominator != 1:
+        raise RegistryError(c.id, "h", "the Hodge number h must be an integer")
     if c.d is not None and c.geometry != "conicBundle":
         raise RegistryError(c.id, "d", "only conic bundles carry a discriminant")
     if c.a is not None:
@@ -341,7 +343,7 @@ def _validate(c: CaseRecord):
 
 def load_registry(path) -> list:
     """Parse a registry file (key-value blocks, one section per record)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -356,14 +358,15 @@ def load_registry(path) -> list:
             exc.section, exc.option, f"duplicate field on line {exc.lineno}"
         ) from exc
     except configparser.Error as exc:
-        # No section header, a line that is not "key = value", or a bad
-        # "%" interpolation; configparser's message spans several lines.
+        # No section header or a line that is not "key = value"; values
+        # are read verbatim ("%" is not special).  configparser's message
+        # spans several lines.
         raise RegistryError(None, None, " ".join(str(exc).split())) from exc
     return [_parse_record(section, items) for section, items in sections.items()]
 
 
 def serialize_registry(records) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     for rec in records:
         parser.add_section(rec.id)

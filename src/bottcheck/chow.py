@@ -11,6 +11,19 @@ Two ambient rings are supported:
   numbers (c1, c2).  Relations H^3 = 0 and U^2 = c1 H U - c2 H^2; basis
   H^i U^j with i <= 2, j <= 1, normalized by deg(H^2 U) = 1.
 
+In both rings the basis is the box H^i U^j with (i, j) <= ``top``.  A
+class only ever holds basis terms, and the relations are applied in one
+place: the product of two such classes (``_product``).  Sums, negations,
+scalar multiples and graded parts of reduced classes are reduced already,
+so they only drop zeros.  One step of the relations is enough because a
+product of two basis monomials overshoots the basis by at most one step:
+on the plane it carries at most U^2, and rewriting H^i U^2 as
+c1 H^(i+1) U - c2 H^(i+2) lands in the basis or in H^3 = 0; on the line
+it carries at most U^6, and rewriting U^4 as s1 H U^3 turns every
+overshoot except U^4 itself into a multiple of H^2 = 0.  The public
+constructor accepts any monomials and reduces H^i U^j as the basis term
+H^i U^min(j, top_j) times U, one factor at a time, through that product.
+
 The sign convention of the rank relation is pinned by the pushforward
 consistency checks in the test suite: the intrinsic Riemann-Roch value
 of y*U on PlaneBase2 must agree with the Euler characteristic of the
@@ -48,37 +61,44 @@ class PlaneBase2:
 Ambient = LineBase4 | PlaneBase2
 
 
-def _reduce(ambient: Ambient, raw: Mapping[Monomial, Fraction]) -> dict:
+def _product(ambient: Ambient, xs, ys) -> dict:
+    """Product of two term lists in the basis, as a dict of basis terms.
+
+    Multiplies term by term, drops what carries H^(top_i + 1), then
+    rewrites the overshoot in U by one step of the ring's relation.
+    """
+    top_i, top_j = ambient.top
     out: dict = {}
-    pending = [
-        ((i, j), c if type(c) is Fraction else Fraction(c))
-        for (i, j), c in raw.items()
-        if c != 0
-    ]
-    if isinstance(ambient, LineBase4):
-        s1 = sum(ambient.twists)
-        while pending:
-            (i, j), c = pending.pop()
-            if i >= 2:
+    for (i1, j1), a in xs:
+        for (i2, j2), b in ys:
+            i = i1 + i2
+            if i > top_i:
                 continue
-            if j >= 4:
-                if i >= 1:
-                    continue  # H * U^4 carries an H^2
-                pending.append(((1, j - 1), c * s1))
-                continue
-            out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    else:
+            m = (i, j1 + j2)
+            c = a * b
+            out[m] = out[m] + c if m in out else c
+    over = [m for m in out if m[1] > top_j]
+    if isinstance(ambient, PlaneBase2):
+        # H^i U^2 = c1 H^(i+1) U - c2 H^(i+2), and H^3 = 0.
         c1, c2 = ambient.c1, ambient.c2
-        while pending:
-            (i, j), c = pending.pop()
-            if i >= 3:
-                continue
-            if j >= 2:
-                pending.append(((i + 1, j - 1), c * c1))
-                pending.append(((i + 2, j - 2), -c * c2))
-                continue
-            out[(i, j)] = out.get((i, j), Fraction(0)) + c
-    return {m: c for m, c in out.items() if c != 0}
+        for m in over:
+            c, i = out.pop(m), m[0]
+            if c1 and i + 1 <= top_i:
+                _accumulate(out, (i + 1, 1), c * c1)
+            if c2 and i + 2 <= top_i:
+                _accumulate(out, (i + 2, 0), c * -c2)
+    else:
+        # U^4 = s1 H U^3, and H^2 = 0, so every other overshoot vanishes.
+        s1 = sum(ambient.twists)
+        for m in over:
+            c = out.pop(m)
+            if s1 and m == (0, 4):
+                _accumulate(out, (1, 3), c * s1)
+    return out
+
+
+def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
+    terms[m] = terms[m] + c if m in terms else c
 
 
 class GradedClass:
@@ -87,9 +107,30 @@ class GradedClass:
     __slots__ = ("ambient", "coeffs")
 
     def __init__(self, ambient: Ambient, raw: Mapping[Monomial, Fraction] = ()):
+        top_i, top_j = ambient.top
+        u = (((0, 1), Fraction(1)),)
+        terms: dict = {}
+        for (i, j), c in dict(raw).items():
+            if c == 0 or i > top_i:
+                continue
+            part = {(i, min(j, top_j)): c if type(c) is Fraction else Fraction(c)}
+            for _ in range(j - top_j):
+                part = _product(ambient, part.items(), u)
+            for m, c in part.items():
+                _accumulate(terms, m, c)
+        self._store(ambient, terms.items())
+
+    @classmethod
+    def _reduced(cls, ambient: Ambient, terms) -> "GradedClass":
+        """A class from (monomial, Fraction) terms already in the basis,
+        each monomial at most once: drops zeros and sorts, nothing else."""
+        self = object.__new__(cls)
+        self._store(ambient, terms)
+        return self
+
+    def _store(self, ambient: Ambient, terms) -> None:
         object.__setattr__(self, "ambient", ambient)
-        reduced = _reduce(ambient, dict(raw))
-        object.__setattr__(self, "coeffs", tuple(sorted(reduced.items())))
+        object.__setattr__(self, "coeffs", tuple(sorted((m, c) for m, c in terms if c)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
@@ -112,7 +153,8 @@ class GradedClass:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return GradedClass(self.ambient, {(0, 0): Fraction(other)})
+            c = other if type(other) is Fraction else Fraction(other)
+            return GradedClass._reduced(self.ambient, (((0, 0), c),))
         return None
 
     def __eq__(self, other):
@@ -130,13 +172,13 @@ class GradedClass:
             return NotImplemented
         terms = dict(self.coeffs)
         for m, c in o.coeffs:
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return GradedClass(self.ambient, terms)
+            _accumulate(terms, m, c)
+        return GradedClass._reduced(self.ambient, terms.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass(self.ambient, {m: -c for m, c in self.coeffs})
+        return GradedClass._reduced(self.ambient, [(m, -c) for m, c in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -149,22 +191,33 @@ class GradedClass:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GradedClass(self.ambient, {m: c * other for m, c in self.coeffs})
+            return GradedClass._reduced(
+                self.ambient, [(m, c * other) for m, c in self.coeffs]
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for (i1, j1), c1 in self.coeffs:
-            for (i2, j2), c2 in o.coeffs:
-                m = (i1 + i2, j1 + j2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return GradedClass(self.ambient, terms)
+        terms = _product(self.ambient, self.coeffs, o.coeffs)
+        return GradedClass._reduced(self.ambient, terms.items())
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int) -> "GradedClass":
+        """x**n for n >= 0 by repeated squaring; x**0 is the unit."""
+        if n < 0:
+            raise ValueError("negative exponent")
+        out, base = unit(self.ambient), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
     def graded_part(self, k: int) -> "GradedClass":
-        return GradedClass(
-            self.ambient, {m: c for m, c in self.coeffs if m[0] + m[1] == k}
+        return GradedClass._reduced(
+            self.ambient, [(m, c) for m, c in self.coeffs if m[0] + m[1] == k]
         )
 
     def degree(self) -> Fraction:
@@ -204,12 +257,12 @@ class GradedClass:
 
 
 def unit(ambient: Ambient) -> GradedClass:
-    return GradedClass(ambient, {(0, 0): Fraction(1)})
+    return GradedClass._reduced(ambient, (((0, 0), Fraction(1)),))
 
 
 def H_class(ambient: Ambient) -> GradedClass:
-    return GradedClass(ambient, {(1, 0): Fraction(1)})
+    return GradedClass._reduced(ambient, (((1, 0), Fraction(1)),))
 
 
 def U_class(ambient: Ambient) -> GradedClass:
-    return GradedClass(ambient, {(0, 1): Fraction(1)})
+    return GradedClass._reduced(ambient, (((0, 1), Fraction(1)),))

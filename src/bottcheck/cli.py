@@ -191,10 +191,7 @@ def parse_chow_expr(text: str, ambient) -> GradedClass:
             n = sc.integer()
             if n < 0:
                 raise InputError("negative exponent")
-            out = unit(ambient)
-            for _ in range(n):
-                out = out * base
-            return out
+            return base ** n
         return base
 
     def term() -> GradedClass:

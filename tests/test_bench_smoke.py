@@ -1,0 +1,29 @@
+"""The benchmark's own checks, run as part of the test suite, so a broken
+chow product or workload contract fails here before a benchmark run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def test_bench_self_test_passes():
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--self-test"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+
+
+def test_plane_grid_bundles_verify(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    grid = workloads.PlaneGrid(seed=1, workdir=tmp_path)
+    bundles = grid.pass_inputs(0)[:5]
+    assert len(bundles) == 5
+    for inp in bundles:
+        assert grid.verify(inp, grid.call(inp)) is None

@@ -220,3 +220,36 @@ class TestReport:
 
     def test_text_deterministic(self):
         assert report_text(builtin_registry()) == report_text(builtin_registry())
+
+
+class TestRegistryFileValues:
+    def test_non_integer_h_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "[r]\ngeometry = table8\nh = 1/2\nc13 = 4\nc12H = 6\n"
+            "c1H2 = 6\nc2H = 24\nH3 = 6\n"
+        )
+        with pytest.raises(RegistryError) as err:
+            load_registry(path)
+        assert err.value.record_id == "r" and err.value.field == "h"
+
+    def test_integral_fraction_h_accepted(self, tmp_path):
+        path = tmp_path / "cases.ini"
+        path.write_text("[r]\ngeometry = table8\nh = 4/2\n")
+        (rec,) = load_registry(path)
+        assert rec.h == 2
+
+    def test_percent_in_provenance_round_trips(self, tmp_path):
+        records = [
+            CaseRecord(id="x", geometry="table8", provenance="50% done"),
+            CaseRecord(id="y", geometry="table9", h=1, provenance="%(h)s and %%"),
+        ]
+        path = tmp_path / "cases.ini"
+        path.write_text(serialize_registry(records))
+        assert load_registry(path) == records
+
+    def test_percent_read_verbatim(self, tmp_path):
+        path = tmp_path / "cases.ini"
+        path.write_text("[r]\ngeometry = table8\nprovenance = 50%% of 100%\n")
+        (rec,) = load_registry(path)
+        assert rec.provenance == "50%% of 100%"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bottcheck.chern import sym_power_polys, SurfaceChern
 from bottcheck.chow import (
@@ -144,3 +145,112 @@ class TestRender:
 
     def test_unit(self):
         assert unit(PlaneBase2(0, 0)).render() == "1"
+
+
+def _pending_reduce(ambient, raw):
+    """The pending-list reduction the product used to re-run on every
+    constructor call; kept here as the oracle for the one-pass product."""
+    out = {}
+    pending = [((i, j), Fraction(c)) for (i, j), c in raw.items() if c != 0]
+    if isinstance(ambient, LineBase4):
+        s1 = sum(ambient.twists)
+        while pending:
+            (i, j), c = pending.pop()
+            if i >= 2:
+                continue
+            if j >= 4:
+                if i >= 1:
+                    continue
+                pending.append(((1, j - 1), c * s1))
+                continue
+            out[(i, j)] = out.get((i, j), Fraction(0)) + c
+    else:
+        c1, c2 = ambient.c1, ambient.c2
+        while pending:
+            (i, j), c = pending.pop()
+            if i >= 3:
+                continue
+            if j >= 2:
+                pending.append(((i + 1, j - 1), c * c1))
+                pending.append(((i + 2, j - 2), -c * c2))
+                continue
+            out[(i, j)] = out.get((i, j), Fraction(0)) + c
+    return tuple(sorted((m, c) for m, c in out.items() if c != 0))
+
+
+def _raw_product(xs, ys):
+    out = {}
+    for (i1, j1), a in xs.items():
+        for (i2, j2), b in ys.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + Fraction(a) * Fraction(b)
+    return out
+
+
+def _well_formed(x):
+    monomials = [m for m, _ in x.coeffs]
+    return (
+        monomials == sorted(set(monomials))
+        and all(type(c) is Fraction and c != 0 for _, c in x.coeffs)
+    )
+
+
+ambients = st.one_of(
+    st.builds(PlaneBase2, st.integers(-5, 5), st.integers(-5, 5)),
+    st.builds(
+        lambda t: LineBase4(tuple(t)),
+        st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    ),
+)
+raws = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 6)),
+    st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.integers(-9, 9),
+    ),
+    max_size=6,
+)
+
+
+class TestOnePassProduct:
+    @given(ambients, raws)
+    def test_constructor_matches_pending_reduction(self, amb, raw):
+        x = GradedClass(amb, raw)
+        assert x.coeffs == _pending_reduce(amb, raw)
+        assert _well_formed(x)
+
+    @given(ambients, raws, raws)
+    def test_product_matches_pending_reduction(self, amb, raw1, raw2):
+        x, y = GradedClass(amb, raw1), GradedClass(amb, raw2)
+        assert (x * y).coeffs == _pending_reduce(amb, _raw_product(raw1, raw2))
+        assert (x * y).coeffs == _pending_reduce(amb, _raw_product(
+            dict(x.coeffs), dict(y.coeffs)))
+
+    @given(ambients, raws, raws, st.integers(-3, 3), st.integers(0, 6))
+    def test_results_stay_well_formed(self, amb, raw1, raw2, n, k):
+        x, y = GradedClass(amb, raw1), GradedClass(amb, raw2)
+        for z in (x * y, x + y, x - y, y - x, -x, n * x, x * Fraction(n, 2),
+                  x + n, n - x, x.graded_part(k), x ** 3):
+            assert _well_formed(z)
+            assert z == GradedClass(amb, dict(z.coeffs))
+
+
+class TestPower:
+    @pytest.mark.parametrize(
+        "amb", [LineBase4((0, 1, 1, 3)), PlaneBase2(3, 3), PlaneBase2(-2, 5)]
+    )
+    def test_matches_repeated_product(self, amb):
+        x = 2 - H_class(amb) + Fraction(3, 2) * U_class(amb)
+        repeated = unit(amb)
+        for n in range(9):
+            assert x ** n == repeated
+            repeated = repeated * x
+
+    def test_zeroth_power_is_unit(self):
+        amb = PlaneBase2(1, 1)
+        assert GradedClass(amb) ** 0 == unit(amb)
+        assert H_class(amb) ** 0 == unit(amb)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            U_class(PlaneBase2(1, 1)) ** -1

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -241,3 +242,47 @@ class TestDeterminism:
         code, _, _ = run(["thm1", "--bogus", "1"])
         assert code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestChowEvalPower:
+    def test_large_exponent_by_squaring(self):
+        start = time.perf_counter()
+        code, out, err = run(
+            ["chow-eval", "--ring", "plane:3,3", "--expr", "(1+U)^100000"]
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        assert out == (
+            "class:  1 + 100000*U + 14999850000*H*U - 14999850000*H^2"
+            " + 999970000200000*H^2*U\n"
+            "degree: 999970000200000\n"
+        )
+        assert elapsed < 2
+
+    def test_negative_exponent_exits_2(self):
+        code, out, err = run(["chow-eval", "--ring", "plane:3,3", "--expr", "U^-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestCaseFileValues:
+    def test_non_integer_h_exits_2(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "[r]\ngeometry = table8\nh = 1/2\nc13 = 4\nc12H = 6\n"
+            "c1H2 = 6\nc2H = 24\nH3 = 6\n"
+        )
+        code, out, err = run(["bott-report", "--cases", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'h'" in err
+
+    def test_percent_in_provenance(self, tmp_path):
+        path = tmp_path / "cases.ini"
+        path.write_text(
+            "[r]\ngeometry = table8\nh = 0\nc13 = 4\nc12H = 6\n"
+            "c1H2 = 6\nc2H = 24\nH3 = 6\nprovenance = 50% done\n"
+        )
+        code, out, err = run(["bott-report", "--cases", str(path), "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)[0]["provenance"] == "50% done"
