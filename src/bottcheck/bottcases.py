@@ -22,6 +22,7 @@ from .theorems import (
     DualPathMismatch,
     PlaneBundleInput,
     ThreefoldNumerics,
+    check_hodge_number,
     thm1_closed,
     thm1_derived,
     thm2_chain,
@@ -328,10 +329,11 @@ def _validate(c: CaseRecord):
     for field in _REQUIRED_BY_GEOMETRY.get(c.geometry, ()):
         if getattr(c, field) is None:
             raise RegistryError(c.id, field, "required for this geometry")
-    if c.h is not None and c.h < 0:
-        raise RegistryError(c.id, "h", "the Hodge number h must be >= 0")
-    if c.h is not None and Fraction(c.h).denominator != 1:
-        raise RegistryError(c.id, "h", "the Hodge number h must be an integer")
+    if c.h is not None:
+        try:
+            check_hodge_number(c.h)
+        except ValueError as exc:
+            raise RegistryError(c.id, "h", str(exc)) from None
     if c.d is not None and c.geometry != "conicBundle":
         raise RegistryError(c.id, "d", "only conic bundles carry a discriminant")
     if c.a is not None:

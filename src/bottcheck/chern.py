@@ -88,6 +88,10 @@ def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
     if b < 0:
         raise ValueError(f"symmetric power needs b >= 0, got {b}")
     c1, c2 = Fraction(c1), Fraction(c2)
+    if c1.denominator == c2.denominator == 1:
+        # Integral classes: the root arithmetic stays in ints, and e2 is
+        # divided by 2 once, at the end.
+        c1, c2 = c1.numerator, c2.numerator
 
     def mul(x, y):
         a, p = x
@@ -95,14 +99,14 @@ def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
         # (a + p r)(c + q r) with r^2 = c1 r - c2
         return (a * c - p * q * c2, a * q + p * c + p * q * c1)
 
-    roots = [((b - i) * c1, Fraction(2 * i - b)) for i in range(b + 1)]
+    roots = [((b - i) * c1, 2 * i - b) for i in range(b + 1)]
     e1 = (sum(r[0] for r in roots), sum(r[1] for r in roots))
-    sq = (Fraction(0), Fraction(0))
+    sq = (0, 0)
     for r in roots:
         s = mul(r, r)
         sq = (sq[0] + s[0], sq[1] + s[1])
     e1sq = mul(e1, e1)
-    e2 = ((e1sq[0] - sq[0]) / 2, (e1sq[1] - sq[1]) / 2)
+    e2 = (Fraction(e1sq[0] - sq[0], 2), Fraction(e1sq[1] - sq[1], 2))
     assert e1[1] == 0 and e2[1] == 0, "symmetric functions must be root-free"
     return SurfaceChern(b + 1, e1[0], e2[0])
 

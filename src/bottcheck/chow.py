@@ -24,6 +24,16 @@ overshoot except U^4 itself into a multiple of H^2 = 0.  The public
 constructor accepts any monomials and reduces H^i U^j as the basis term
 H^i U^min(j, top_j) times U, one factor at a time, through that product.
 
+A class stores its terms as (monomial, int numerator) pairs, sorted and
+nonzero, over one int denominator: ``den > 0``, the gcd of ``den`` and
+every numerator is 1, and the zero class is ``((), 1)``.  The ring
+parameters (c1, c2, the twists) must be integers, so the product is
+integer arithmetic throughout: it multiplies the denominators, a sum
+scales to their lcm, and the common factor is cancelled once per result
+(skipped when the denominator is 1).  Fractions are made only where a
+value leaves the class: ``coeffs``, ``coeff()``, ``degree()`` and
+``render``.  ``==`` and ``hash`` compare the canonical (terms, den).
+
 The sign convention of the rank relation is pinned by the pushforward
 consistency checks in the test suite: the intrinsic Riemann-Roch value
 of y*U on PlaneBase2 must agree with the Euler characteristic of the
@@ -32,16 +42,33 @@ y-th symmetric power of E on the base.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Tuple
 
+from .exact import common_denominator
+
 Monomial = Tuple[int, int]  # (power of H, power of U)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; the ring relations multiply by it, and the
+    classes keep integer numerators."""
+    if isinstance(value, (int, Fraction)) and value.denominator == 1:
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class LineBase4:
     twists: Tuple[int, int, int, int]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "twists", tuple(_integer("twist", a) for a in self.twists)
+        )
 
     @property
     def top(self) -> Monomial:
@@ -53,6 +80,10 @@ class PlaneBase2:
     c1: int
     c2: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "c1", _integer("c1", self.c1))
+        object.__setattr__(self, "c2", _integer("c2", self.c2))
+
     @property
     def top(self) -> Monomial:
         return (2, 1)
@@ -62,7 +93,8 @@ Ambient = LineBase4 | PlaneBase2
 
 
 def _product(ambient: Ambient, xs, ys) -> dict:
-    """Product of two term lists in the basis, as a dict of basis terms.
+    """Product of two lists of (basis monomial, int) terms, as a dict of
+    basis terms with int coefficients.
 
     Multiplies term by term, drops what carries H^(top_i + 1), then
     rewrites the overshoot in U by one step of the ring's relation.
@@ -97,52 +129,75 @@ def _product(ambient: Ambient, xs, ys) -> dict:
     return out
 
 
-def _accumulate(terms: dict, m: Monomial, c: Fraction) -> None:
+def _accumulate(terms: dict, m: Monomial, c: int) -> None:
     terms[m] = terms[m] + c if m in terms else c
 
 
 class GradedClass:
-    """A fully reduced element of one of the two ambient Chow rings."""
+    """A fully reduced element of one of the two ambient Chow rings.
 
-    __slots__ = ("ambient", "coeffs")
+    ``terms`` holds (basis monomial, int numerator) pairs over the one
+    denominator ``den``; see the module docstring for the invariant.
+    ``coeffs`` gives the same terms with Fraction coefficients.
+    """
+
+    __slots__ = ("ambient", "terms", "den")
 
     def __init__(self, ambient: Ambient, raw: Mapping[Monomial, Fraction] = ()):
+        raw = dict(raw)
+        nums, den = common_denominator(raw.values())
         top_i, top_j = ambient.top
-        u = (((0, 1), Fraction(1)),)
+        u = (((0, 1), 1),)
         terms: dict = {}
-        for (i, j), c in dict(raw).items():
+        for (i, j), c in zip(raw, nums):
             if c == 0 or i > top_i:
                 continue
-            part = {(i, min(j, top_j)): c if type(c) is Fraction else Fraction(c)}
+            part = {(i, min(j, top_j)): c}
             for _ in range(j - top_j):
                 part = _product(ambient, part.items(), u)
             for m, c in part.items():
                 _accumulate(terms, m, c)
-        self._store(ambient, terms.items())
+        self._store(ambient, terms.items(), den)
 
     @classmethod
-    def _reduced(cls, ambient: Ambient, terms) -> "GradedClass":
-        """A class from (monomial, Fraction) terms already in the basis,
-        each monomial at most once: drops zeros and sorts, nothing else."""
+    def _reduced(cls, ambient: Ambient, terms, den: int = 1) -> "GradedClass":
+        """A class from (monomial, int) terms over a positive ``den``, the
+        monomials already in the basis, each at most once."""
         self = object.__new__(cls)
-        self._store(ambient, terms)
+        self._store(ambient, terms, den)
         return self
 
-    def _store(self, ambient: Ambient, terms) -> None:
+    def _store(self, ambient: Ambient, terms, den: int) -> None:
+        """Drop zero terms, sort, cancel the common factor, then set."""
+        terms = sorted((m, c) for m, c in terms if c)
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *(c for _, c in terms))
+            if g != 1:
+                terms = [(m, c // g) for m, c in terms]
+                den //= g
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "coeffs", tuple(sorted((m, c) for m, c in terms if c)))
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedClass is immutable")
 
+    @property
+    def coeffs(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
+        """The sorted nonzero (monomial, Fraction) terms."""
+        den = self.den
+        return tuple((m, Fraction(c, den)) for m, c in self.terms)
+
     def coeff(self, i: int, j: int) -> Fraction:
-        for m, c in self.coeffs:
+        for m, c in self.terms:
             if m == (i, j):
-                return c
+                return Fraction(c, self.den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def _check(self, other: "GradedClass"):
         if self.ambient != other.ambient:
@@ -153,71 +208,104 @@ class GradedClass:
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
-            c = other if type(other) is Fraction else Fraction(other)
-            return GradedClass._reduced(self.ambient, (((0, 0), c),))
+            return GradedClass._reduced(
+                self.ambient, (((0, 0), other.numerator),), other.denominator
+            )
         return None
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.terms == o.terms and self.den == o.den
 
     def __hash__(self):
-        return hash((self.ambient, self.coeffs))
+        return hash((self.ambient, self.terms, self.den))
+
+    def _plus(self, o: "GradedClass", sign: int) -> "GradedClass":
+        den = self.den
+        a, b = 1, sign
+        if den != o.den:
+            den = lcm(den, o.den)
+            a, b = den // self.den, sign * (den // o.den)
+        terms = {m: c * a for m, c in self.terms}
+        for m, c in o.terms:
+            _accumulate(terms, m, c * b)
+        return GradedClass._reduced(self.ambient, terms.items(), den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.coeffs)
-        for m, c in o.coeffs:
-            _accumulate(terms, m, c)
-        return GradedClass._reduced(self.ambient, terms.items())
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass._reduced(self.ambient, [(m, -c) for m, c in self.coeffs])
+        return GradedClass._reduced(
+            self.ambient, [(m, -c) for m, c in self.terms], self.den
+        )
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            p = other.numerator
             return GradedClass._reduced(
-                self.ambient, [(m, c * other) for m, c in self.coeffs]
+                self.ambient, [(m, c * p) for m, c in self.terms],
+                self.den * other.denominator,
             )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = _product(self.ambient, self.coeffs, o.coeffs)
-        return GradedClass._reduced(self.ambient, terms.items())
+        terms = _product(self.ambient, self.terms, o.terms)
+        return GradedClass._reduced(self.ambient, terms.items(), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedClass":
-        """x**n for n >= 0 by repeated squaring; x**0 is the unit."""
+        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
+
+        Raises ValueError as soon as a numerator or denominator of an
+        intermediate reaches ``sys.get_int_max_str_digits()`` digits, the
+        size past which Python refuses to print an integer (no bound when
+        that limit is 0, or on a Python before 3.10.7, which has none).
+        This stops a huge exponent before it exhausts memory.
+        """
         if n < 0:
             raise ValueError("negative exponent")
-        out, base = unit(self.ambient), self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bound = 10 ** digits
+
+        def checked(x: GradedClass) -> GradedClass:
+            if digits and (
+                x.den >= bound or any(not -bound < c < bound for _, c in x.terms)
+            ):
+                raise ValueError(
+                    f"the power ^{n} has a coefficient of more than {digits} digits"
+                )
+            return x
+
+        out, base, k = unit(self.ambient), self, n
+        while k:
+            if k & 1:
+                out = checked(out * base)
+            k >>= 1
+            if k:
+                base = checked(base * base)
         return out
 
     def graded_part(self, k: int) -> "GradedClass":
         return GradedClass._reduced(
-            self.ambient, [(m, c) for m, c in self.coeffs if m[0] + m[1] == k]
+            self.ambient, [(m, c) for m, c in self.terms if m[0] + m[1] == k],
+            self.den,
         )
 
     def degree(self) -> Fraction:
@@ -257,12 +345,12 @@ class GradedClass:
 
 
 def unit(ambient: Ambient) -> GradedClass:
-    return GradedClass._reduced(ambient, (((0, 0), Fraction(1)),))
+    return GradedClass._reduced(ambient, (((0, 0), 1),))
 
 
 def H_class(ambient: Ambient) -> GradedClass:
-    return GradedClass._reduced(ambient, (((1, 0), Fraction(1)),))
+    return GradedClass._reduced(ambient, (((1, 0), 1),))
 
 
 def U_class(ambient: Ambient) -> GradedClass:
-    return GradedClass._reduced(ambient, (((0, 1), Fraction(1)),))
+    return GradedClass._reduced(ambient, (((0, 1), 1),))

@@ -249,6 +249,11 @@ def _render(value) -> str:
 
 
 def _cmd_thm1(args, out) -> int:
+    if args.h is not None:
+        try:
+            theorems.check_hodge_number(args.h)
+        except ValueError as exc:
+            raise InputError(f"--h {args.h}: {exc}") from None
     h = None if args.symbolic_h else args.h
     n = theorems.ThreefoldNumerics(
         h=h, c13=args.c13, c12H=args.c12H, c1H2=args.c1H2,
@@ -343,8 +348,27 @@ def _cmd_chow_eval(args, out) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes help to ``out`` and usage errors to
+    ``err``, in place of the process's stdout and stderr."""
+
+    def print_help(self, file=None):
+        super().print_help(self.out if file is None else file)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self.err.write(message)
+        sys.exit(status)
+
+    def error(self, message):
+        self.print_usage(self.err)
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def build_parser(out=None, err=None) -> argparse.ArgumentParser:
+    """The bottcheck parser; help goes to ``out`` and usage errors to
+    ``err`` (default: the process's stdout and stderr)."""
+    parser = _Parser(
         prog="bottcheck",
         description="Exact Euler-characteristic obstruction checks for "
         "Bott vanishing on weak Fano threefolds.",
@@ -394,13 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--expr", required=True)
     pc.set_defaults(func=_cmd_chow_eval)
 
+    for p in (parser, *sub.choices.values()):
+        p.out = out if out is not None else sys.stdout
+        p.err = err if err is not None else sys.stderr
     return parser
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    parser = build_parser(out, err)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

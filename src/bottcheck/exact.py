@@ -4,13 +4,25 @@ Everything downstream (Chow classes, Chern polynomials, Riemann-Roch
 values) is built on the three types here: arbitrary-precision rationals,
 univariate polynomials over the rationals, and affine expressions over
 named symbols.  There is no floating point anywhere in the package.
+
+``UniPoly`` keeps its coefficients as a tuple ``num`` of int numerators
+over one int denominator ``den``, in lowest terms: ``den > 0``,
+``gcd(*num, den) == 1``, no trailing zero, and the zero polynomial is
+``((), 1)``.  Ring operations are plain integer arithmetic: a product
+multiplies the denominators, a sum scales both sides to the lcm of
+theirs, and the common factor is cancelled once per result (skipped
+when the denominator is 1).  Fractions are made only where a value
+leaves the polynomial: ``coeffs``, ``coeff()``, evaluation and
+``render``.  The representation is canonical, so ``==`` and ``hash``
+compare ``(num, den)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Mapping, Union
+from itertools import zip_longest
+from math import factorial, gcd, lcm
+from typing import Iterable, Mapping, Tuple, Union
 
 # Rationals are stdlib Fractions: always in lowest terms, denominator > 0.
 Rational = Fraction
@@ -33,94 +45,156 @@ def binom(n: int, k: int) -> Fraction:
     return num / factorial(k)
 
 
-class UniPoly:
-    """Univariate polynomial with Fraction coefficients.
+def common_denominator(values: Iterable[Number]) -> Tuple[list, int]:
+    """Integer numerators of ``values`` over their least common denominator.
 
-    coeffs[i] is the coefficient of the i-th power.  The zero polynomial
-    is the empty tuple; otherwise the last coefficient is nonzero.
-    Instances are immutable; all operations return new polynomials.
+    ``values`` are ints or Fractions (anything else goes through
+    ``Fraction`` first); returns ``(numerators, denominator)`` with the
+    denominator positive.
+    """
+    fs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in values]
+    den = lcm(*(c.denominator for c in fs))
+    if den == 1:
+        return [c.numerator for c in fs], 1
+    return [c.numerator * (den // c.denominator) for c in fs], den
+
+
+def _convolve(a, b) -> list:
+    """Coefficient list of the product of two integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+class UniPoly:
+    """Univariate polynomial with rational coefficients.
+
+    Stored as integer numerators over one common denominator:
+    ``num[i] / den`` is the coefficient of the i-th power.  See the
+    module docstring for the invariant.  ``coeffs`` gives the
+    coefficients as Fractions.  Instances are immutable; all operations
+    return new polynomials.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Number] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._store(*common_denominator(coeffs))
+
+    @classmethod
+    def _new(cls, num, den: int) -> "UniPoly":
+        """A polynomial from integer numerators over a positive den."""
+        self = object.__new__(cls)
+        self._store(num, den)
+        return self
+
+    def _store(self, num, den: int) -> None:
+        """Strip trailing zeros and cancel the common factor, then set."""
+        num = list(num)
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [n // g for n in num]
+                den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """coeffs[i] is the coefficient of the i-th power; () for zero."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
+    @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly((other,))
+            return UniPoly._new((other.numerator,), other.denominator)
         return None
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
+
+    def _plus(self, o: "UniPoly", sign: int) -> "UniPoly":
+        a, b, den = self.num, o.num, self.den
+        if den != o.den:
+            den = lcm(den, o.den)
+            a = [x * (den // self.den) for x in a]
+            b = [x * (den // o.den) for x in b]
+        if sign > 0:
+            return UniPoly._new([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
+        return UniPoly._new([x - y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(self.coeff(i) + o.coeff(i) for i in range(n))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(-c for c in self.coeffs)
+        return UniPoly._new([-n for n in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
+            p = other.numerator
+            return UniPoly._new([n * p for n in self.num], self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._new(_convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return UniPoly(c / scalar for c in self.coeffs)
+        if not scalar:
+            raise ZeroDivisionError("polynomial division by zero")
+        p, q = scalar.numerator, scalar.denominator
+        if p < 0:
+            p, q = -p, -q
+        return UniPoly._new([n * q for n in self.num], self.den * p)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -131,25 +205,44 @@ class UniPoly:
         return out
 
     def __call__(self, value: Number) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Evaluate by Horner's rule, on integers.
+
+        At p/q the sum of num[i] p^i q^(d-i) is accumulated, and divided
+        by den q^d once at the end.
+        """
+        if not self.num:
+            return Fraction(0)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        p, q = value.numerator, value.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, self.den * scale // q)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
+        """self(inner) by Horner's rule as in ``__call__``, with inner's
+        numerator polynomial in place of p and its denominator as q."""
+        if not self.num:
+            return UniPoly()
         inner = self._coerce(inner)
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        m, e = inner.num, inner.den
+        acc: list = []
+        scale = 1
+        for c in reversed(self.num):
+            acc = _convolve(acc, m) or [0]
+            acc[0] += c * scale
+            scale *= e
+        return UniPoly._new(acc, self.den * scale // e)
 
     def render(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")

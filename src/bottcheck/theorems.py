@@ -63,6 +63,14 @@ class ThreefoldNumerics:
         return out
 
 
+def check_hodge_number(h) -> None:
+    """Raise ValueError unless h, which counts fibres, is an integer >= 0."""
+    if h < 0:
+        raise ValueError("the Hodge number h must be >= 0")
+    if Fraction(h).denominator != 1:
+        raise ValueError("the Hodge number h must be an integer")
+
+
 @cache
 def thm1_closed_form() -> Affine:
     """The closed form of -chi(X, Omega^2_X(H - K_X)) in the six symbols.

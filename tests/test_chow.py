@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bottcheck.chern import sym_power_polys, SurfaceChern
+from bottcheck.chern import sym_power_polys, sym_power_splitting_oracle, SurfaceChern
 from bottcheck.chow import (
     GradedClass,
     H_class,
@@ -254,3 +255,174 @@ class TestPower:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             U_class(PlaneBase2(1, 1)) ** -1
+
+
+# --- integer numerators over one denominator, against the Fraction oracle ---
+
+
+def _fraction_product(ambient, xs, ys):
+    """The Fraction-coefficient product of two reduced term lists that
+    integer numerators replaced, kept as the oracle."""
+    top_i, top_j = ambient.top
+    out = {}
+    for (i1, j1), a in xs:
+        for (i2, j2), b in ys:
+            i = i1 + i2
+            if i > top_i:
+                continue
+            m = (i, j1 + j2)
+            out[m] = out.get(m, Fraction(0)) + Fraction(a) * Fraction(b)
+    over = [m for m in out if m[1] > top_j]
+    if isinstance(ambient, PlaneBase2):
+        for m in over:
+            c, i = out.pop(m), m[0]
+            if i + 1 <= top_i:
+                out[(i + 1, 1)] = out.get((i + 1, 1), Fraction(0)) + c * ambient.c1
+            if i + 2 <= top_i:
+                out[(i + 2, 0)] = out.get((i + 2, 0), Fraction(0)) - c * ambient.c2
+    else:
+        s1 = sum(ambient.twists)
+        for m in over:
+            c = out.pop(m)
+            if m == (0, 4):
+                out[(1, 3)] = out.get((1, 3), Fraction(0)) + c * s1
+    return tuple(sorted((m, c) for m, c in out.items() if c != 0))
+
+
+def _fraction_sum(xs, ys, sign=1):
+    out = dict(xs)
+    for m, c in ys:
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return tuple(sorted((m, c) for m, c in out.items() if c != 0))
+
+
+def _fraction_scale(xs, n):
+    return tuple((m, c * n) for m, c in xs if c * n != 0)
+
+
+def assert_canonical(x):
+    """Terms sorted, nonzero and int, over a positive den in lowest terms;
+    coeffs is the same terms as Fractions."""
+    monomials = [m for m, _ in x.terms]
+    assert monomials == sorted(set(monomials))
+    assert all(type(c) is int and c != 0 for _, c in x.terms)
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *(c for _, c in x.terms)) == 1
+    assert x.terms or x.den == 1
+    assert all(type(c) is Fraction for _, c in x.coeffs)
+    assert x.coeffs == tuple((m, Fraction(c, x.den)) for m, c in x.terms)
+
+
+scalars = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)
+)
+
+
+class TestIntegerNumerators:
+    @given(ambients, raws, raws)
+    def test_product_matches_fraction_product(self, amb, raw1, raw2):
+        x, y = GradedClass(amb, raw1), GradedClass(amb, raw2)
+        z = x * y
+        assert_canonical(z)
+        assert z.coeffs == _fraction_product(amb, x.coeffs, y.coeffs)
+
+    @given(ambients, raws, raws, scalars, st.integers(0, 6))
+    def test_other_operations_match_fraction_arithmetic(self, amb, raw1, raw2, n, k):
+        x, y = GradedClass(amb, raw1), GradedClass(amb, raw2)
+        xs, ys = x.coeffs, y.coeffs
+        for got, want in (
+            (x + y, _fraction_sum(xs, ys)),
+            (x - y, _fraction_sum(xs, ys, -1)),
+            (-x, _fraction_scale(xs, -1)),
+            (x * n, _fraction_scale(xs, n)),
+            (n * x, _fraction_scale(xs, n)),
+            (x + n, _fraction_sum(xs, (((0, 0), Fraction(n)),))),
+            (n - x, _fraction_sum((((0, 0), Fraction(n)),), xs, -1)),
+            (x.graded_part(k), tuple((m, c) for m, c in xs if sum(m) == k)),
+        ):
+            assert_canonical(got)
+            assert got.coeffs == want
+        assert x.degree() == dict(xs).get(amb.top, Fraction(0))
+        for i in range(3):
+            for j in range(4):
+                assert x.coeff(i, j) == dict(xs).get((i, j), Fraction(0))
+
+    @given(ambients, raws, st.integers(0, 5))
+    def test_power_matches_fraction_products(self, amb, raw, n):
+        x = GradedClass(amb, raw)
+        want = (((0, 0), Fraction(1)),)
+        for _ in range(n):
+            want = _fraction_product(amb, want, x.coeffs)
+        assert_canonical(x ** n)
+        assert (x ** n).coeffs == want
+
+    @given(ambients, raws, st.integers(1, 12))
+    def test_eq_and_hash_agree(self, amb, raw, k):
+        x = GradedClass(amb, raw)
+        # the same value reached along another route
+        u = U_class(amb)
+        again = (x * k + u) * Fraction(1, k) - u * Fraction(1, k)
+        assert again == x and hash(again) == hash(x)
+        assert (again.terms, again.den) == (x.terms, x.den)
+
+    def test_non_integer_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            PlaneBase2(Fraction(1, 2), 0)
+        with pytest.raises(ValueError):
+            PlaneBase2(0, Fraction(-7, 3))
+        with pytest.raises(ValueError):
+            LineBase4((0, 0, Fraction(1, 3), 2))
+        with pytest.raises(ValueError):
+            PlaneBase2("1", 0)
+
+    def test_integral_fraction_parameters_become_ints(self):
+        amb = PlaneBase2(Fraction(4, 2), Fraction(3))
+        assert amb == PlaneBase2(2, 3)
+        assert type(amb.c1) is int and type(amb.c2) is int
+        assert all(type(a) is int for a in LineBase4((Fraction(2), 0, 0, 1)).twists)
+
+    def test_zero_class_is_stored_as_empty_over_one(self):
+        amb = PlaneBase2(3, 3)
+        h = H_class(amb)
+        for x in (GradedClass(amb), h * h * h, h - h,
+                  Fraction(1, 3) * h - h * Fraction(1, 3)):
+            assert (x.terms, x.den) == ((), 1) and x.coeffs == ()
+
+
+def _fraction_splitting_oracle(c1, c2, b):
+    """sym_power_splitting_oracle as it was before integer root
+    arithmetic, kept as the oracle for its Fraction path."""
+    c1, c2 = Fraction(c1), Fraction(c2)
+
+    def mul(x, y):
+        a, p = x
+        c, q = y
+        return (a * c - p * q * c2, a * q + p * c + p * q * c1)
+
+    roots = [((b - i) * c1, Fraction(2 * i - b)) for i in range(b + 1)]
+    e1 = (sum(r[0] for r in roots), sum(r[1] for r in roots))
+    sq = (Fraction(0), Fraction(0))
+    for r in roots:
+        s = mul(r, r)
+        sq = (sq[0] + s[0], sq[1] + s[1])
+    e1sq = mul(e1, e1)
+    e2 = ((e1sq[0] - sq[0]) / 2, (e1sq[1] - sq[1]) / 2)
+    assert e1[1] == 0 and e2[1] == 0
+    return SurfaceChern(b + 1, e1[0], e2[0])
+
+
+@given(scalars, scalars, st.integers(0, 8))
+def test_splitting_oracle_matches_fraction_oracle(c1, c2, b):
+    # Non-integral (c1, c2) take the Fraction path, integral ones the int
+    # path; both must give what the Fraction-only oracle gave.
+    got = sym_power_splitting_oracle(c1, c2, b)
+    want = _fraction_splitting_oracle(c1, c2, b)
+    assert got == want
+    assert type(got.c1) is Fraction and type(got.c2) is Fraction
+
+
+@given(st.fractions(max_denominator=7).filter(lambda c: c.denominator > 1),
+       st.integers(-9, 9), st.integers(0, 8))
+def test_splitting_oracle_non_integral_classes(c1, c2, b):
+    for args in ((c1, c2), (c2, c1), (c1, c1)):
+        assert sym_power_splitting_oracle(*args, b) == _fraction_splitting_oracle(*args, b)

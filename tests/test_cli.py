@@ -1,12 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from bottcheck import bottcases, cli, theorems
 from bottcheck.cli import BundleExpr, InputError, parse_bundle
 from bottcheck.exact import T
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -239,9 +246,10 @@ class TestDeterminism:
         assert run(argv) == run(argv)
 
     def test_unknown_flag_exits_2(self, capsys):
-        code, _, _ = run(["thm1", "--bogus", "1"])
+        code, _, err = run(["thm1", "--bogus", "1"])
         assert code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert capsys.readouterr().err == ""
 
 
 class TestChowEvalPower:
@@ -286,3 +294,104 @@ class TestCaseFileValues:
         code, out, err = run(["bott-report", "--cases", str(path), "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)[0]["provenance"] == "50% done"
+
+
+THM1_NUMERICS = ["--c13", "4", "--c12H", "6", "--c1H2", "6", "--c2H", "24",
+                 "--H3", "6"]
+
+
+class TestThm1HodgeNumber:
+    @pytest.mark.parametrize("h", ["1/2", "-3", "7/3"])
+    def test_bad_h_exits_2(self, h):
+        code, out, err = run(["thm1", "--h", h, *THM1_NUMERICS])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --h {h}: ") and err.count("\n") == 1
+
+    def test_same_rule_as_case_files(self, tmp_path):
+        for h in ("1/2", "-3"):
+            path = tmp_path / "case.ini"
+            path.write_text(f"[r]\ngeometry = table8\nh = {h}\n")
+            _, _, registry_err = run(["bott-report", "--cases", str(path)])
+            _, _, cli_err = run(["thm1", "--h", h, *THM1_NUMERICS])
+            message = cli_err.rstrip("\n").split(": ")[-1]
+            assert registry_err.rstrip("\n").endswith(message)
+
+    def test_integral_fraction_is_read_as_integer(self):
+        assert run(["thm1", "--h", "4/2", *THM1_NUMERICS]) == run(
+            ["thm1", "--h", "2", *THM1_NUMERICS])
+
+    def test_omitted_h_stays_symbolic(self):
+        code, out, err = run(["thm1", *THM1_NUMERICS])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "closed:  14 + h"
+
+
+class TestChowEvalSizeLimit:
+    def test_huge_power_stops_before_building_it(self):
+        start = time.perf_counter()
+        code, out, err = run(
+            ["chow-eval", "--ring", "plane:1,1", "--expr", "2^30000000"])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "30000000" in err and "Exceeds the limit" not in err
+
+    def test_exponent_past_memory_exits_2(self):
+        code, out, err = run(
+            ["chow-eval", "--ring", "line:0,0,1,2", "--expr", "(2+U)^1000000000000"])
+        assert (code, out) == (2, "") and "1000000000000" in err
+
+    def test_powers_within_the_limit_still_print(self):
+        code, out, err = run(["chow-eval", "--ring", "plane:1,1", "--expr", "2^14000"])
+        assert (code, err) == (0, "")
+        assert out == f"class:  {2 ** 14000}\ndegree: 0\n"
+        code, out, _ = run(
+            ["chow-eval", "--ring", "plane:3,3", "--expr", "U^1000000000000"])
+        assert code == 0 and out.startswith("class:  ")
+
+    def test_no_bound_when_python_sets_none(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run(
+                ["chow-eval", "--ring", "plane:1,1", "--expr", "(1/3)^10000"])
+            want = f"class:  1/{3 ** 10000}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and out.startswith(want)
+
+
+class TestParserStreams:
+    @pytest.mark.parametrize(
+        "argv, code, to",
+        [
+            (["thm2"], 2, "err"),
+            (["frob"], 2, "err"),
+            (["thm1", "--h", "x"], 2, "err"),
+            (["--help"], 0, "out"),
+            (["thm3", "--help"], 0, "out"),
+        ],
+    )
+    def test_parser_writes_to_given_streams(self, capsys, argv, code, to):
+        got, out, err = run(argv)
+        assert got == code
+        assert capsys.readouterr() == ("", "")
+        written = {"out": out, "err": err}
+        assert written[to].startswith("usage: bottcheck")
+        assert written["err" if to == "out" else "out"] == ""
+        if to == "err":
+            assert err.splitlines()[-1].startswith("bottcheck")
+            assert ": error: " in err.splitlines()[-1]
+
+    def test_fresh_process_output_unchanged(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bottcheck.cli", "thm2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "usage: bottcheck thm2 [-h] --bundle BUNDLE --k K [--a A]\n"
+            "bottcheck thm2: error: the following arguments are required: "
+            "--bundle, --k\n"
+        )

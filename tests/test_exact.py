@@ -1,5 +1,6 @@
 import io
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,3 +236,157 @@ def test_cached_thm1_forms_equal_fresh_derivations():
     cached = rr.chi_twisted_cotangent_symbolic
     assert cached.__wrapped__() == cached()
     assert theorems.thm1_closed_form.__wrapped__() == theorems.thm1_closed_form()
+
+
+# --- integer numerators over one denominator, against the Fraction oracle ---
+
+
+class FractionPoly:
+    """The Fraction-coefficient UniPoly this representation replaced, kept
+    as the oracle: coeffs[i] is the coefficient of the i-th power."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def coeff(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, o):
+        n = max(len(self.coeffs), len(o.coeffs))
+        return FractionPoly(self.coeff(i) + o.coeff(i) for i in range(n))
+
+    def __neg__(self):
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly(c * other for c in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    def __truediv__(self, scalar):
+        return FractionPoly(c / scalar for c in self.coeffs)
+
+    def __pow__(self, n):
+        out = FractionPoly((1,))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, value):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def compose(self, inner):
+        acc = FractionPoly()
+        for c in reversed(self.coeffs):
+            acc = acc * inner + FractionPoly((c,))
+        return acc
+
+
+def assert_canonical(p):
+    """The stored form is in lowest terms and coeffs is Fraction-typed."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int for n in p.num)
+    assert gcd(p.den, *p.num) == 1
+    assert p.num == () and p.den == 1 or p.num[-1] != 0
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == tuple(Fraction(n, p.den) for n in p.num)
+
+
+def same(p, oracle):
+    assert_canonical(p)
+    assert p.coeffs == oracle.coeffs
+
+
+coefficients = st.lists(scalars, max_size=5)
+nonzero = scalars.filter(lambda c: c != 0)
+
+
+class TestIntegerNumerators:
+    @given(coefficients)
+    def test_constructor(self, cs):
+        same(UniPoly(cs), FractionPoly(cs))
+
+    @given(coefficients, coefficients)
+    def test_ring_operations(self, cs1, cs2):
+        p, q = UniPoly(cs1), UniPoly(cs2)
+        r, s = FractionPoly(cs1), FractionPoly(cs2)
+        same(p + q, r + s)
+        same(p - q, r - s)
+        same(-p, -r)
+        same(p * q, r * s)
+
+    @given(coefficients, scalars)
+    def test_sums_with_a_scalar(self, cs, n):
+        p, r, c = UniPoly(cs), FractionPoly(cs), FractionPoly((n,))
+        same(p + n, r + c)
+        same(n + p, r + c)
+        same(p - n, r - c)
+        same(n - p, c - r)
+
+    @given(coefficients, scalars, nonzero)
+    def test_scalar_multiple_and_division(self, cs, n, d):
+        p, r = UniPoly(cs), FractionPoly(cs)
+        same(p * n, r * n)
+        same(n * p, r * n)
+        same(p / d, r / d)
+
+    @given(coefficients, coefficients)
+    def test_compose(self, cs1, cs2):
+        same(UniPoly(cs1).compose(UniPoly(cs2)),
+             FractionPoly(cs1).compose(FractionPoly(cs2)))
+
+    @given(coefficients, scalars)
+    def test_compose_with_a_constant(self, cs, n):
+        same(UniPoly(cs).compose(n), FractionPoly(cs).compose(FractionPoly((n,))))
+
+    @given(coefficients, st.integers(-30, 30), fractions)
+    def test_evaluation(self, cs, k, x):
+        p, r = UniPoly(cs), FractionPoly(cs)
+        for value in (k, x):
+            got = p(value)
+            assert type(got) is Fraction and got == r(value)
+
+    @given(st.lists(scalars, max_size=3), st.integers(0, 5))
+    def test_power(self, cs, n):
+        same(UniPoly(cs) ** n, FractionPoly(cs) ** n)
+
+    @given(coefficients, coefficients)
+    def test_eq_and_hash_agree(self, cs1, cs2):
+        p, q = UniPoly(cs1), UniPoly(cs2)
+        assert (p == q) == (FractionPoly(cs1).coeffs == FractionPoly(cs2).coeffs)
+        # the same value reached along another route
+        again = (p * 6 + q) / 6 - q / 6
+        assert again == p and hash(again) == hash(p)
+
+    @given(coefficients, st.integers(1, 9))
+    def test_common_factor_cancelled(self, cs, k):
+        # k*p/k must land on the stored form of p, not on (k*num, k*den)
+        p = UniPoly(cs)
+        q = UniPoly(c * k for c in cs) / k
+        assert (q.num, q.den) == (p.num, p.den)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero_raises(self, zero):
+        for p in (UniPoly(), T + Fraction(1, 3)):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+
+    def test_zero_polynomial_is_stored_as_empty_over_one(self):
+        for p in (UniPoly(), UniPoly((0, Fraction(0))), T / 3 - T / 3,
+                  (T + 1) * Fraction(0)):
+            assert (p.num, p.den) == ((), 1) and p.coeffs == ()
