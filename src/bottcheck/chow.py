@@ -273,33 +273,19 @@ class GradedClass:
     def __pow__(self, n: int) -> "GradedClass":
         """x**n for n >= 0 by repeated squaring; x**0 is the unit.
 
-        Raises ValueError as soon as a numerator or denominator of an
-        intermediate reaches ``sys.get_int_max_str_digits()`` digits, the
-        size past which Python refuses to print an integer (no bound when
-        that limit is 0, or on a Python before 3.10.7, which has none).
-        This stops a huge exponent before it exhausts memory.
+        Every intermediate goes through ``check_printable``, so a huge
+        exponent raises ValueError before it exhausts memory.
         """
         if n < 0:
             raise ValueError("negative exponent")
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        bound = 10 ** digits
-
-        def checked(x: GradedClass) -> GradedClass:
-            if digits and (
-                x.den >= bound or any(not -bound < c < bound for _, c in x.terms)
-            ):
-                raise ValueError(
-                    f"the power ^{n} has a coefficient of more than {digits} digits"
-                )
-            return x
-
+        what = f"the power ^{n}"
         out, base, k = unit(self.ambient), self, n
         while k:
             if k & 1:
-                out = checked(out * base)
+                out = check_printable(out * base, what)
             k >>= 1
             if k:
-                base = checked(base * base)
+                base = check_printable(base * base, what)
         return out
 
     def graded_part(self, k: int) -> "GradedClass":
@@ -354,3 +340,17 @@ def H_class(ambient: Ambient) -> GradedClass:
 
 def U_class(ambient: Ambient) -> GradedClass:
     return GradedClass._reduced(ambient, (((0, 1), 1),))
+
+
+def check_printable(x: GradedClass, what: str) -> GradedClass:
+    """Return x, or raise ValueError naming ``what`` if a numerator or the
+    denominator of x has more than ``sys.get_int_max_str_digits()``
+    digits, the size past which Python refuses to print an integer (no
+    bound when that limit is 0, or on a Python before 3.10.7, which has
+    none)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        bound = 10 ** digits
+        if x.den >= bound or any(not -bound < c < bound for _, c in x.terms):
+            raise ValueError(f"{what} has a coefficient of more than {digits} digits")
+    return x

@@ -10,13 +10,17 @@ mismatch, 2 input error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Tuple
 
 from . import bottcases, theorems
-from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
+from .chow import (
+    GradedClass, H_class, LineBase4, PlaneBase2, U_class, check_printable, unit,
+)
 from .exact import Affine
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
@@ -160,7 +164,11 @@ def parse_bundle(text: str) -> BundleExpr:
 
 def parse_chow_expr(text: str, ambient) -> GradedClass:
     """Arithmetic over H, U with +, -, *, ^, parentheses and rational
-    literals ("3", "1/2")."""
+    literals ("3", "1/2").
+
+    Every product, sum, difference and power is checked with
+    ``check_printable``, so a value too long to print raises InputError.
+    """
     sc = _Scanner(text)
 
     def atom() -> GradedClass:
@@ -194,19 +202,25 @@ def parse_chow_expr(text: str, ambient) -> GradedClass:
             return base ** n
         return base
 
+    def printable(value: GradedClass, what: str) -> GradedClass:
+        try:
+            return check_printable(value, f"the {what} ending at position {sc.pos}")
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+
     def term() -> GradedClass:
         value = factor()
         while sc.accept("*"):
-            value = value * factor()
+            value = printable(value * factor(), "product")
         return value
 
     def expr() -> GradedClass:
         value = term()
         while True:
             if sc.accept("+"):
-                value = value + term()
+                value = printable(value + term(), "sum")
             elif sc.accept("-"):
-                value = value - term()
+                value = printable(value - term(), "difference")
             else:
                 return value
 
@@ -348,26 +362,38 @@ def _cmd_chow_eval(args, out) -> int:
     return 0
 
 
+class _ParserExit(Exception):
+    """The parser stopped; args are (status, text, stream): exit with
+    ``status`` after writing ``text`` to the caller's ``stream``, "out"
+    or "err"."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that writes help to ``out`` and usage errors to
-    ``err``, in place of the process's stdout and stderr."""
+    """An ArgumentParser that holds no stream: help, usage errors and
+    exits raise ``_ParserExit``, and ``run`` writes the text to its own
+    ``out`` or ``err``.  A negative fraction such as ``-1/2`` is read as
+    a value, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$"
+        )
 
     def print_help(self, file=None):
-        super().print_help(self.out if file is None else file)
+        raise _ParserExit(0, self.format_help(), "out")
 
     def exit(self, status=0, message=None):
-        if message:
-            self.err.write(message)
-        sys.exit(status)
+        raise _ParserExit(status, message or "", "err")
 
     def error(self, message):
-        self.print_usage(self.err)
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def build_parser(out=None, err=None) -> argparse.ArgumentParser:
-    """The bottcheck parser; help goes to ``out`` and usage errors to
-    ``err`` (default: the process's stdout and stderr)."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The bottcheck parser, built once per process.  It writes nothing
+    itself; see ``_Parser``."""
     parser = _Parser(
         prog="bottcheck",
         description="Exact Euler-characteristic obstruction checks for "
@@ -418,20 +444,18 @@ def build_parser(out=None, err=None) -> argparse.ArgumentParser:
     pc.add_argument("--expr", required=True)
     pc.set_defaults(func=_cmd_chow_eval)
 
-    for p in (parser, *sub.choices.values()):
-        p.out = out if out is not None else sys.stdout
-        p.err = err if err is not None else sys.stderr
     return parser
 
 
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser(out, err)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        status, text, stream = exc.args
+        (out if stream == "out" else err).write(text)
+        return status
     try:
         return args.func(args, out)
     except theorems.DualPathMismatch as exc:

@@ -80,7 +80,8 @@ def f_formula(x, y, p: int, q: int):
     """chi(W, xH + yU) = (p+q) binom(y+3, 4) + (x+1) binom(y+3, 3).
 
     x and y may be integers or polynomials; the result is exact either
-    way.
+    way.  For an integer y, x, p and q may also be Affine expressions,
+    which is how thm2's chain is derived symbolically.
     """
     if isinstance(y, UniPoly):
         b4 = binom_of_poly(y + 3, 4)

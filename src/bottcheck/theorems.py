@@ -126,16 +126,21 @@ def _normalizing_shift(a) -> int:
     return repeated[0]
 
 
-@lru_cache(maxsize=None)
-def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
-    """chi(X, Omega_X(-aH - U)) as a polynomial in the symbolic twist a.
+@cache
+def thm2_chain_form() -> Affine:
+    """chi(X, Omega_X(-aH - U)) as an affine expression in a, p, q and k.
 
     Eleven-term combination of f obtained from the restriction sequences
     for X in |kH + 2U| and the Euler-Jaczewski sequence on the ambient
-    fourfold.  The result is constant in a; keeping a symbolic makes
-    that independence checkable rather than assumed.
+    fourfold.  Every f(x, y) in it has an integer y, and f is affine in
+    x, p and q for fixed y, so the whole chain is affine in the twist a
+    and the normalised (p, q, k).  It works out to 2p + 2q + 4k, with no
+    a term.
+
+    Built once per process, on the first call; later calls return the
+    same object.  Sharing it is safe because Affine is immutable.
     """
-    a = T
+    a, p, q, k = (Affine.sym(s) for s in "apqk")
 
     def f(x, y):
         return f_formula(x, y, p, q)
@@ -153,6 +158,20 @@ def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
         - f(-a - k + q, -4)
         + f(-a - 2 * k, -5)
     )
+
+
+@lru_cache(maxsize=None)
+def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
+    """The chain for one normalised (p, q, k), as a polynomial in a.
+
+    Substitutes p, q and k into ``thm2_chain_form`` and returns
+    const + coeff_a * a, so a twist dependence in the form shows up as a
+    degree-1 polynomial, which ``thm2_chain`` rejects.  The cache stays:
+    a hit is cheaper than the substitution and the UniPoly it builds.
+    """
+    form = thm2_chain_form()
+    const = form.subs({"a": 0, "p": p, "q": q, "k": k})
+    return UniPoly((const, form.coeff("a")))
 
 
 def thm2_chain(inp: DivisorCaseInput) -> Fraction:

@@ -1,5 +1,6 @@
 """The benchmark's own checks, run as part of the test suite, so a broken
-chow product or workload contract fails here before a benchmark run."""
+chow product, thm2 chain form, registry path or workload contract fails
+here before a benchmark run."""
 
 import subprocess
 import sys
@@ -27,3 +28,24 @@ def test_plane_grid_bundles_verify(tmp_path, monkeypatch):
     assert len(bundles) == 5
     for inp in bundles:
         assert grid.verify(inp, grid.call(inp)) is None
+
+
+def _workload(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads.WORKLOADS[name](seed=1, workdir=tmp_path)
+
+
+def test_divisor_grid_cases_verify(tmp_path, monkeypatch):
+    grid = _workload("divisor-grid", tmp_path, monkeypatch)
+    cases = [grid.warmup_input(), *grid.pass_inputs(0)[:50]]
+    for inp in cases:
+        assert grid.verify(inp, grid.call(inp)) is None
+
+
+def test_registry_files_verify(tmp_path, monkeypatch):
+    registry = _workload("registry", tmp_path, monkeypatch)
+    files = [registry.warmup_input(), *registry.pass_inputs(0)[:3]]
+    for inp in files:
+        assert registry.verify(inp, registry.call(inp)) is None

@@ -395,3 +395,59 @@ class TestParserStreams:
             "bottcheck thm2: error: the following arguments are required: "
             "--bundle, --k\n"
         )
+
+
+class TestNegativeFractionValues:
+    def test_negative_fraction_is_a_value(self):
+        code, out, err = run(["thm1", "--c13", "-1/2", "--h", "0"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "MATCH"
+        assert run(["thm1", "--c13=-1/2", "--h", "0"]) == (code, out, err)
+
+    def test_negative_fraction_h_meets_the_hodge_rule(self):
+        code, out, err = run(["thm1", "--h", "-1/3", *THM1_NUMERICS])
+        assert (code, out) == (2, "")
+        assert err == "error: --h -1/3: the Hodge number h must be >= 0\n"
+
+    def test_other_dash_words_are_still_flags(self):
+        code, _, err = run(["thm1", "--c13", "-x"])
+        assert code == 2 and "expected one argument" in err
+
+
+class TestChowEvalOperationBound:
+    def test_product_of_in_bound_powers_exits_2(self):
+        code, out, err = run(
+            ["chow-eval", "--ring", "plane:1,1", "--expr", "2^14000*2^14000"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the product ending at position 15 has a coefficient of "
+            f"more than {sys.get_int_max_str_digits()} digits\n"
+        )
+
+    def test_sum_past_the_bound_exits_2(self):
+        nines = "9" * sys.get_int_max_str_digits()
+        code, out, err = run(
+            ["chow-eval", "--ring", "plane:1,1", "--expr", f"{nines}+{nines}"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the sum ending at position ")
+        assert "Exceeds the limit" not in err and err.count("\n") == 1
+
+    def test_products_within_the_bound_still_print(self):
+        code, out, err = run(
+            ["chow-eval", "--ring", "plane:1,1", "--expr", "2^7000*2^7000"])
+        assert (code, err) == (0, "")
+        assert out == f"class:  {2 ** 14000}\ndegree: 0\n"
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_run_writes_to_its_own_streams(self, capsys):
+        first = run(["thm2"])
+        second = run(["--help"])
+        third = run(["thm2"])
+        assert capsys.readouterr() == ("", "")
+        assert first == third and first[0] == 2 and first[1] == ""
+        assert second[0] == 0 and second[1].startswith("usage: bottcheck")
+        assert second[2] == ""
