@@ -28,6 +28,7 @@ from .theorems import (
     thm2_chain,
     thm2_closed,
     thm3_Q,
+    thm3_hrr_poly,
     thm3_value,
 )
 
@@ -164,6 +165,11 @@ def _evaluate_thm3(c: CaseRecord) -> Verdict:
     if q(-1) != value:
         raise DualPathMismatch(
             f"record {c.id!r}: Q(-1) and closed obstruction disagree"
+        )
+    if thm3_hrr_poly(inp) != q:
+        raise DualPathMismatch(
+            f"record {c.id!r}: intrinsic Riemann-Roch and Q(b) disagree as "
+            "polynomials in b"
         )
     note = ""
     if value == 0:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Tuple
 
-from .chow import H_class, PlaneBase2, U_class, unit
-from .exact import Affine, T, UniPoly, binom_poly
+from .chow import H_class, PlaneBase2, U_class
+from .exact import Affine, Poly, UniPoly, binom_of_poly
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,11 @@ def tensor_chern_surface(f1: SurfaceChern, f2: SurfaceChern) -> SurfaceChern:
 
 @dataclass(frozen=True)
 class SymPowerPolys:
-    """Chern numbers of S^b E and (S^b E)(-1) as polynomials in b."""
+    """Chern numbers of S^b E and (S^b E)(-1) as polynomials in b.
+
+    ``sym_power_polys`` gives UniPolys; ``sym_power_classes`` on ring
+    elements gives elements of that ring.
+    """
 
     C1: UniPoly
     C2: UniPoly
@@ -66,15 +71,40 @@ class SymPowerPolys:
     A2: UniPoly
 
 
+def sym_power_classes(t, c1, c2) -> SymPowerPolys:
+    """Chern numbers of S^t E and (S^t E)(-1) for E of rank 2 on the plane
+    with Chern numbers c1, c2.
+
+    The arguments may be numbers or elements of any polynomial ring
+    (UniPoly, Poly); ``t`` is the power, usually a variable.
+    """
+    C1 = c1 * t * (t + 1) / 2
+    C2 = c1 * c1 * t * (t * t - 1) * (3 * t + 2) / 24 + c2 * binom_of_poly(t + 2, 3)
+    A1 = C1 - (t + 1)
+    A2 = C2 + binom_of_poly(t + 1, 2) - t * C1
+    return SymPowerPolys(C1, C2, A1, A2)
+
+
+@cache
+def sym_power_form() -> SymPowerPolys:
+    """``sym_power_classes`` with b, c1 and c2 as Poly variables.
+
+    Built once per process, on the first call; later calls return the
+    same object.  Sharing it is safe because Poly is immutable.
+    """
+    return sym_power_classes(*(Poly.sym(s) for s in ("b", "c1", "c2")))
+
+
 def sym_power_polys(e: SurfaceChern) -> SymPowerPolys:
+    """The four polynomials in b for one bundle: ``sym_power_form`` with
+    E's c1 and c2 substituted."""
     if e.rank != 2:
         raise ValueError(f"symmetric-power polynomials need rank 2, got {e.rank}")
-    c1, c2 = e.c1, e.c2
-    C1 = c1 * T * (T + 1) / 2
-    C2 = c1 * c1 * T * (T * T - 1) * (3 * T + 2) / 24 + c2 * binom_poly(2, 3)
-    A1 = C1 - (T + 1)
-    A2 = C2 + binom_poly(1, 2) - T * C1
-    return SymPowerPolys(C1, C2, A1, A2)
+    values = {"c1": e.c1, "c2": e.c2}
+    form = sym_power_form()
+    return SymPowerPolys(
+        *(p.subs(values).as_unipoly("b") for p in (form.C1, form.C2, form.A1, form.A2))
+    )
 
 
 def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
@@ -248,13 +278,19 @@ def cotangent_twist_e_classes():
     return rank3_twist(-C1_SYM, C2_SYM, -C3_SYM, ell)
 
 
+def plane_bundle_tangent_classes(H, U, c1):
+    """c1, c2, c3 of the tangent bundle of P(E) over the plane.
+
+    c(T) = (1 + 2U - c1 H)(1 + 3H + 3H^2), from the relative Euler
+    sequence and c(T_P2) = (1 + H)^3, split by degree.  H and U are the
+    classes of a ring in which the plane relation holds (GradedClass, or
+    Poly under ``chow.PLANE_RULE``); c1 is E's first Chern number, a
+    number or an element of that ring.
+    """
+    rel = 2 * U - c1 * H
+    return rel + 3 * H, 3 * H * (rel + H), 3 * H * H * rel
+
+
 def tangent_chern_plane_bundle(ambient: PlaneBase2):
     """Tangent Chern classes of P(E) over the plane, reduced in its ring."""
-    rel = unit(ambient) + 2 * U_class(ambient) - ambient.c1 * H_class(ambient)
-    base = (
-        unit(ambient)
-        + 3 * H_class(ambient)
-        + 3 * H_class(ambient) * H_class(ambient)
-    )
-    total = rel * base
-    return total.graded_part(1), total.graded_part(2), total.graded_part(3)
+    return plane_bundle_tangent_classes(H_class(ambient), U_class(ambient), ambient.c1)

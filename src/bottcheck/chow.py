@@ -24,6 +24,17 @@ overshoot except U^4 itself into a multiple of H^2 = 0.  The public
 constructor accepts any monomials and reduces H^i U^j as the basis term
 H^i U^min(j, top_j) times U, one factor at a time, through that product.
 
+``PLANE_RULE`` states the plane relations once more, over symbolic c1
+and c2, as an ``exact.QuotientRule`` for ``exact.Poly``: H^3 = 0 and
+U^2 = c1 H U - c2 H^2.  c1 and c2 are then variables of the ring, like
+any other coefficient, so the argument above holds unchanged: a product
+of two polynomials in normal form (H-degree <= 2, U-degree <= 1 in each
+term) carries at most U^2, and one rewrite of U^2, followed by H^3 = 0,
+reaches the normal form.  The rewriting system terminates (each rewrite
+lowers the U-degree) and its normal form is unique, because the leading
+monomials H^3 and U^2 are coprime.  The degree map is the coefficient of
+H^2 U, a polynomial in the remaining variables.
+
 A class stores its terms as (monomial, int numerator) pairs, sorted and
 nonzero, over one int denominator: ``den > 0``, the gcd of ``den`` and
 every numerator is 1, and the zero class is ``((), 1)``.  The ring
@@ -48,7 +59,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Tuple
 
-from .exact import common_denominator
+from .exact import Poly, QuotientRule, _accumulate, common_denominator
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
 
@@ -92,6 +103,16 @@ class PlaneBase2:
 Ambient = LineBase4 | PlaneBase2
 
 
+def _plane_rule() -> QuotientRule:
+    c1, c2, H, U = (Poly.sym(s) for s in ("c1", "c2", "H", "U"))
+    return QuotientRule(((H ** 3, 0), (U ** 2, c1 * H * U - c2 * H * H)))
+
+
+#: The relation of ``_product``'s plane branch over symbolic c1, c2, for
+#: ``exact.Poly``: H^3 = 0 and H^i U^2 = c1 H^(i+1) U - c2 H^(i+2).
+PLANE_RULE = _plane_rule()
+
+
 def _product(ambient: Ambient, xs, ys) -> dict:
     """Product of two lists of (basis monomial, int) terms, as a dict of
     basis terms with int coefficients.
@@ -111,7 +132,8 @@ def _product(ambient: Ambient, xs, ys) -> dict:
             out[m] = out[m] + c if m in out else c
     over = [m for m in out if m[1] > top_j]
     if isinstance(ambient, PlaneBase2):
-        # H^i U^2 = c1 H^(i+1) U - c2 H^(i+2), and H^3 = 0.
+        # H^i U^2 = c1 H^(i+1) U - c2 H^(i+2), and H^3 = 0: PLANE_RULE,
+        # with c1 and c2 as numbers.
         c1, c2 = ambient.c1, ambient.c2
         for m in over:
             c, i = out.pop(m), m[0]
@@ -127,10 +149,6 @@ def _product(ambient: Ambient, xs, ys) -> dict:
             if s1 and m == (0, 4):
                 _accumulate(out, (1, 3), c * s1)
     return out
-
-
-def _accumulate(terms: dict, m: Monomial, c: int) -> None:
-    terms[m] = terms[m] + c if m in terms else c
 
 
 class GradedClass:
@@ -342,13 +360,19 @@ def U_class(ambient: Ambient) -> GradedClass:
     return GradedClass._reduced(ambient, (((0, 1), 1),))
 
 
+def max_str_digits() -> int:
+    """``sys.get_int_max_str_digits()``, the most digits Python reads or
+    prints in an integer: 0, no bound, when so set or on a Python before
+    3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def check_printable(x: GradedClass, what: str) -> GradedClass:
     """Return x, or raise ValueError naming ``what`` if a numerator or the
-    denominator of x has more than ``sys.get_int_max_str_digits()``
-    digits, the size past which Python refuses to print an integer (no
-    bound when that limit is 0, or on a Python before 3.10.7, which has
-    none)."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    denominator of x has more than ``max_str_digits()`` digits, the size
+    past which Python refuses to print an integer (no bound when that is
+    0)."""
+    digits = max_str_digits()
     if digits:
         bound = 10 ** digits
         if x.den >= bound or any(not -bound < c < bound for _, c in x.terms):

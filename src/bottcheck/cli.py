@@ -19,7 +19,8 @@ from typing import Optional, Tuple
 
 from . import bottcases, theorems
 from .chow import (
-    GradedClass, H_class, LineBase4, PlaneBase2, U_class, check_printable, unit,
+    GradedClass, H_class, LineBase4, PlaneBase2, U_class, check_printable,
+    max_str_digits, unit,
 )
 from .exact import Affine
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
@@ -27,6 +28,13 @@ from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
 class InputError(ValueError):
     pass
+
+
+#: The largest rank of a bundle any command takes (thm2's four twists).
+MAX_RANK = 4
+
+#: The largest y for ``chi-f --oracle``, whose loop is quadratic in y.
+MAX_ORACLE_Y = 1000
 
 
 # --- bundle expressions ----------------------------------------------------
@@ -91,9 +99,15 @@ class _Scanner:
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
+        digits = self.text[start:self.pos].lstrip("+-")
+        if not digits:
             raise InputError(
                 f"expected an integer at position {start} in {self.text!r}"
+            )
+        limit = max_str_digits()
+        if limit and len(digits) > limit:
+            raise InputError(
+                f"the integer at position {start} has more than {limit} digits"
             )
         return int(self.text[start:self.pos])
 
@@ -142,6 +156,11 @@ def parse_bundle(text: str) -> BundleExpr:
                 mult = sc.integer()
                 if mult < 1:
                     raise InputError(f"multiplicity must be >= 1, got {mult}")
+                if mult > MAX_RANK:
+                    raise InputError(
+                        f"multiplicity must be <= {MAX_RANK}, the largest rank "
+                        f"any command takes, got {mult}"
+                    )
             if c1c2 is not None:
                 raise InputError("rank2(...) cannot be combined with other terms")
             twists.extend([twist] * mult)
@@ -263,14 +282,17 @@ def _render(value) -> str:
 
 
 def _cmd_thm1(args, out) -> int:
+    if args.symbolic_h and args.h is not None:
+        raise InputError(
+            "--symbolic-h keeps h symbolic, so it cannot be given with --h"
+        )
     if args.h is not None:
         try:
             theorems.check_hodge_number(args.h)
         except ValueError as exc:
             raise InputError(f"--h {args.h}: {exc}") from None
-    h = None if args.symbolic_h else args.h
     n = theorems.ThreefoldNumerics(
-        h=h, c13=args.c13, c12H=args.c12H, c1H2=args.c1H2,
+        h=args.h, c13=args.c13, c12H=args.c12H, c1H2=args.c1H2,
         c2H=args.c2H, H3=args.H3,
     )
     closed = theorems.thm1_closed(n)
@@ -334,6 +356,8 @@ def _cmd_chi_f(args, out) -> int:
     if args.oracle:
         if args.y < 0:
             raise InputError("the splitting oracle needs y >= 0")
+        if args.y > MAX_ORACLE_Y:
+            raise InputError(f"the splitting oracle needs y <= {MAX_ORACLE_Y}")
         oracle = f_splitting_oracle(args.x, args.y, args.p, args.q)
         print(f"oracle    = {oracle}", file=out)
         ok = value == oracle

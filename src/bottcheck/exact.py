@@ -1,9 +1,10 @@
 """Exact scalar and polynomial arithmetic.
 
 Everything downstream (Chow classes, Chern polynomials, Riemann-Roch
-values) is built on the three types here: arbitrary-precision rationals,
-univariate polynomials over the rationals, and affine expressions over
-named symbols.  There is no floating point anywhere in the package.
+values) is built on the types here: arbitrary-precision rationals,
+univariate polynomials over the rationals, affine expressions over
+named symbols, and sparse polynomials over named variables, optionally
+in a quotient ring.  There is no floating point anywhere in the package.
 
 ``UniPoly`` keeps its coefficients as a tuple ``num`` of int numerators
 over one int denominator ``den``, in lowest terms: ``den > 0``,
@@ -15,10 +16,20 @@ when the denominator is 1).  Fractions are made only where a value
 leaves the polynomial: ``coeffs``, ``coeff()``, evaluation and
 ``render``.  The representation is canonical, so ``==`` and ``hash``
 compare ``(num, den)``.
+
+``Poly`` keeps the same representation over many variables: sorted
+(monomial, int numerator) ``terms`` over one ``den``, in lowest terms.
+A ``QuotientRule`` it carries rewrites every product into the normal
+form of a quotient ring, as ``chow._product`` does for ``GradedClass``;
+with c1 and c2 as variables of the ring, one such rule holds a Chow ring
+symbolic in its own parameters (the "abstract variety" of Katz and
+Stromme's Schubert; Fulton, Intersection Theory, 3.2).  It serves
+formulas derived once, symbolically, and then substituted into.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm
@@ -267,12 +278,17 @@ class UniPoly:
 T = UniPoly((0, 1))
 
 
-def binom_of_poly(p: UniPoly, k: int) -> UniPoly:
-    """Falling-factorial binomial with polynomial upper argument."""
+def binom_of_poly(p, k: int):
+    """Falling-factorial binomial with polynomial upper argument.
+
+    ``p`` is a UniPoly (or a number, read as a constant UniPoly) or a
+    Poly; the result lies in the same ring.
+    """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
-    p = UniPoly._coerce(p)
-    out = UniPoly((1,))
+    if not isinstance(p, Poly):
+        p = UniPoly._coerce(p)
+    out = p ** 0
     for i in range(k):
         out = out * (p - i)
     return out / factorial(k)
@@ -409,3 +425,328 @@ class Affine:
 
     def __repr__(self):
         return f"Affine({self.render()})"
+
+
+# --- sparse polynomials over named variables --------------------------------
+#
+# A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
+# every exponent >= 1; () is the constant monomial.
+
+Monomial = Tuple[Tuple[str, int], ...]
+
+
+def _monomial(raw) -> Monomial:
+    """The canonical monomial of (variable, exponent) pairs ``raw``."""
+    exps: dict = {}
+    for v, e in raw:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {v!r}")
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _mono_div(m: Monomial, d: Monomial):
+    """m / d as a monomial, or None when d does not divide m."""
+    exps = dict(m)
+    for v, e in d:
+        if exps.get(v, 0) < e:
+            return None
+        exps[v] -= e
+    return tuple((v, exps[v]) for v, _ in m if exps[v])
+
+
+def _accumulate(terms: dict, m, c) -> None:
+    terms[m] = terms[m] + c if m in terms else c
+
+
+@dataclass(frozen=True)
+class QuotientRule:
+    """Relations lhs = rhs that define a quotient of a polynomial ring.
+
+    Built from pairs (lhs, rhs): lhs a monomial ``Poly`` with coefficient
+    1, rhs a ``Poly`` with integer coefficients, or a number (0 kills
+    every multiple of lhs); neither carries a rule.  ``reduce`` rewrites
+    a term divisible by an lhs, trying the relations in order, until no
+    lhs divides any term.  That terminates, and gives a normal form, only
+    when the relations form a rewriting system that does; the one rule
+    in the package, ``chow.PLANE_RULE``, is such a system, and its module
+    docstring shows that one step of it reduces any product of two
+    reduced polynomials.
+    """
+
+    relations: tuple
+
+    def __post_init__(self):
+        rels = []
+        for lhs, rhs in self.relations:
+            rhs = rhs if isinstance(rhs, Poly) else Poly({(): rhs})
+            if (lhs.rule is not None or lhs.den != 1 or len(lhs.terms) != 1
+                    or lhs.terms[0][1] != 1 or not lhs.terms[0][0]):
+                raise ValueError(
+                    f"a relation's left side must be a monomial, got {lhs!r}"
+                )
+            if rhs.rule is not None or rhs.den != 1:
+                raise ValueError(
+                    f"a relation's right side needs integer coefficients, got {rhs!r}"
+                )
+            rels.append((lhs.terms[0][0], rhs.terms))
+        object.__setattr__(self, "relations", tuple(rels))
+
+    def reduce(self, terms: dict) -> dict:
+        """The normal form of a {monomial: int} dict, as a new dict."""
+        out: dict = {}
+        pending = list(terms.items())
+        while pending:
+            m, c = pending.pop()
+            for lhs, rhs in self.relations:
+                rest = _mono_div(m, lhs)
+                if rest is not None:
+                    pending.extend((_mono_mul(rest, r), c * d) for r, d in rhs)
+                    break
+            else:
+                _accumulate(out, m, c)
+        return out
+
+
+class Poly:
+    """Sparse polynomial over named variables with rational coefficients.
+
+    ``terms`` holds sorted (monomial, int numerator) pairs over the one
+    denominator ``den``, with the invariant of ``UniPoly``: ``den > 0``,
+    the gcd of ``den`` and every numerator is 1, no zero term, and zero
+    is ``((), 1)``.  Instances are immutable.
+
+    ``rule`` is None or a ``QuotientRule``; the constructor and every
+    product reduce by it, so a polynomial with a rule is an element of
+    the quotient ring, in normal form.  Operands must carry equal rules
+    (ints and Fractions take the rule of the other operand), as two
+    ``GradedClass`` operands must share their ambient ring.
+
+    ``subs`` substitutes numbers for variables of a polynomial without a
+    rule; ``as_unipoly`` views a polynomial in one variable as a
+    ``UniPoly``; ``coeff`` extracts the coefficient of a monomial in some
+    of the variables, as a polynomial in the others.
+    """
+
+    __slots__ = ("terms", "den", "rule")
+
+    def __init__(self, raw: Mapping = (), rule: QuotientRule | None = None):
+        raw = dict(raw)
+        nums, den = common_denominator(raw.values())
+        terms: dict = {}
+        for m, c in zip(raw, nums):
+            _accumulate(terms, _monomial(m), c)
+        if rule is not None:
+            terms = rule.reduce(terms)
+        self._store(terms.items(), den, rule)
+
+    @staticmethod
+    def sym(name: str, rule: QuotientRule | None = None) -> "Poly":
+        """The variable ``name``, in the ring of ``rule``."""
+        return Poly({((name, 1),): 1}, rule)
+
+    @classmethod
+    def _new(cls, terms, den: int, rule) -> "Poly":
+        """A polynomial from (monomial, int) terms over a positive ``den``,
+        each monomial canonical, at most once, and in normal form."""
+        self = object.__new__(cls)
+        self._store(terms, den, rule)
+        return self
+
+    def _store(self, terms, den: int, rule) -> None:
+        """Drop zero terms, sort, cancel the common factor, then set."""
+        terms = sorted((m, c) for m, c in terms if c)
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *(c for _, c in terms))
+            if g != 1:
+                terms = [(m, c // g) for m, c in terms]
+                den //= g
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rule", rule)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    def _coerce(self, other):
+        if isinstance(other, Poly):
+            if other.rule != self.rule:
+                raise ValueError("quotient rule mismatch")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly._new((((), other.numerator),), other.denominator, self.rule)
+        return None
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.terms, self.den, self.rule))
+
+    def _plus(self, o: "Poly", sign: int) -> "Poly":
+        den = self.den
+        a, b = 1, sign
+        if den != o.den:
+            den = lcm(den, o.den)
+            a, b = den // self.den, sign * (den // o.den)
+        terms = {m: c * a for m, c in self.terms}
+        for m, c in o.terms:
+            _accumulate(terms, m, c * b)
+        return Poly._new(terms.items(), den, self.rule)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly._new([(m, -c) for m, c in self.terms], self.den, self.rule)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, -1)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return Poly._new(
+                [(m, c * p) for m, c in self.terms], self.den * other.denominator,
+                self.rule,
+            )
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        terms: dict = {}
+        for m1, a in self.terms:
+            for m2, b in o.terms:
+                _accumulate(terms, _mono_mul(m1, m2), a * b)
+        if self.rule is not None:
+            terms = self.rule.reduce(terms)
+        return Poly._new(terms.items(), self.den * o.den, self.rule)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
+            raise ZeroDivisionError("polynomial division by zero")
+        p, q = scalar.numerator, scalar.denominator
+        if p < 0:
+            p, q = -p, -q
+        return Poly._new([(m, c * q) for m, c in self.terms], self.den * p, self.rule)
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        out = Poly._new((((), 1),), 1, self.rule)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def coeff(self, monomial: Mapping[str, int]) -> "Poly":
+        """The coefficient of ``monomial``, a {variable: exponent} map, as
+        a polynomial without a rule in the variables it does not name.
+
+        A term counts when its exponent of each named variable is exactly
+        the one given (0 for a variable absent from the term).
+        """
+        want = dict(monomial)
+        out = []
+        for m, c in self.terms:
+            exps = dict(m)
+            if all(exps.get(v, 0) == e for v, e in want.items()):
+                out.append((tuple((v, e) for v, e in m if v not in want), c))
+        return Poly._new(out, self.den, None)
+
+    def subs(self, values: Mapping[str, Number]):
+        """Substitute ints or Fractions for variables.
+
+        Returns a Fraction when every variable of the polynomial gets a
+        value, otherwise a Poly in the variables left, even if it has
+        become constant, so the type depends only on which variables are
+        given.  Names that do not occur are ignored.  A polynomial with a
+        rule raises ValueError: its variables are not free.
+        """
+        if self.rule is not None:
+            raise ValueError("cannot substitute into a quotient ring")
+        vals = {}
+        for v, x in values.items():
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            vals[v] = x.numerator if x.denominator == 1 else x
+        out: dict = {}
+        for m, c in self.terms:
+            rest = ()
+            for v, e in m:
+                if v in vals:
+                    c = c * vals[v] ** e
+                else:
+                    rest += ((v, e),)
+            _accumulate(out, rest, c)
+        if out.keys() <= {()}:
+            return Fraction(out.get((), 0), self.den)
+        nums, den = common_denominator(out.values())
+        return Poly._new(zip(out, nums), self.den * den, None)
+
+    def as_unipoly(self, var: str) -> UniPoly:
+        """This polynomial as a UniPoly in ``var``; ValueError if it has a
+        rule or another variable."""
+        if self.rule is not None:
+            raise ValueError("a polynomial with a quotient rule is not a UniPoly")
+        num: dict = {}
+        for m, c in self.terms:
+            if len(m) > 1 or m and m[0][0] != var:
+                raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
+            num[m[0][1] if m else 0] = c
+        out = [0] * (max(num) + 1 if num else 0)
+        for e, c in num.items():
+            out[e] = c
+        return UniPoly._new(out, self.den)
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for m, c in self.terms:
+            c = Fraction(c, self.den)
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+            mag = abs(c)
+            if mono and mag == 1:
+                body = mono
+            elif mono:
+                body = f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"Poly({self.render()})"

@@ -15,15 +15,14 @@ from functools import cache, lru_cache
 from typing import Optional, Tuple, Union
 
 from .chern import (
-    SurfaceChern,
+    plane_bundle_tangent_classes,
     rank3_twist,
-    sym_power_polys,
-    tangent_chern_plane_bundle,
+    sym_power_classes,
     tensor_c1,
     tensor_c2,
 )
-from .chow import H_class, PlaneBase2, U_class
-from .exact import Affine, T, UniPoly, binom
+from .chow import PLANE_RULE
+from .exact import Affine, Poly, UniPoly, binom
 from .rr import (
     HypothesisViolation,
     chi_plane,
@@ -219,39 +218,79 @@ class PlaneBundleInput:
 
 @dataclass(frozen=True)
 class QPolys:
+    """Q1, Q2, Q3 and Q = Q1 + Q2 - Q3; UniPolys in b from ``thm3_Q``,
+    Polys in (b, c1, c2) in ``thm3_Q_form``."""
+
     Q1: UniPoly
     Q2: UniPoly
     Q3: UniPoly
     Q: UniPoly
 
 
-def thm3_Q(inp: PlaneBundleInput) -> QPolys:
-    """The Q-polynomials with Q(b) = chi(X, Omega_X(-H + bU)).
+@cache
+def thm3_Q_form() -> QPolys:
+    """The Q-polynomials, Q(b) = chi(X, Omega_X(-H + bU)), as Polys in
+    b, c1 and c2.
 
-    Assembled from the symmetric-power Chern polynomials, the surface
-    tensor formula, and surface Riemann-Roch, with polynomial-valued
-    Chern entries throughout.
+    Pushforward route: chi of the three bundles on the plane that the
+    relative cotangent sequence leaves, each from the symmetric-power
+    Chern polynomials (at b and at b - 1), the surface tensor formula and
+    surface Riemann-Roch, all run on Poly variables.
+
+    Built once per process, on the first call; later calls return the
+    same object.  Sharing it is safe because Poly is immutable.
     """
-    sp = sym_power_polys(SurfaceChern(2, inp.c1, inp.c2))
-    a1, a2 = sp.A1, sp.A2
-    a1m, a2m = a1.compose(T - 1), a2.compose(T - 1)
-    c1, c2 = Fraction(inp.c1), Fraction(inp.c2)
+    b, c1, c2 = (Poly.sym(s) for s in ("b", "c1", "c2"))
+    sp, spm = sym_power_classes(b, c1, c2), sym_power_classes(b - 1, c1, c2)
+    a1, a2, a1m, a2m = sp.A1, sp.A2, spm.A1, spm.A2
 
     # Omega_P2 tensor (S^b E)(-1)
     q1 = chi_plane(
-        2 * (T + 1),
-        tensor_c1(2, T + 1, Fraction(-3), a1),
-        tensor_c2(2, T + 1, Fraction(-3), Fraction(3), a1, a2),
+        2 * (b + 1),
+        tensor_c1(2, b + 1, -3, a1),
+        tensor_c2(2, b + 1, -3, 3, a1, a2),
     )
     # E tensor (S^{b-1} E)(-1)
     q2 = chi_plane(
-        2 * T,
-        tensor_c1(2, T, c1, a1m),
-        tensor_c2(2, T, c1, c2, a1m, a2m),
+        2 * b,
+        tensor_c1(2, b, c1, a1m),
+        tensor_c2(2, b, c1, c2, a1m, a2m),
     )
     # (S^b E)(-1)
-    q3 = chi_plane(T + 1, a1, a2)
+    q3 = chi_plane(b + 1, a1, a2)
     return QPolys(q1, q2, q3, q1 + q2 - q3)
+
+
+@cache
+def thm3_hrr_form() -> Poly:
+    """chi(X, Omega_X(-H + bU)) by intrinsic Riemann-Roch, as a Poly in
+    b, c1 and c2.
+
+    Hirzebruch-Riemann-Roch on X = P(E) in its Chow ring, with E's c1 and
+    c2 left symbolic through ``chow.PLANE_RULE``: the tangent classes
+    from ``plane_bundle_tangent_classes``, Omega_X(-H + bU) from
+    ``rank3_twist``, and as degree map the coefficient of H^2 U.  It
+    equals ``thm3_Q_form().Q``, a fact the test suite checks as a
+    polynomial identity.
+
+    Built once per process, on the first call; later calls return the
+    same object.  Sharing it is safe because Poly is immutable.
+    """
+    b, c1, H, U = (Poly.sym(s, PLANE_RULE) for s in ("b", "c1", "H", "U"))
+    tc1, tc2, tc3 = plane_bundle_tangent_classes(H, U, c1)
+    e1, e2, e3 = rank3_twist(-tc1, tc2, -tc3, b * U - H)
+    return hrr_threefold(
+        tc1, tc2, e1, e2, e3, 3, lambda x: x.coeff({"H": 2, "U": 1})
+    )
+
+
+def thm3_Q(inp: PlaneBundleInput) -> QPolys:
+    """The Q-polynomials of one bundle: ``thm3_Q_form`` at its c1, c2."""
+    values = {"c1": inp.c1, "c2": inp.c2}
+    form = thm3_Q_form()
+    return QPolys(
+        *(p.subs(values).as_unipoly("b") for p in (form.Q1, form.Q2, form.Q3, form.Q))
+    )
 
 
 def thm3_value(inp: PlaneBundleInput) -> Fraction:
@@ -261,12 +300,15 @@ def thm3_value(inp: PlaneBundleInput) -> Fraction:
 
 def thm3_hrr_crosscheck(inp: PlaneBundleInput, b: int) -> Fraction:
     """chi(X, Omega_X(-H + bU)) computed intrinsically in the Chow ring
-    of the plane bundle; agrees with Q(b) from the pushforward route."""
-    ambient = PlaneBase2(inp.c1, inp.c2)
-    tc1, tc2, tc3 = tangent_chern_plane_bundle(ambient)
-    ell = b * U_class(ambient) - H_class(ambient)
-    e1, e2, e3 = rank3_twist(-tc1, tc2, -tc3, ell)
-    return hrr_threefold(tc1, tc2, e1, e2, e3, 3, lambda x: x.degree())
+    of the plane bundle: ``thm3_hrr_form`` at (b, c1, c2).  Agrees with
+    Q(b) from the pushforward route."""
+    return thm3_hrr_form().subs({"b": b, "c1": inp.c1, "c2": inp.c2})
+
+
+def thm3_hrr_poly(inp: PlaneBundleInput) -> UniPoly:
+    """``thm3_hrr_form`` at one bundle's c1, c2, as a polynomial in b, to
+    compare with ``thm3_Q(inp).Q``."""
+    return thm3_hrr_form().subs({"c1": inp.c1, "c2": inp.c2}).as_unipoly("b")
 
 
 def thm3_h0_split(a: int, b: int) -> int:

@@ -49,3 +49,22 @@ def test_registry_files_verify(tmp_path, monkeypatch):
     files = [registry.warmup_input(), *registry.pass_inputs(0)[:3]]
     for inp in files:
         assert registry.verify(inp, registry.call(inp)) is None
+
+
+def test_plane_grid_fails_on_a_corrupted_hrr_form(tmp_path, monkeypatch):
+    """The thm3 forms are derived afresh, so a wrong HRR form (a bad plane
+    rule, tangent class or twist in the code) fails these bundles; a form
+    corrupted on purpose must fail every one of them."""
+    from bottcheck import theorems
+    from bottcheck.exact import Poly
+
+    grid = _workload("plane-grid", tmp_path, monkeypatch)
+    bundles = [grid.warmup_input(), *grid.pass_inputs(0)[:5]]
+    theorems.thm3_hrr_form.cache_clear()
+    theorems.thm3_Q_form.cache_clear()
+    for inp in bundles:
+        assert grid.verify(inp, grid.call(inp)) is None
+    corrupted = theorems.thm3_hrr_form() + Poly.sym("b") ** 2
+    monkeypatch.setattr(theorems, "thm3_hrr_form", lambda: corrupted)
+    for inp in bundles:
+        assert grid.verify(inp, grid.call(inp)).startswith("HRR crosscheck differs")

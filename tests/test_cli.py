@@ -451,3 +451,75 @@ class TestParserBuiltOnce:
         assert first == third and first[0] == 2 and first[1] == ""
         assert second[0] == 0 and second[1].startswith("usage: bottcheck")
         assert second[2] == ""
+
+
+class TestChowEvalLiteralBound:
+    def test_literal_past_the_digit_limit_exits_2(self):
+        limit = sys.get_int_max_str_digits()
+        for expr, pos in (("9" * (limit + 1), 0), ("H + 1/" + "9" * (limit + 1), 6),
+                          ("U^" + "9" * (limit + 1), 2)):
+            code, out, err = run(["chow-eval", "--ring", "plane:1,1", "--expr", expr])
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: the integer at position {pos} has more than {limit} digits\n"
+            )
+
+    def test_literal_at_the_digit_limit_still_prints(self):
+        nines = "9" * sys.get_int_max_str_digits()
+        code, out, err = run(["chow-eval", "--ring", "plane:1,1", "--expr", nines])
+        assert (code, err) == (0, "")
+        assert out == f"class:  {nines}\ndegree: 0\n"
+
+    def test_bundle_literal_past_the_digit_limit_exits_2(self):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            ["thm3", "--bundle", "P2: O(" + "1" * (limit + 1) + ") + O(0)"])
+        assert (code, out) == (2, "")
+        assert err == f"error: the integer at position 6 has more than {limit} digits\n"
+
+
+class TestExitCodeHoles:
+    def test_symbolic_h_with_h_exits_2(self):
+        for argv in (["thm1", "--h", "3", "--symbolic-h"],
+                     ["thm1", "--symbolic-h", "--h", "3"]):
+            code, out, err = run(argv)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: --symbolic-h keeps h symbolic, so it cannot be given "
+                "with --h\n"
+            )
+
+    def test_symbolic_h_alone_still_symbolic(self):
+        code, out, err = run(["thm1", "--symbolic-h", *THM1_NUMERICS])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["closed:  14 + h", "derived: 14 + h", "MATCH"]
+
+    def test_huge_multiplicity_exits_2_before_building(self):
+        code, out, err = run(
+            ["thm2", "--bundle", "P1: O(0)^10000000000", "--k", "0"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: multiplicity must be <= 4, the largest rank any command "
+            "takes, got 10000000000\n"
+        )
+
+    def test_multiplicity_up_to_four_is_read(self):
+        assert parse_bundle("P1: O(0)^4") == BundleExpr("P1", (0, 0, 0, 0), None)
+        with pytest.raises(InputError, match="multiplicity must be <= 4"):
+            parse_bundle("P1: O(0)^5")
+
+    def test_oracle_y_is_bounded(self):
+        code, out, err = run(
+            ["chi-f", "--x", "0", "--y", "100000000", "--p", "0", "--q", "0",
+             "--oracle"])
+        assert code == 2
+        assert err == f"error: the splitting oracle needs y <= {cli.MAX_ORACLE_Y}\n"
+        assert cli.MAX_ORACLE_Y == 1000
+        assert run(["chi-f", "--x", "0", "--y", "100000000", "--p", "0",
+                    "--q", "0"])[0] == 0
+
+    def test_oracle_at_the_bound_still_runs(self):
+        code, out, err = run(
+            ["chi-f", "--x", "1", "--y", "1000", "--p", "1", "--q", "2", "--oracle"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "MATCH"
