@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 from .exact import Affine
 from .theorems import (
+    NUMERICS_FIELDS,
     DivisorCaseInput,
     DualPathMismatch,
     PlaneBundleInput,
@@ -111,7 +112,7 @@ def _sym_or(value, name: str):
 
 def _evaluate_thm1(c: CaseRecord) -> Verdict:
     if c.geometry == "delPezzoFib6":
-        subs = {"c12H": 6, "c1H2": 0, "c2H": 6, "H3": 0}
+        fixed = {"c12H": 6, "c1H2": 0, "c2H": 6, "H3": 0}
         note = "general fibre numerics of a degree-6 del Pezzo fibration"
     elif c.geometry == "conicBundle":
         if c.d is None:
@@ -119,20 +120,25 @@ def _evaluate_thm1(c: CaseRecord) -> Verdict:
         else:
             if c.d <= 0:
                 raise RegistryError(c.id, "d", "discriminant degree must be > 0")
-            d = Fraction(c.d)
-        subs = {"c12H": 12 - _as_affine(d), "c1H2": 2, "c2H": _as_affine(d) + 6, "H3": 0}
+            d = c.d
+        fixed = {"c12H": 12 - d, "c1H2": 2, "c2H": d + 6, "H3": 0}
         note = "conic-bundle numerics from the discriminant degree d"
     else:
-        subs = {}
+        fixed = {}
         note = ""
-    n = ThreefoldNumerics(h=c.h, c13=c.c13, c12H=c.c12H, c1H2=c.c1H2, c2H=c.c2H, H3=c.H3)
-    closed = _as_affine(thm1_closed(n)).subs(subs)
-    derived = _as_affine(thm1_derived(n)).subs(subs)
+    # The record's own value wins over the geometry's fixed numerics.
+    n = ThreefoldNumerics(**{
+        f: fixed.get(f) if getattr(c, f) is None else getattr(c, f)
+        for f in NUMERICS_FIELDS
+    })
+    closed = thm1_closed(n)
+    derived = thm1_derived(n)
     if closed != derived:
         raise DualPathMismatch(
             f"record {c.id!r}: closed and derived obstruction disagree"
         )
-    return Verdict(_as_affine(closed), _conclude(_as_affine(closed)), note)
+    obstruction = _as_affine(closed)
+    return Verdict(obstruction, _conclude(obstruction), note)
 
 
 def _evaluate_thm2(c: CaseRecord) -> Verdict:
@@ -321,7 +327,10 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
             elif key in ("d", "k", "c1", "c2"):
                 kwargs[key] = int(value)
             else:
-                kwargs[key] = Fraction(value)
+                try:
+                    kwargs[key] = int(value)
+                except ValueError:
+                    kwargs[key] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise RegistryError(section, key, f"cannot parse {value!r}") from exc
     record = CaseRecord(**kwargs)

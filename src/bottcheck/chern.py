@@ -103,7 +103,7 @@ def sym_power_polys(e: SurfaceChern) -> SymPowerPolys:
     values = {"c1": e.c1, "c2": e.c2}
     form = sym_power_form()
     return SymPowerPolys(
-        *(p.subs(values).as_unipoly("b") for p in (form.C1, form.C2, form.A1, form.A2))
+        *(p.as_unipoly("b", values) for p in (form.C1, form.C2, form.A1, form.A2))
     )
 
 

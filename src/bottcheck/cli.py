@@ -351,13 +351,14 @@ def _cmd_thm3(args, out) -> int:
 
 
 def _cmd_chi_f(args, out) -> int:
-    value = f_formula(args.x, args.y, args.p, args.q)
-    print(f"f({args.x},{args.y}) = {value}", file=out)
     if args.oracle:
         if args.y < 0:
             raise InputError("the splitting oracle needs y >= 0")
         if args.y > MAX_ORACLE_Y:
             raise InputError(f"the splitting oracle needs y <= {MAX_ORACLE_Y}")
+    value = f_formula(args.x, args.y, args.p, args.q)
+    print(f"f({args.x},{args.y}) = {value}", file=out)
+    if args.oracle:
         oracle = f_splitting_oracle(args.x, args.y, args.p, args.q)
         print(f"oracle    = {oracle}", file=out)
         ok = value == oracle

@@ -25,6 +25,11 @@ with c1 and c2 as variables of the ring, one such rule holds a Chow ring
 symbolic in its own parameters (the "abstract variety" of Katz and
 Stromme's Schubert; Fulton, Intersection Theory, 3.2).  It serves
 formulas derived once, symbolically, and then substituted into.
+
+``Affine`` keeps the same form for an affine expression: an int
+``const_num`` and sorted (symbol, int numerator) ``term_nums`` pairs,
+none zero, over one ``den``, in lowest terms.  ``subs`` adds ints over
+one running denominator and makes one Fraction, or Affine, at the end.
 """
 
 from __future__ import annotations
@@ -307,75 +312,106 @@ class Affine:
     evaluators, user-suppliable case parameters.  Substituting values
     (numbers or other Affine expressions) for every symbol collapses to
     a Fraction.
+
+    Stored as int numerators ``const_num`` and ``term_nums`` over one
+    ``den``; see the module docstring.  ``const``, ``terms`` and
+    ``coeff()`` give Fractions.  Instances are immutable.
     """
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("const_num", "term_nums", "den")
 
     def __init__(self, const: Number = 0, terms: Mapping[str, Number] | None = None):
-        const = const if type(const) is Fraction else Fraction(const)
-        object.__setattr__(self, "const", const)
-        cleaned = {}
-        for s, c in (terms or {}).items():
-            c = c if type(c) is Fraction else Fraction(c)
-            if c != 0:
-                cleaned[s] = c
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+        terms = dict(terms or {})
+        nums, den = common_denominator([const, *terms.values()])
+        self._store(nums[0], zip(terms, nums[1:]), den)
+
+    @classmethod
+    def _new(cls, const_num: int, term_nums, den: int) -> "Affine":
+        """From int numerators over a positive ``den``, each symbol once."""
+        self = object.__new__(cls)
+        self._store(const_num, term_nums, den)
+        return self
+
+    def _store(self, const_num: int, term_nums, den: int) -> None:
+        """Drop zero terms, sort, cancel the common factor, then set."""
+        term_nums = sorted((s, n) for s, n in term_nums if n)
+        g = gcd(den, const_num, *(n for _, n in term_nums)) if den != 1 else 1
+        object.__setattr__(self, "const_num", const_num // g)
+        object.__setattr__(self, "term_nums", tuple((s, n // g) for s, n in term_nums))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Affine is immutable")
 
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.const_num, self.den)
+
+    @property
+    def terms(self) -> tuple:
+        return tuple((s, Fraction(n, self.den)) for s, n in self.term_nums)
+
     @staticmethod
     def sym(name: str) -> "Affine":
-        return Affine(0, {name: 1})
+        return Affine._new(0, ((name, 1),), 1)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, Affine):
             return other
         if isinstance(other, (int, Fraction)):
-            return Affine(other)
+            return Affine._new(other.numerator, (), other.denominator)
         return None
 
     def coeff(self, name: str) -> Fraction:
-        for s, c in self.terms:
+        for s, n in self.term_nums:
             if s == name:
-                return c
+                return Fraction(n, self.den)
         return Fraction(0)
 
     def symbols(self) -> tuple:
-        return tuple(s for s, _ in self.terms)
+        return tuple(s for s, _ in self.term_nums)
 
     def is_constant(self) -> bool:
-        return not self.terms
+        return not self.term_nums
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.const == o.const and self.terms == o.terms
+        return (self.const_num == o.const_num and self.term_nums == o.term_nums
+                and self.den == o.den)
 
     def __hash__(self):
-        return hash((self.const, self.terms))
+        return hash((self.const_num, self.term_nums, self.den))
+
+    def _plus(self, o: "Affine", sign: int) -> "Affine":
+        den = self.den
+        a, b = 1, sign
+        if den != o.den:
+            den = lcm(den, o.den)
+            a, b = den // self.den, sign * (den // o.den)
+        terms = {s: n * a for s, n in self.term_nums}
+        for s, n in o.term_nums:
+            _accumulate(terms, s, n * b)
+        return Affine._new(self.const_num * a + o.const_num * b, terms.items(), den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for s, c in o.terms:
-            terms[s] = terms.get(s, Fraction(0)) + c
-        return Affine(self.const + o.const, terms)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Affine(-self.const, {s: -c for s, c in self.terms})
+        return Affine._new(-self.const_num, [(s, -n) for s, n in self.term_nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -383,36 +419,54 @@ class Affine:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return Affine(self.const * scalar, {s: c * scalar for s, c in self.terms})
+        p = scalar.numerator
+        return Affine._new(
+            self.const_num * p, [(s, n * p) for s, n in self.term_nums],
+            self.den * scalar.denominator,
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return Affine(self.const / scalar, {s: c / scalar for s, c in self.terms})
+        return self * (1 / Fraction(scalar))
 
     def subs(self, values: Mapping[str, Union[Number, "Affine"]]):
-        """Substitute symbols; returns a Fraction if none remain."""
-        const = self.const
+        """Substitute symbols; returns a Fraction if none remain.
+
+        Sums int numerators over ``den * scale``, growing ``scale`` only
+        when a value's denominator does not divide it.
+        """
+        const, scale = self.const_num, 1
         terms: dict = {}
-        for s, c in self.terms:
+        for s, c in self.term_nums:
             if s not in values:
-                terms[s] = terms.get(s, 0) + c
+                _accumulate(terms, s, c * scale)
                 continue
             v = values[s]
             if isinstance(v, Affine):
-                const += c * v.const
-                for t, d in v.terms:
-                    terms[t] = terms.get(t, 0) + c * d
+                p, q, v_terms = v.const_num, v.den, v.term_nums
             else:
-                const += c * (v if isinstance(v, (int, Fraction)) else Fraction(v))
-        out = Affine(const, terms)
-        return out.const if out.is_constant() else out
+                if not isinstance(v, (int, Fraction)):
+                    v = Fraction(v)
+                p, q, v_terms = v.numerator, v.denominator, ()
+            if scale % q:
+                grow = q // gcd(scale, q)
+                scale *= grow
+                const *= grow
+                terms = {t: n * grow for t, n in terms.items()}
+            c *= scale // q
+            const += c * p
+            for t, n in v_terms:
+                _accumulate(terms, t, c * n)
+        if not any(terms.values()):
+            return Fraction(const, self.den * scale)
+        return Affine._new(const, terms.items(), self.den * scale)
 
     def render(self) -> str:
         parts = []
-        if self.const != 0 or not self.terms:
+        if self.const_num or not self.term_nums:
             parts.append(str(self.const))
         for s, c in self.terms:
             mag = abs(c)
@@ -713,20 +767,42 @@ class Poly:
         nums, den = common_denominator(out.values())
         return Poly._new(zip(out, nums), self.den * den, None)
 
-    def as_unipoly(self, var: str) -> UniPoly:
-        """This polynomial as a UniPoly in ``var``; ValueError if it has a
-        rule or another variable."""
+    def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
+        """``self.subs(values)`` as a UniPoly in ``var``, built in one pass
+        on ints over a running denominator, as ``Affine.subs`` does.
+
+        ValueError if the polynomial has a rule, if ``values`` names
+        ``var``, or if another variable gets no value.
+        """
         if self.rule is not None:
             raise ValueError("a polynomial with a quotient rule is not a UniPoly")
-        num: dict = {}
+        vals = {}
+        for v, x in (values or {}).items():
+            if v == var:
+                raise ValueError(f"{var} is the variable of the UniPoly; it takes no value")
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            vals[v] = (x.numerator, x.denominator)
+        out: list = []
+        scale = 1  # the numerators in out are over self.den * scale
         for m, c in self.terms:
-            if len(m) > 1 or m and m[0][0] != var:
-                raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
-            num[m[0][1] if m else 0] = c
-        out = [0] * (max(num) + 1 if num else 0)
-        for e, c in num.items():
-            out[e] = c
-        return UniPoly._new(out, self.den)
+            e, q = 0, 1
+            for v, k in m:
+                if v == var:
+                    e = k
+                elif v in vals:
+                    c *= vals[v][0] ** k
+                    q *= vals[v][1] ** k
+                else:
+                    raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
+            if scale % q:
+                grow = q // gcd(scale, q)
+                scale *= grow
+                out = [n * grow for n in out]
+            if e >= len(out):
+                out.extend([0] * (e + 1 - len(out)))
+            out[e] += c * (scale // q)
+        return UniPoly._new(out, self.den * scale)
 
     def render(self) -> str:
         if not self.terms:

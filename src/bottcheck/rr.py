@@ -96,17 +96,17 @@ def f_splitting_oracle(x: int, y: int, p: int, q: int) -> Fraction:
     """chi(W, xH + yU) by pushing forward to the line.
 
     Enumerates the monomials of the y-th symmetric power of
-    O^2 + O(p) + O(q) and sums chi of each twisted summand; only defined
-    for y >= 0.
+    O^2 + O(p) + O(q) and sums chi of each twisted summand, as ints; only
+    defined for y >= 0.
     """
     if y < 0:
         raise ValueError(f"oracle needs y >= 0, got {y}")
-    total = Fraction(0)
+    total = 0
     for i in range(y + 1):
         for j in range(y + 1 - i):
             mult = y - i - j + 1  # exponent splittings over the two O's
             total += mult * (x + i * p + j * q + 1)
-    return total
+    return Fraction(total)
 
 
 def euler_jaczewski_chi(x, y, p: int, q: int):

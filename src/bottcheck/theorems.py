@@ -32,7 +32,10 @@ from .rr import (
     normalized_pq,
 )
 
-NumericsValue = Union[int, Fraction, None]
+NumericsValue = Union[int, Fraction, Affine, None]
+
+#: The fields of ``ThreefoldNumerics``, the six symbols of thm1's forms.
+NUMERICS_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3")
 
 
 class DualPathMismatch(ArithmeticError):
@@ -43,7 +46,8 @@ class DualPathMismatch(ArithmeticError):
 class ThreefoldNumerics:
     """Intersection numerics of a weak Fano threefold of Picard rank 2.
 
-    Any field left as None stays symbolic in the evaluator output.
+    Any field left as None stays symbolic in the evaluator output; a
+    field may also be an Affine expression in other symbols.
     """
 
     h: NumericsValue = None
@@ -55,10 +59,10 @@ class ThreefoldNumerics:
 
     def substitutions(self) -> dict:
         out = {}
-        for name in ("h", "c13", "c12H", "c1H2", "c2H", "H3"):
+        for name in NUMERICS_FIELDS:
             v = getattr(self, name)
             if v is not None:
-                out[name] = Fraction(v)
+                out[name] = v if isinstance(v, (int, Fraction, Affine)) else Fraction(v)
         return out
 
 
@@ -289,7 +293,7 @@ def thm3_Q(inp: PlaneBundleInput) -> QPolys:
     values = {"c1": inp.c1, "c2": inp.c2}
     form = thm3_Q_form()
     return QPolys(
-        *(p.subs(values).as_unipoly("b") for p in (form.Q1, form.Q2, form.Q3, form.Q))
+        *(p.as_unipoly("b", values) for p in (form.Q1, form.Q2, form.Q3, form.Q))
     )
 
 
@@ -308,7 +312,7 @@ def thm3_hrr_crosscheck(inp: PlaneBundleInput, b: int) -> Fraction:
 def thm3_hrr_poly(inp: PlaneBundleInput) -> UniPoly:
     """``thm3_hrr_form`` at one bundle's c1, c2, as a polynomial in b, to
     compare with ``thm3_Q(inp).Q``."""
-    return thm3_hrr_form().subs({"c1": inp.c1, "c2": inp.c2}).as_unipoly("b")
+    return thm3_hrr_form().as_unipoly("b", {"c1": inp.c1, "c2": inp.c2})
 
 
 def thm3_h0_split(a: int, b: int) -> int:

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bottcheck.bottcases import (
     FAILS_BY_NEGATIVE_CHI,
@@ -17,7 +19,9 @@ from bottcheck.bottcases import (
     serialize_registry,
     with_twists,
 )
+from bottcheck.bottcases import _parse_record
 from bottcheck.exact import Affine
+from bottcheck.theorems import ThreefoldNumerics
 
 
 def _by_id(records):
@@ -253,3 +257,69 @@ class TestRegistryFileValues:
         path.write_text("[r]\ngeometry = table8\nprovenance = 50%% of 100%\n")
         (rec,) = load_registry(path)
         assert rec.provenance == "50%% of 100%"
+
+
+def _thm1_value(h, c13, c12H, c1H2, c2H, H3):
+    """The closed form of the thm1 obstruction, written out with Fractions."""
+    return (16 + h - Fraction(c13, 2) - Fraction(5, 4) * (c12H + c1H2)
+            + Fraction(3, 4) * c2H - Fraction(H3, 2))
+
+
+class TestGeometryNumericsYieldToTheRecord:
+    def test_dp6_record_keeps_its_own_c12H(self):
+        rec = CaseRecord(id="r", geometry="delPezzoFib6", h=1, c13=4, c12H=7)
+        verdict = evaluate_case(rec)
+        assert verdict.obstruction == _thm1_value(1, 4, 7, 0, 6, 0)
+        assert verdict.obstruction != _thm1_value(1, 4, 6, 0, 6, 0)
+
+    def test_conic_record_keeps_its_own_c12H(self):
+        rec = CaseRecord(id="r", geometry="conicBundle", h=0, c13=2, d=4,
+                         c12H=Fraction(1, 3))
+        verdict = evaluate_case(rec)
+        assert verdict.obstruction == _thm1_value(0, 2, Fraction(1, 3), 2, 10, 0)
+
+    def test_conic_record_with_c12H_and_symbolic_d(self):
+        d = Affine.sym("d")
+        rec = CaseRecord(id="r", geometry="conicBundle", c12H=5)
+        want = _thm1_value(0, 0, 5, 2, 0, 0) + Affine.sym("h") \
+            - Affine.sym("c13") / 2 + Fraction(3, 4) * (d + 6)
+        assert evaluate_case(rec).obstruction == want
+
+    def test_conic_without_d_stays_symbolic(self):
+        verdict = evaluate_case(CaseRecord(id="r", geometry="conicBundle"))
+        assert verdict.obstruction == (
+            Affine(3) + 2 * Affine.sym("d") + Affine.sym("h") - Affine.sym("c13") / 2
+        )
+        assert verdict.obstruction.render() == "3 - 1/2*c13 + 2*d + h"
+
+    def test_numerics_pass_ints_and_affines_through(self):
+        d = 12 - Affine.sym("d")
+        subs = ThreefoldNumerics(h=3, c13=Fraction(1, 2), c12H=d).substitutions()
+        assert subs == {"h": 3, "c13": Fraction(1, 2), "c12H": d}
+        assert type(subs["h"]) is int and subs["c12H"] is d
+
+
+class TestParseRecordNumbers:
+    @pytest.mark.parametrize("text", ["4/2", "1e3", "0.5", "1_000", "+5", "-7/3",
+                                      "007", " 12 "])
+    def test_accepted_strings_keep_their_values(self, text):
+        rec = _parse_record("r", {"geometry": "table8", "c13": text})
+        assert rec.c13 == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1__0", "_1", "0x10", "1/0", "abc", "1 000",
+                                      "+ 5", "--5", ""])
+    def test_rejected_strings_stay_rejected(self, text):
+        with pytest.raises(RegistryError, match="cannot parse"):
+            _parse_record("r", {"geometry": "table8", "c13": text})
+
+    @given(st.text(alphabet="0123456789+-_/. ", max_size=8))
+    def test_accepts_what_fraction_accepts(self, text):
+        try:
+            want = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            want = None
+        try:
+            got = _parse_record("r", {"geometry": "table8", "c13": text}).c13
+        except RegistryError:
+            got = None
+        assert got == want

@@ -523,3 +523,13 @@ class TestExitCodeHoles:
             ["chi-f", "--x", "1", "--y", "1000", "--p", "1", "--q", "2", "--oracle"])
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "MATCH"
+
+
+class TestOracleRangeCheckedFirst:
+    @pytest.mark.parametrize("y", ["1001", "-1"])
+    def test_out_of_range_y_prints_nothing_on_stdout(self, y):
+        code, out, err = run(
+            ["chi-f", "--x", "1", "--y", y, "--p", "1", "--q", "2", "--oracle"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the splitting oracle needs y ")
+        assert err.count("\n") == 1
