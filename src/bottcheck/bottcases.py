@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import Affine
+from .exact import Affine, parse_rational
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -330,7 +330,9 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
                 try:
                     kwargs[key] = int(value)
                 except ValueError:
-                    kwargs[key] = Fraction(value)
+                    kwargs[key] = parse_rational(value)
+        except OverflowError as exc:
+            raise RegistryError(section, key, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise RegistryError(section, key, f"cannot parse {value!r}") from exc
     record = CaseRecord(**kwargs)

@@ -15,7 +15,9 @@ from functools import cache
 from typing import Tuple
 
 from .chow import H_class, PlaneBase2, U_class
-from .exact import Affine, Poly, UniPoly, binom_of_poly
+from .exact import (
+    Affine, Poly, UniPoly, _Sparse, _accumulate, binom_of_poly, common_denominator,
+)
 
 
 @dataclass(frozen=True)
@@ -157,78 +159,31 @@ def _weight(m: SymMonomial) -> int:
     return i + j + 2 * k + 3 * l
 
 
-class SymClass:
-    __slots__ = ("coeffs",)
+class SymClass(_Sparse):
+    """An element of the truncated ring above, in the stored form of
+    ``exact._Sparse``; a monomial is its (c1, H, c2, c3) exponents.
+    Terms of weighted degree above 3 are dropped by the constructor and
+    by every product."""
+
+    __slots__ = ()
+
+    ONE = (0, 0, 0, 0)
+    NAMES = ("c1", "H", "c2", "c3")
 
     def __init__(self, raw=()):
-        terms = {}
-        for m, c in dict(raw).items():
-            c = c if type(c) is Fraction else Fraction(c)
-            if c != 0 and _weight(m) <= 3:
-                terms[m] = terms.get(m, Fraction(0)) + c
-        object.__setattr__(self, "coeffs", tuple(sorted(terms.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymClass is immutable")
+        raw = {m: c for m, c in dict(raw).items() if _weight(m) <= 3}
+        nums, den = common_denominator(raw.values())
+        self._store(zip(raw, nums), den, None)
 
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, SymClass):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return SymClass({(0, 0, 0, 0): other})
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.coeffs)
-        for m, c in o.coeffs:
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return SymClass(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymClass({m: -c for m, c in self.coeffs})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymClass({m: c * other for m, c in self.coeffs})
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _product(xs, ys) -> dict:
         terms: dict = {}
-        for m1, a in self.coeffs:
-            for m2, b in o.coeffs:
-                m = tuple(x + y for x, y in zip(m1, m2))
+        for (i1, j1, k1, l1), a in xs:
+            for (i2, j2, k2, l2), b in ys:
+                m = (i1 + i2, j1 + j2, k1 + k2, l1 + l2)
                 if _weight(m) <= 3:
-                    terms[m] = terms.get(m, Fraction(0)) + a * b
-        return SymClass(terms)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"SymClass({dict(self.coeffs)!r})"
+                    _accumulate(terms, m, a * b)
+        return terms
 
 
 C1_SYM = SymClass({(1, 0, 0, 0): 1})

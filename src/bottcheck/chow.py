@@ -35,15 +35,9 @@ lowers the U-degree) and its normal form is unique, because the leading
 monomials H^3 and U^2 are coprime.  The degree map is the coefficient of
 H^2 U, a polynomial in the remaining variables.
 
-A class stores its terms as (monomial, int numerator) pairs, sorted and
-nonzero, over one int denominator: ``den > 0``, the gcd of ``den`` and
-every numerator is 1, and the zero class is ``((), 1)``.  The ring
-parameters (c1, c2, the twists) must be integers, so the product is
-integer arithmetic throughout: it multiplies the denominators, a sum
-scales to their lcm, and the common factor is cancelled once per result
-(skipped when the denominator is 1).  Fractions are made only where a
-value leaves the class: ``coeffs``, ``coeff()``, ``degree()`` and
-``render``.  ``==`` and ``hash`` compare the canonical (terms, den).
+A class keeps the stored form of ``exact._Sparse``, with (i, j) for
+H^i U^j as its monomials.  The ring parameters (c1, c2, the twists) must
+be integers, so that ``_product`` stays on integer numerators.
 
 The sign convention of the rank relation is pinned by the pushforward
 consistency checks in the test suite: the intrinsic Riemann-Roch value
@@ -53,13 +47,13 @@ y-th symmetric power of E on the base.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Mapping, Tuple
 
-from .exact import Poly, QuotientRule, _accumulate, common_denominator
+from .exact import (
+    Poly, QuotientRule, _Sparse, _accumulate, common_denominator, max_str_digits,
+)
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
 
@@ -151,15 +145,19 @@ def _product(ambient: Ambient, xs, ys) -> dict:
     return out
 
 
-class GradedClass:
+class GradedClass(_Sparse):
     """A fully reduced element of one of the two ambient Chow rings.
 
     ``terms`` holds (basis monomial, int numerator) pairs over the one
-    denominator ``den``; see the module docstring for the invariant.
-    ``coeffs`` gives the same terms with Fraction coefficients.
+    denominator ``den``, as ``exact._Sparse`` keeps them; ``ambient`` is
+    the ring.  ``coeffs`` gives the same terms with Fraction coefficients.
     """
 
-    __slots__ = ("ambient", "terms", "den")
+    __slots__ = ()
+
+    ONE = (0, 0)
+    NAMES = ("H", "U")
+    MISMATCH = "ambient ring mismatch"
 
     def __init__(self, ambient: Ambient, raw: Mapping[Monomial, Fraction] = ()):
         raw = dict(raw)
@@ -175,118 +173,20 @@ class GradedClass:
                 part = _product(ambient, part.items(), u)
             for m, c in part.items():
                 _accumulate(terms, m, c)
-        self._store(ambient, terms.items(), den)
-
-    @classmethod
-    def _reduced(cls, ambient: Ambient, terms, den: int = 1) -> "GradedClass":
-        """A class from (monomial, int) terms over a positive ``den``, the
-        monomials already in the basis, each at most once."""
-        self = object.__new__(cls)
-        self._store(ambient, terms, den)
-        return self
-
-    def _store(self, ambient: Ambient, terms, den: int) -> None:
-        """Drop zero terms, sort, cancel the common factor, then set."""
-        terms = sorted((m, c) for m, c in terms if c)
-        if not terms:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *(c for _, c in terms))
-            if g != 1:
-                terms = [(m, c // g) for m, c in terms]
-                den //= g
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedClass is immutable")
+        self._store(terms.items(), den, ambient)
 
     @property
-    def coeffs(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
-        """The sorted nonzero (monomial, Fraction) terms."""
-        den = self.den
-        return tuple((m, Fraction(c, den)) for m, c in self.terms)
+    def ambient(self) -> Ambient:
+        return self.ring
+
+    def _product(self, xs, ys) -> dict:
+        return _product(self.ring, xs, ys)
 
     def coeff(self, i: int, j: int) -> Fraction:
         for m, c in self.terms:
             if m == (i, j):
                 return Fraction(c, self.den)
         return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "GradedClass"):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient ring mismatch")
-
-    def _coerce(self, other):
-        if isinstance(other, GradedClass):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GradedClass._reduced(
-                self.ambient, (((0, 0), other.numerator),), other.denominator
-            )
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.ambient, self.terms, self.den))
-
-    def _plus(self, o: "GradedClass", sign: int) -> "GradedClass":
-        den = self.den
-        a, b = 1, sign
-        if den != o.den:
-            den = lcm(den, o.den)
-            a, b = den // self.den, sign * (den // o.den)
-        terms = {m: c * a for m, c in self.terms}
-        for m, c in o.terms:
-            _accumulate(terms, m, c * b)
-        return GradedClass._reduced(self.ambient, terms.items(), den)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedClass._reduced(
-            self.ambient, [(m, -c) for m, c in self.terms], self.den
-        )
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return GradedClass._reduced(
-                self.ambient, [(m, c * p) for m, c in self.terms],
-                self.den * other.denominator,
-            )
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        terms = _product(self.ambient, self.terms, o.terms)
-        return GradedClass._reduced(self.ambient, terms.items(), self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedClass":
         """x**n for n >= 0 by repeated squaring; x**0 is the unit.
@@ -297,7 +197,7 @@ class GradedClass:
         if n < 0:
             raise ValueError("negative exponent")
         what = f"the power ^{n}"
-        out, base, k = unit(self.ambient), self, n
+        out, base, k = unit(self.ring), self, n
         while k:
             if k & 1:
                 out = check_printable(out * base, what)
@@ -307,64 +207,25 @@ class GradedClass:
         return out
 
     def graded_part(self, k: int) -> "GradedClass":
-        return GradedClass._reduced(
-            self.ambient, [(m, c) for m, c in self.terms if m[0] + m[1] == k],
-            self.den,
+        return GradedClass._new(
+            [(m, c) for m, c in self.terms if m[0] + m[1] == k], self.den, self.ring
         )
 
     def degree(self) -> Fraction:
         """Top intersection number: the coefficient of the top monomial."""
-        return self.coeff(*self.ambient.top)
-
-    def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j), c in self.coeffs:
-            factors = []
-            if i == 1:
-                factors.append("H")
-            elif i > 1:
-                factors.append(f"H^{i}")
-            if j == 1:
-                factors.append("U")
-            elif j > 1:
-                factors.append(f"U^{j}")
-            mono = "*".join(factors)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"GradedClass({self.render()})"
+        return self.coeff(*self.ring.top)
 
 
 def unit(ambient: Ambient) -> GradedClass:
-    return GradedClass._reduced(ambient, (((0, 0), 1),))
+    return GradedClass._new((((0, 0), 1),), 1, ambient)
 
 
 def H_class(ambient: Ambient) -> GradedClass:
-    return GradedClass._reduced(ambient, (((1, 0), 1),))
+    return GradedClass._new((((1, 0), 1),), 1, ambient)
 
 
 def U_class(ambient: Ambient) -> GradedClass:
-    return GradedClass._reduced(ambient, (((0, 1), 1),))
-
-
-def max_str_digits() -> int:
-    """``sys.get_int_max_str_digits()``, the most digits Python reads or
-    prints in an integer: 0, no bound, when so set or on a Python before
-    3.10.7, which has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return GradedClass._new((((0, 1), 1),), 1, ambient)
 
 
 def check_printable(x: GradedClass, what: str) -> GradedClass:

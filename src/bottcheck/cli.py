@@ -19,10 +19,9 @@ from typing import Optional, Tuple
 
 from . import bottcases, theorems
 from .chow import (
-    GradedClass, H_class, LineBase4, PlaneBase2, U_class, check_printable,
-    max_str_digits, unit,
+    GradedClass, H_class, LineBase4, PlaneBase2, U_class, check_printable, unit,
 )
-from .exact import Affine
+from .exact import Affine, max_str_digits, parse_rational
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
 
@@ -266,8 +265,12 @@ def parse_ring(text: str):
 
 
 def _rat(text: str) -> Fraction:
+    """A rational option value; an exponent too large to read ends the
+    run at once, with one ``error:`` line."""
     try:
-        return Fraction(text)
+        return parse_rational(text)
+    except OverflowError as exc:
+        raise _ParserExit(2, f"error: {exc}\n", "err") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected an integer or p/q, got {text!r}"

@@ -6,34 +6,30 @@ univariate polynomials over the rationals, affine expressions over
 named symbols, and sparse polynomials over named variables, optionally
 in a quotient ring.  There is no floating point anywhere in the package.
 
-``UniPoly`` keeps its coefficients as a tuple ``num`` of int numerators
-over one int denominator ``den``, in lowest terms: ``den > 0``,
-``gcd(*num, den) == 1``, no trailing zero, and the zero polynomial is
-``((), 1)``.  Ring operations are plain integer arithmetic: a product
-multiplies the denominators, a sum scales both sides to the lcm of
-theirs, and the common factor is cancelled once per result (skipped
-when the denominator is 1).  Fractions are made only where a value
-leaves the polynomial: ``coeffs``, ``coeff()``, evaluation and
-``render``.  The representation is canonical, so ``==`` and ``hash``
-compare ``(num, den)``.
+Every ring element keeps int numerators over one positive int
+denominator, in lowest terms, and makes Fractions only where a value
+leaves it.  ``_Sparse`` states that stored form once and implements it
+for sparse (monomial, numerator) terms; ``Poly`` here, and
+``chow.GradedClass`` and ``chern.SymClass``, are its subclasses and
+supply only their unit monomial, their product of terms and the text
+of a monomial.  ``UniPoly`` keeps the same form densely, as a tuple
+``num`` of the numerators of 1, t, t^2, ...; ``Affine`` keeps a
+constant ``const_num`` apart from its sorted (symbol, numerator)
+``term_nums``, so that ``subs`` can add ints over one running
+denominator and make one Fraction, or Affine, at the end.  ``_render``
+is the one text form of all of them.
 
-``Poly`` keeps the same representation over many variables: sorted
-(monomial, int numerator) ``terms`` over one ``den``, in lowest terms.
-A ``QuotientRule`` it carries rewrites every product into the normal
-form of a quotient ring, as ``chow._product`` does for ``GradedClass``;
-with c1 and c2 as variables of the ring, one such rule holds a Chow ring
-symbolic in its own parameters (the "abstract variety" of Katz and
-Stromme's Schubert; Fulton, Intersection Theory, 3.2).  It serves
-formulas derived once, symbolically, and then substituted into.
-
-``Affine`` keeps the same form for an affine expression: an int
-``const_num`` and sorted (symbol, int numerator) ``term_nums`` pairs,
-none zero, over one ``den``, in lowest terms.  ``subs`` adds ints over
-one running denominator and makes one Fraction, or Affine, at the end.
+A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
+the normal form of a quotient ring; with c1 and c2 as variables, one
+such rule holds a Chow ring symbolic in its own parameters (the
+"abstract variety" of Katz and Stromme's Schubert; Fulton, Intersection
+Theory, 3.2).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -61,6 +57,30 @@ def binom(n: int, k: int) -> Fraction:
     return num / factorial(k)
 
 
+def max_str_digits() -> int:
+    """``sys.get_int_max_str_digits()``, the most digits Python reads or
+    prints in an integer: 0, no bound, when so set or on a Python before
+    3.10.7, which has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, but OverflowError for an exponent, as in
+    ``1e5000``, larger in magnitude than ``max_str_digits()`` (no bound
+    when that is 0): Fraction builds 10**exponent before any later bound
+    could see it.  Otherwise raises what Fraction raises."""
+    limit = max_str_digits()
+    exp = _EXPONENT.search(text) if limit else None
+    if exp:
+        digits = exp[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise OverflowError(f"the exponent of {text!r} exceeds {limit} in magnitude")
+    return Fraction(text)
+
+
 def common_denominator(values: Iterable[Number]) -> Tuple[list, int]:
     """Integer numerators of ``values`` over their least common denominator.
 
@@ -73,6 +93,27 @@ def common_denominator(values: Iterable[Number]) -> Tuple[list, int]:
     if den == 1:
         return [c.numerator for c in fs], 1
     return [c.numerator * (den // c.denominator) for c in fs], den
+
+
+def _power(var: str, e: int) -> str:
+    """The text of var^e for e >= 1."""
+    return var if e == 1 else f"{var}^{e}"
+
+
+def _render(terms, den: int = 1) -> str:
+    """The text of a sum of (monomial text, int numerator) ``terms`` over
+    ``den``: zero terms skipped, "" the text of the unit monomial, a
+    magnitude of 1 left out before a monomial, and "0" for no term."""
+    parts = []
+    for mono, n in terms:
+        if n:
+            mag = Fraction(abs(n), den)
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            if parts:
+                parts.append(f"- {body}" if n < 0 else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if n < 0 else body)
+    return " ".join(parts) or "0"
 
 
 def _convolve(a, b) -> list:
@@ -91,10 +132,11 @@ class UniPoly:
     """Univariate polynomial with rational coefficients.
 
     Stored as integer numerators over one common denominator:
-    ``num[i] / den`` is the coefficient of the i-th power.  See the
-    module docstring for the invariant.  ``coeffs`` gives the
-    coefficients as Fractions.  Instances are immutable; all operations
-    return new polynomials.
+    ``num[i] / den`` is the coefficient of the i-th power, in the form
+    of ``_Sparse`` with a dense tuple for its terms: no trailing zero,
+    and zero is ``((), 1)``.  ``coeffs`` gives the coefficients as
+    Fractions.  Instances are immutable; all operations return new
+    polynomials.
     """
 
     __slots__ = ("num", "den")
@@ -253,27 +295,11 @@ class UniPoly:
         return UniPoly._new(acc, self.den * scale // e)
 
     def render(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        coeffs = self.coeffs
-        parts = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render(
+            ((_power(var, i) if i else "", self.num[i])
+             for i in range(len(self.num) - 1, -1, -1)),
+            self.den,
+        )
 
     def __repr__(self):
         return f"UniPoly({self.render()})"
@@ -314,8 +340,9 @@ class Affine:
     a Fraction.
 
     Stored as int numerators ``const_num`` and ``term_nums`` over one
-    ``den``; see the module docstring.  ``const``, ``terms`` and
-    ``coeff()`` give Fractions.  Instances are immutable.
+    ``den``, in the lowest terms of ``_Sparse``: ``term_nums`` holds
+    sorted (symbol, numerator) pairs, none zero.  ``const``, ``terms``
+    and ``coeff()`` give Fractions.  Instances are immutable.
     """
 
     __slots__ = ("const_num", "term_nums", "den")
@@ -465,17 +492,7 @@ class Affine:
         return Affine._new(const, terms.items(), self.den * scale)
 
     def render(self) -> str:
-        parts = []
-        if self.const_num or not self.term_nums:
-            parts.append(str(self.const))
-        for s, c in self.terms:
-            mag = abs(c)
-            body = s if mag == 1 else f"{mag}*{s}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _render((("", self.const_num), *self.term_nums), self.den)
 
     def __repr__(self):
         return f"Affine({self.render()})"
@@ -573,18 +590,174 @@ class QuotientRule:
         return out
 
 
-class Poly:
+class _Sparse:
+    """A sparse element of a ring over the rationals, in stored form.
+
+    ``terms`` holds (monomial, int numerator) pairs over the one int
+    denominator ``den``, in lowest terms:
+
+    * the monomials are sorted and distinct, and no numerator is 0;
+    * ``den > 0``, and the gcd of ``den`` and every numerator is 1;
+    * zero is ``((), 1)``.
+
+    The form is canonical, so ``==`` and ``hash`` compare it.  Ring
+    operations are integer arithmetic: a product multiplies the
+    denominators, a sum scales both sides to the lcm of theirs, and the
+    common factor is cancelled once per result (skipped when the
+    denominator is 1).  Fractions are made only where a value leaves the
+    element: ``coeffs``, a subclass's coefficient views, and ``render``.
+
+    ``ring`` is what the element lives in beyond its monomials (a
+    quotient rule, an ambient Chow ring, or None).  Operands must share
+    it; ints and Fractions take the ring of the other operand.
+    Instances are immutable.
+
+    A subclass supplies its unit monomial ``ONE``, ``_product`` of two
+    term lists, and the text of a monomial: ``_mono_text``, by default
+    the powers of ``NAMES`` for a monomial stored as a tuple of exponents.
+    """
+
+    __slots__ = ("terms", "den", "ring")
+
+    ONE: tuple = ()
+    NAMES: tuple = ()
+    MISMATCH = "ring mismatch"
+
+    @classmethod
+    def _new(cls, terms, den: int, ring=None):
+        """An element from (monomial, int) terms over a positive ``den``,
+        each monomial canonical, at most once, and in the ring's normal
+        form."""
+        self = object.__new__(cls)
+        self._store(terms, den, ring)
+        return self
+
+    def _store(self, terms, den: int, ring) -> None:
+        """Drop zero terms, sort, cancel the common factor, then set."""
+        terms = sorted((m, c) for m, c in terms if c)
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *(c for _, c in terms))
+            if g != 1:
+                terms = [(m, c // g) for m, c in terms]
+                den //= g
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ring", ring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The sorted nonzero (monomial, Fraction) terms."""
+        den = self.den
+        return tuple((m, Fraction(c, den)) for m, c in self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError(self.MISMATCH)
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._new(((self.ONE, other.numerator),), other.denominator, self.ring)
+        return None
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms and self.den == o.den
+
+    def __hash__(self):
+        return hash((self.terms, self.den, self.ring))
+
+    def _plus(self, o, sign: int):
+        den = self.den
+        a, b = 1, sign
+        if den != o.den:
+            den = lcm(den, o.den)
+            a, b = den // self.den, sign * (den // o.den)
+        terms = {m: c * a for m, c in self.terms}
+        for m, c in o.terms:
+            _accumulate(terms, m, c * b)
+        return self._new(terms.items(), den, self.ring)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new([(m, -c) for m, c in self.terms], self.den, self.ring)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, -1)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return self._new(
+                [(m, c * p) for m, c in self.terms], self.den * other.denominator,
+                self.ring,
+            )
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        terms = self._product(self.terms, o.terms)
+        return self._new(terms.items(), self.den * o.den, self.ring)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
+            raise ZeroDivisionError("polynomial division by zero")
+        p, q = scalar.numerator, scalar.denominator
+        if p < 0:
+            p, q = -p, -q
+        return self._new([(m, c * q) for m, c in self.terms], self.den * p, self.ring)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        out = self._new(((self.ONE, 1),), 1, self.ring)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def _mono_text(self, m) -> str:
+        return "*".join(_power(v, e) for v, e in zip(self.NAMES, m) if e)
+
+    def render(self) -> str:
+        return _render(((self._mono_text(m), c) for m, c in self.terms), self.den)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class Poly(_Sparse):
     """Sparse polynomial over named variables with rational coefficients.
 
-    ``terms`` holds sorted (monomial, int numerator) pairs over the one
-    denominator ``den``, with the invariant of ``UniPoly``: ``den > 0``,
-    the gcd of ``den`` and every numerator is 1, no zero term, and zero
-    is ``((), 1)``.  Instances are immutable.
-
-    ``rule`` is None or a ``QuotientRule``; the constructor and every
-    product reduce by it, so a polynomial with a rule is an element of
-    the quotient ring, in normal form.  Operands must carry equal rules
-    (ints and Fractions take the rule of the other operand), as two
+    A monomial is a tuple of (variable, exponent) pairs; the stored form
+    is ``_Sparse``'s.  ``rule``, the element's ring, is None or a
+    ``QuotientRule``; the constructor and every product reduce by it, so
+    a polynomial with a rule is an element of the quotient ring, in
+    normal form.  Operands must carry equal rules, as two
     ``GradedClass`` operands must share their ambient ring.
 
     ``subs`` substitutes numbers for variables of a polynomial without a
@@ -593,7 +766,9 @@ class Poly:
     of the variables, as a polynomial in the others.
     """
 
-    __slots__ = ("terms", "den", "rule")
+    __slots__ = ()
+
+    MISMATCH = "quotient rule mismatch"
 
     def __init__(self, raw: Mapping = (), rule: QuotientRule | None = None):
         raw = dict(raw)
@@ -610,117 +785,19 @@ class Poly:
         """The variable ``name``, in the ring of ``rule``."""
         return Poly({((name, 1),): 1}, rule)
 
-    @classmethod
-    def _new(cls, terms, den: int, rule) -> "Poly":
-        """A polynomial from (monomial, int) terms over a positive ``den``,
-        each monomial canonical, at most once, and in normal form."""
-        self = object.__new__(cls)
-        self._store(terms, den, rule)
-        return self
+    @property
+    def rule(self) -> QuotientRule | None:
+        return self.ring
 
-    def _store(self, terms, den: int, rule) -> None:
-        """Drop zero terms, sort, cancel the common factor, then set."""
-        terms = sorted((m, c) for m, c in terms if c)
-        if not terms:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *(c for _, c in terms))
-            if g != 1:
-                terms = [(m, c // g) for m, c in terms]
-                den //= g
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rule", rule)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.rule != self.rule:
-                raise ValueError("quotient rule mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly._new((((), other.numerator),), other.denominator, self.rule)
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.terms, self.den, self.rule))
-
-    def _plus(self, o: "Poly", sign: int) -> "Poly":
-        den = self.den
-        a, b = 1, sign
-        if den != o.den:
-            den = lcm(den, o.den)
-            a, b = den // self.den, sign * (den // o.den)
-        terms = {m: c * a for m, c in self.terms}
-        for m, c in o.terms:
-            _accumulate(terms, m, c * b)
-        return Poly._new(terms.items(), den, self.rule)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._new([(m, -c) for m, c in self.terms], self.den, self.rule)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return Poly._new(
-                [(m, c * p) for m, c in self.terms], self.den * other.denominator,
-                self.rule,
-            )
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _product(self, xs, ys) -> dict:
         terms: dict = {}
-        for m1, a in self.terms:
-            for m2, b in o.terms:
+        for m1, a in xs:
+            for m2, b in ys:
                 _accumulate(terms, _mono_mul(m1, m2), a * b)
-        if self.rule is not None:
-            terms = self.rule.reduce(terms)
-        return Poly._new(terms.items(), self.den * o.den, self.rule)
+        return terms if self.ring is None else self.ring.reduce(terms)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            raise ZeroDivisionError("polynomial division by zero")
-        p, q = scalar.numerator, scalar.denominator
-        if p < 0:
-            p, q = -p, -q
-        return Poly._new([(m, c * q) for m, c in self.terms], self.den * p, self.rule)
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly._new((((), 1),), 1, self.rule)
-        for _ in range(n):
-            out = out * self
-        return out
+    def _mono_text(self, m) -> str:
+        return "*".join(_power(v, e) for v, e in m)
 
     def coeff(self, monomial: Mapping[str, int]) -> "Poly":
         """The coefficient of ``monomial``, a {variable: exponent} map, as
@@ -735,7 +812,7 @@ class Poly:
             exps = dict(m)
             if all(exps.get(v, 0) == e for v, e in want.items()):
                 out.append((tuple((v, e) for v, e in m if v not in want), c))
-        return Poly._new(out, self.den, None)
+        return Poly._new(out, self.den)
 
     def subs(self, values: Mapping[str, Number]):
         """Substitute ints or Fractions for variables.
@@ -746,7 +823,7 @@ class Poly:
         given.  Names that do not occur are ignored.  A polynomial with a
         rule raises ValueError: its variables are not free.
         """
-        if self.rule is not None:
+        if self.ring is not None:
             raise ValueError("cannot substitute into a quotient ring")
         vals = {}
         for v, x in values.items():
@@ -765,7 +842,7 @@ class Poly:
         if out.keys() <= {()}:
             return Fraction(out.get((), 0), self.den)
         nums, den = common_denominator(out.values())
-        return Poly._new(zip(out, nums), self.den * den, None)
+        return Poly._new(zip(out, nums), self.den * den)
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
         """``self.subs(values)`` as a UniPoly in ``var``, built in one pass
@@ -774,7 +851,7 @@ class Poly:
         ValueError if the polynomial has a rule, if ``values`` names
         ``var``, or if another variable gets no value.
         """
-        if self.rule is not None:
+        if self.ring is not None:
             raise ValueError("a polynomial with a quotient rule is not a UniPoly")
         vals = {}
         for v, x in (values or {}).items():
@@ -803,26 +880,3 @@ class Poly:
                 out.extend([0] * (e + 1 - len(out)))
             out[e] += c * (scale // q)
         return UniPoly._new(out, self.den * scale)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.terms:
-            c = Fraction(c, self.den)
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"Poly({self.render()})"

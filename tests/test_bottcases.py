@@ -323,3 +323,21 @@ class TestParseRecordNumbers:
         except RegistryError:
             got = None
         assert got == want
+
+
+class TestParseRecordExponentBound:
+    @pytest.mark.parametrize("key", ["h", "c13", "c2H", "H3"])
+    @pytest.mark.parametrize("text", ["1e1000000", "7/1e5", "-1E-10000000"])
+    def test_exponent_past_the_digit_limit_names_record_and_field(self, key, text):
+        if "/" in text:  # not Fraction syntax: still the plain parse error
+            with pytest.raises(RegistryError, match="cannot parse"):
+                _parse_record("r", {"geometry": "table8", key: text})
+            return
+        with pytest.raises(RegistryError) as err:
+            _parse_record("r", {"geometry": "table8", key: text})
+        assert (err.value.record_id, err.value.field) == ("r", key)
+        assert f"the exponent of {text!r} exceeds" in str(err.value)
+
+    def test_exponents_within_the_limit_still_parse(self):
+        rec = _parse_record("r", {"geometry": "table8", "c13": "1e3", "H3": "25e-2"})
+        assert (rec.c13, rec.H3) == (1000, Fraction(1, 4))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -533,3 +534,44 @@ class TestOracleRangeCheckedFirst:
         assert (code, out) == (2, "")
         assert err.startswith("error: the splitting oracle needs y ")
         assert err.count("\n") == 1
+
+
+class TestExponentBound:
+    """An exponent is bounded before Fraction builds 10**exponent."""
+
+    @pytest.mark.parametrize("text", ["1e1000000", "-2E-1000000", "1e10000000",
+                                      "3e" + "9" * 5000, "1e4_301"])
+    def test_exponent_past_the_digit_limit_exits_2_at_once(self, text):
+        start = time.perf_counter()
+        code, out, err = run(["thm1", f"--c13={text}"])
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: the exponent of {text!r} exceeds {limit} in magnitude\n"
+
+    def test_exponents_within_the_limit_still_parse(self):
+        code, out, err = run(["thm1", "--c13", "1e3", "--c12H", "12e-1"])
+        assert (code, err) == (0, "")
+        assert out == run(["thm1", "--c13", "1000", "--c12H", "6/5"])[1]
+        limit = sys.get_int_max_str_digits()
+        assert cli._rat(f"1e{limit}") == 10 ** limit
+        assert cli._rat(f"1e-{limit:_}") == Fraction(1, 10 ** limit)
+        assert cli._rat("5e0000000000003") == 5000
+
+    def test_no_exponent_bound_when_python_sets_none(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert cli._rat(f"1e{limit + 1}") == 10 ** (limit + 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_case_file_exponent_exits_2_naming_record_and_field(self, tmp_path):
+        path = tmp_path / "cases.ini"
+        path.write_text("[big]\ngeometry = table8\nc13 = 1e1000000\n")
+        code, out, err = run(["bott-report", "--cases", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: record 'big', field 'c13': the exponent of '1e1000000' exceeds "
+            f"{sys.get_int_max_str_digits()} in magnitude\n"
+        )

@@ -85,6 +85,12 @@ COMMANDS = [
     ["chow-eval", "--ring", "plane:1,2", "--expr", "(H + U)^3 - 1/2*H*U + 3"],
     ["chow-eval", "--ring", "line:0,0,1,2", "--expr", "(H+U)^4"],
     ["chow-eval", "--ring", "line:0,0,1,2", "--expr", "-U^3*H"],
+    ["chow-eval", "--ring", "plane:2,-1", "--expr=-U+H"],
+    ["chow-eval", "--ring", "line:1,1,0,-3", "--expr=-U^3+1/3*U^4"],
+    ["chow-eval", "--ring", "plane:2,-1", "--expr", "1/2*H - U^2 + 2/3*H*U - 1"],
+    ["chow-eval", "--ring", "line:1,1,0,-3", "--expr=-2/3 + H - 5/2*U^2 + U^3 - H*U^3"],
+    ["chow-eval", "--ring", "plane:3,3", "--expr", "0"],
+    ["chow-eval", "--ring", "line:0,0,1,2", "--expr", "0"],
     ["chow-eval", "--ring", "cone:1,2", "--expr", "H"],
     ["chow-eval", "--ring", "plane:1", "--expr", "H"],
     ["chow-eval", "--ring", "plane:1,2", "--expr", "H/0"],
