@@ -9,14 +9,13 @@ reported obstruction, so a record is never silently specialized.
 
 from __future__ import annotations
 
-import configparser
-import io
 import json
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import Affine, parse_rational
+from .exact import Affine, check_printable, parse_rational
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -299,15 +298,22 @@ def builtin_registry() -> tuple:
 
 # --- registry file format --------------------------------------------------
 
-_REGISTRY_FIELDS = (
-    "geometry", "h", "c13", "c12H", "c1H2", "c2H", "H3",
-    "d", "a", "k", "c1", "c2", "provenance",
-)
+_NUMERIC_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3", "d", "a", "k", "c1", "c2")
+_REGISTRY_FIELDS = ("geometry", *_NUMERIC_FIELDS, "provenance")
 
 _REQUIRED_BY_GEOMETRY = {
     "conicBundle": ("d",),
     "delPezzoFib8-small": ("k",),
     "delPezzoFib8-divisorial": ("k",),
+    "p1BundleOverPlane": ("c1", "c2"),
+}
+
+# The numeric fields each geometry's evaluator reads; a record that sets
+# another one is rejected.
+_ALLOWED_BY_GEOMETRY = {
+    **{g: NUMERICS_FIELDS for g in _THM1_GEOMETRIES},
+    "conicBundle": NUMERICS_FIELDS + ("d",),
+    **{g: ("a", "k") for g in _THM2_GEOMETRIES},
     "p1BundleOverPlane": ("c1", "c2"),
 }
 
@@ -335,6 +341,8 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
             raise RegistryError(section, key, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise RegistryError(section, key, f"cannot parse {value!r}") from exc
+    if "geometry" not in kwargs:
+        raise RegistryError(section, "geometry", "required for every record")
     record = CaseRecord(**kwargs)
     _validate(record)
     return record
@@ -343,6 +351,10 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
 def _validate(c: CaseRecord):
     if c.geometry not in GEOMETRIES:
         raise RegistryError(c.id, "geometry", f"unknown geometry {c.geometry!r}")
+    allowed = _ALLOWED_BY_GEOMETRY[c.geometry]
+    for field in _NUMERIC_FIELDS:
+        if getattr(c, field) is not None and field not in allowed:
+            raise RegistryError(c.id, field, f"not used by geometry {c.geometry!r}")
     for field in _REQUIRED_BY_GEOMETRY.get(c.geometry, ()):
         if getattr(c, field) is None:
             raise RegistryError(c.id, field, "required for this geometry")
@@ -351,8 +363,6 @@ def _validate(c: CaseRecord):
             check_hodge_number(c.h)
         except ValueError as exc:
             raise RegistryError(c.id, "h", str(exc)) from None
-    if c.d is not None and c.geometry != "conicBundle":
-        raise RegistryError(c.id, "d", "only conic bundles carry a discriminant")
     if c.a is not None:
         if len(c.a) != 4:
             raise RegistryError(c.id, "a", "need exactly 4 twists")
@@ -360,46 +370,79 @@ def _validate(c: CaseRecord):
             raise RegistryError(c.id, "a", "twists must not be all distinct")
 
 
+# One stripped line of a case file: blank or a comment, a record header
+# "[id]", or "field = value" / "field: value" split at the first "=" or
+# ":".  The id is everything between the first "[" and the last "]".
+_LINE = re.compile(
+    r"(?:[#;].*)?|\[(?P<id>.+)\]|(?P<field>[^=:]*[^=:\s])\s*[=:]\s*(?P<value>.*)"
+)
+
+
+def _read_records(lines) -> dict:
+    """``{id: {field: value}}`` from the lines of a case file, in file
+    order; RegistryError for the first line that breaks the grammar of
+    ``_LINE``, a field before the first header, or a repeated record or
+    field."""
+    records: dict = {}
+    current = None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        m = _LINE.fullmatch(text)
+        if m is None:
+            raise RegistryError(
+                None, None,
+                f"line {lineno}: expected [id], field = value or a comment, "
+                f"got {text!r}",
+            )
+        record_id, field = m["id"], m["field"]
+        if record_id is not None:
+            if record_id in records:
+                raise RegistryError(record_id, "id", f"duplicate record on line {lineno}")
+            records[record_id] = {}
+            current = record_id
+        elif field is not None:
+            if current is None:
+                raise RegistryError(
+                    None, None, f"line {lineno}: field {field!r} before the first [id]"
+                )
+            fields = records[current]
+            if field in fields:
+                raise RegistryError(current, field, f"duplicate field on line {lineno}")
+            fields[field] = m["value"]
+    return records
+
+
 def load_registry(path) -> list:
-    """Parse a registry file (key-value blocks, one section per record)."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-        sections = {s: dict(parser.items(s)) for s in parser.sections()}
-    except configparser.DuplicateSectionError as exc:
-        raise RegistryError(
-            exc.section, "id", f"duplicate record on line {exc.lineno}"
-        ) from exc
-    except configparser.DuplicateOptionError as exc:
-        raise RegistryError(
-            exc.section, exc.option, f"duplicate field on line {exc.lineno}"
-        ) from exc
-    except configparser.Error as exc:
-        # No section header or a line that is not "key = value"; values
-        # are read verbatim ("%" is not special).  configparser's message
-        # spans several lines.
-        raise RegistryError(None, None, " ".join(str(exc).split())) from exc
-    return [_parse_record(section, items) for section, items in sections.items()]
+    """Parse a case file: one ``[id]`` header per record, then its
+    ``field = value`` lines (see ``_read_records``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        records = _read_records(fh)
+    return [_parse_record(record_id, items) for record_id, items in records.items()]
 
 
 def serialize_registry(records) -> str:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
+    """The case file that ``load_registry`` reads back as ``records``:
+    ``[id]``, a ``field = value`` line per field set, and a blank line,
+    per record.  RegistryError for an id or a value with a line break,
+    which the reader would split."""
+    lines = []
     for rec in records:
-        parser.add_section(rec.id)
+        _check_one_line(rec.id, "id", rec.id)
+        lines.append(f"[{rec.id}]\n")
         for field in _REGISTRY_FIELDS:
             value = getattr(rec, field)
             if value is None or value == "":
                 continue
-            if field == "a":
-                parser.set(rec.id, field, ",".join(str(v) for v in value))
-            else:
-                parser.set(rec.id, field, str(value))
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
+            text = ",".join(map(str, value)) if field == "a" else str(value)
+            _check_one_line(rec.id, field, text)
+            lines.append(f"{field} = {text}\n")
+        lines.append("\n")
+    return "".join(lines)
+
+
+def _check_one_line(record_id: str, field: str, text: str):
+    if "\n" in text or "\r" in text:
+        raise RegistryError(record_id, field, "a line break cannot be written")
 
 
 # --- reporting -------------------------------------------------------------
@@ -407,10 +450,12 @@ def serialize_registry(records) -> str:
 
 def report_rows(cases) -> list:
     """One row per case, ordered by id: id, geometry, obstruction,
-    conclusion, provenance."""
+    conclusion, provenance.  ValueError, naming the record, for an
+    obstruction too long to print."""
     rows = []
     for rec in sorted(cases, key=lambda r: r.id):
         verdict = evaluate_case(rec)
+        check_printable(verdict.obstruction, f"record {rec.id!r}: the obstruction")
         rows.append(
             {
                 "id": rec.id,

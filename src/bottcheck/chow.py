@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Mapping, Tuple
 
 from .exact import (
-    Poly, QuotientRule, _Sparse, _accumulate, common_denominator, max_str_digits,
+    Poly, QuotientRule, _Sparse, _accumulate, check_printable, common_denominator,
 )
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
@@ -226,16 +226,3 @@ def H_class(ambient: Ambient) -> GradedClass:
 
 def U_class(ambient: Ambient) -> GradedClass:
     return GradedClass._new((((0, 1), 1),), 1, ambient)
-
-
-def check_printable(x: GradedClass, what: str) -> GradedClass:
-    """Return x, or raise ValueError naming ``what`` if a numerator or the
-    denominator of x has more than ``max_str_digits()`` digits, the size
-    past which Python refuses to print an integer (no bound when that is
-    0)."""
-    digits = max_str_digits()
-    if digits:
-        bound = 10 ** digits
-        if x.den >= bound or any(not -bound < c < bound for _, c in x.terms):
-            raise ValueError(f"{what} has a coefficient of more than {digits} digits")
-    return x

@@ -18,10 +18,8 @@ from functools import cache
 from typing import Optional, Tuple
 
 from . import bottcases, theorems
-from .chow import (
-    GradedClass, H_class, LineBase4, PlaneBase2, U_class, check_printable, unit,
-)
-from .exact import Affine, max_str_digits, parse_rational
+from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
+from .exact import Affine, check_printable, max_str_digits, parse_rational
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
 
@@ -281,6 +279,15 @@ def _render(value) -> str:
     return value.render() if isinstance(value, Affine) else str(value)
 
 
+def _check_results(*results):
+    """ValueError naming the first ``(label, value)`` of ``results`` too
+    long to print; a command calls it before it prints anything.  A value
+    of None is a result the command does not print."""
+    for label, value in results:
+        if value is not None:
+            check_printable(value, f"the result {label!r}")
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -300,6 +307,7 @@ def _cmd_thm1(args, out) -> int:
     )
     closed = theorems.thm1_closed(n)
     derived = theorems.thm1_derived(n)
+    _check_results(("closed", closed), ("derived", derived))
     print(f"closed:  {_render(closed)}", file=out)
     print(f"derived: {_render(derived)}", file=out)
     ok = closed == derived
@@ -317,6 +325,7 @@ def _cmd_thm2(args, out) -> int:
     inp = theorems.DivisorCaseInput(bundle.twists, args.k, args.a)
     chain = theorems.thm2_chain(inp)
     closed = theorems.thm2_closed(inp)
+    _check_results(("chain", chain), ("closed", closed))
     print(f"chain:  {chain}", file=out)
     print(f"closed: {closed}", file=out)
     ok = chain == closed
@@ -337,17 +346,20 @@ def _cmd_thm3(args, out) -> int:
             )
         inp = theorems.PlaneBundleInput.from_split(*bundle.twists)
     qs = theorems.thm3_Q(inp)
-    for name, poly in (("Q1", qs.Q1), ("Q2", qs.Q2), ("Q3", qs.Q3), ("Q", qs.Q)):
-        print(f"{name}(b) = {poly.render('b')}", file=out)
+    polys = (("Q1(b)", qs.Q1), ("Q2(b)", qs.Q2), ("Q3(b)", qs.Q3), ("Q(b)", qs.Q))
     value = theorems.thm3_value(inp)
-    print(f"Q(-1):  {qs.Q(-1)}", file=out)
-    print(f"closed: {value}", file=out)
     grid_ok = all(
         theorems.thm3_hrr_crosscheck(inp, b) == qs.Q(b) for b in range(-3, 7)
     )
+    h0 = None if inp.split is None else theorems.thm3_h0_split(*inp.split)
+    _check_results(*polys, ("Q(-1)", qs.Q(-1)), ("closed", value), ("h0", h0))
+    for name, poly in polys:
+        print(f"{name} = {poly.render('b')}", file=out)
+    print(f"Q(-1):  {qs.Q(-1)}", file=out)
+    print(f"closed: {value}", file=out)
     print(f"hrr-crosscheck[-3..6]: {'MATCH' if grid_ok else 'MISMATCH'}", file=out)
-    if inp.split is not None:
-        print(f"h0: {theorems.thm3_h0_split(*inp.split)}", file=out)
+    if h0 is not None:
+        print(f"h0: {h0}", file=out)
     ok = qs.Q(-1) == value and grid_ok
     print("MATCH" if ok else "MISMATCH", file=out)
     return 0 if ok else 1
@@ -360,9 +372,10 @@ def _cmd_chi_f(args, out) -> int:
         if args.y > MAX_ORACLE_Y:
             raise InputError(f"the splitting oracle needs y <= {MAX_ORACLE_Y}")
     value = f_formula(args.x, args.y, args.p, args.q)
+    oracle = f_splitting_oracle(args.x, args.y, args.p, args.q) if args.oracle else None
+    _check_results(("f", value), ("oracle", oracle))
     print(f"f({args.x},{args.y}) = {value}", file=out)
     if args.oracle:
-        oracle = f_splitting_oracle(args.x, args.y, args.p, args.q)
         print(f"oracle    = {oracle}", file=out)
         ok = value == oracle
         print("MATCH" if ok else "MISMATCH", file=out)

@@ -64,6 +64,34 @@ def max_str_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def check_printable(value, what: str):
+    """Return ``value``, or raise ValueError naming ``what`` if a numerator
+    or a denominator in it has more than ``max_str_digits()`` digits, the
+    size past which Python refuses to print an integer (no bound when that
+    is 0).  ``value`` is an int, a Fraction, or one of the ring types here
+    or their subclasses."""
+    digits = max_str_digits()
+    # A number below 2**(3*digits) < 10**digits is short enough; only a
+    # longer one pays for building 10**digits.
+    if digits and any(n.bit_length() > 3 * digits and abs(n) >= 10 ** digits
+                      for n in _integers(value)):
+        raise ValueError(f"{what} has a coefficient of more than {digits} digits")
+    return value
+
+
+def _integers(value) -> tuple:
+    """Every numerator and denominator stored in ``value``."""
+    if isinstance(value, int):
+        return (value,)
+    if isinstance(value, Fraction):
+        return (value.numerator, value.denominator)
+    if isinstance(value, Affine):
+        return (value.const_num, *(n for _, n in value.term_nums), value.den)
+    if isinstance(value, UniPoly):
+        return (*value.num, value.den)
+    return (*(n for _, n in value.terms), value.den)
+
+
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 

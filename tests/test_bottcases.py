@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,3 +342,188 @@ class TestParseRecordExponentBound:
     def test_exponents_within_the_limit_still_parse(self):
         rec = _parse_record("r", {"geometry": "table8", "c13": "1e3", "H3": "25e-2"})
         assert (rec.c13, rec.H3) == (1000, Fraction(1, 4))
+
+
+def _load_text(tmp_path, text, newline=None):
+    path = tmp_path / "cases.ini"
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
+    return load_registry(path)
+
+
+class TestMissingGeometry:
+    @pytest.mark.parametrize("text", ["[a]\nh = 3\n", "[a]\n"])
+    def test_record_without_geometry_names_the_field(self, tmp_path, text):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, text)
+        assert (err.value.record_id, err.value.field) == ("a", "geometry")
+        assert str(err.value) == "record 'a', field 'geometry': required for every record"
+
+
+_ALLOWED = {
+    "delPezzoFib6": {"h", "c13", "c12H", "c1H2", "c2H", "H3"},
+    "conicBundle": {"h", "c13", "c12H", "c1H2", "c2H", "H3", "d"},
+    "table8": {"h", "c13", "c12H", "c1H2", "c2H", "H3"},
+    "table9": {"h", "c13", "c12H", "c1H2", "c2H", "H3"},
+    "table75no1": {"h", "c13", "c12H", "c1H2", "c2H", "H3"},
+    "delPezzoFib8-small": {"a", "k"},
+    "delPezzoFib8-divisorial": {"a", "k"},
+    "p1BundleOverPlane": {"c1", "c2"},
+}
+_REQUIRED = {"conicBundle": {"d": "2"}, "delPezzoFib8-small": {"k": "0"},
+             "delPezzoFib8-divisorial": {"k": "0"},
+             "p1BundleOverPlane": {"c1": "3", "c2": "3"}}
+_SAMPLE = {"h": "1", "c13": "4", "c12H": "6", "c1H2": "6", "c2H": "24", "H3": "6",
+           "d": "3", "a": "0,0,1,2", "k": "1", "c1": "2", "c2": "1"}
+
+
+class TestUnusedFields:
+    @pytest.mark.parametrize("geometry", sorted(_ALLOWED))
+    @pytest.mark.parametrize("field", sorted(_SAMPLE))
+    def test_a_field_is_read_iff_the_geometry_uses_it(self, geometry, field):
+        items = {"geometry": geometry, "provenance": "p",
+                 **_REQUIRED.get(geometry, {}), field: _SAMPLE[field]}
+        if field in _ALLOWED[geometry]:
+            rec = _parse_record("r", items)
+            assert getattr(rec, field) is not None and rec.provenance == "p"
+            return
+        with pytest.raises(RegistryError) as err:
+            _parse_record("r", items)
+        assert (err.value.record_id, err.value.field) == ("r", field)
+        assert str(err.value).endswith(f": not used by geometry {geometry!r}")
+
+
+class TestCaseFileGrammar:
+    def test_default_is_an_ordinary_record(self, tmp_path):
+        text = "[DEFAULT]\ngeometry = table8\nh = 3\n[a]\ngeometry = table9\nc13 = 4\n"
+        default, a = _load_text(tmp_path, text)
+        assert (default.id, default.geometry, default.h) == ("DEFAULT", "table8", 3)
+        assert (a.id, a.geometry, a.h, a.c13) == ("a", "table9", None, 4)
+
+    def test_default_fields_are_not_merged(self, tmp_path):
+        text = "[DEFAULT]\ngeometry = table8\nh = 3\n[a]\nc13 = 4\n"
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, text)
+        assert (err.value.record_id, err.value.field) == ("a", "geometry")
+
+    @pytest.mark.parametrize("header", ["[a] trailing junk", "[a]x", "[a] # note"])
+    def test_text_after_the_header_is_rejected(self, tmp_path, header):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, f"{header}\ngeometry = table8\n")
+        assert (err.value.record_id, err.value.field) == (None, None)
+        assert str(err.value).startswith("line 1: ")
+        assert repr(header) in str(err.value)
+
+    def test_indentation_means_nothing(self, tmp_path):
+        text = "  [a]\n\tgeometry = table8\n    h = 3\n  provenance = one line\n"
+        (rec,) = _load_text(tmp_path, text)
+        assert (rec.id, rec.geometry, rec.h, rec.provenance) == (
+            "a", "table8", 3, "one line")
+
+    def test_a_value_is_one_line(self, tmp_path):
+        text = "[a]\ngeometry = table8\nprovenance = first\n  second\n"
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, text)
+        assert str(err.value) == (
+            "line 4: expected [id], field = value or a comment, got 'second'")
+
+    def test_colon_comments_and_blank_lines(self, tmp_path):
+        text = ("# a comment\n; another\n\n[a]\n  # indented comment\n"
+                "geometry: table8\nh:2\nc13=4\nprovenance = x = y: z ; w\n\n")
+        (rec,) = _load_text(tmp_path, text)
+        assert (rec.geometry, rec.h, rec.c13, rec.provenance) == (
+            "table8", 2, 4, "x = y: z ; w")
+
+    @pytest.mark.parametrize("header,record_id", [
+        ("[ a b ]", " a b "), ("[a]b]", "a]b"), ("[[a]", "[a"), ("[a=b]", "a=b"),
+        ("[#x]", "#x"),
+    ])
+    def test_id_is_kept_verbatim(self, tmp_path, header, record_id):
+        (rec,) = _load_text(tmp_path, f"{header}\ngeometry = table9\n")
+        assert rec.id == record_id
+
+    @pytest.mark.parametrize("line", ["[]", "[a", "junk", "= 5", ": x", "[a] = 5"])
+    def test_any_other_line_is_rejected_naming_line_and_text(self, tmp_path, line):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, f"[r]\ngeometry = table8\n{line}\n")
+        if line == "[a] = 5":  # a field named "[a]"
+            assert (err.value.record_id, err.value.field) == ("r", "[a]")
+            return
+        assert (err.value.record_id, err.value.field) == (None, None)
+        assert str(err.value) == (
+            f"line 3: expected [id], field = value or a comment, got {line!r}")
+
+    def test_field_before_the_first_header(self, tmp_path):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, "# c\n\nh = 3\n[r]\ngeometry = table8\n")
+        assert str(err.value) == "line 3: field 'h' before the first [id]"
+
+    @pytest.mark.parametrize("text,line", [
+        ("[r]\ngeometry = table8\njunk\n[r]\n", 3),
+        ("[r]\ngeometry = table8\n[r]\njunk\n", 3),
+        ("[r]\nh = 1\nh = 2\njunk\n", 3),
+        ("[r]\njunk\nh = 1\nh = 2\n", 2),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, text, line):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, text)
+        assert f"line {line}" in str(err.value)
+
+    def test_duplicate_messages(self, tmp_path):
+        with pytest.raises(RegistryError, match=r"^record 'r', field 'id': "
+                           r"duplicate record on line 3$"):
+            _load_text(tmp_path, "[r]\ngeometry = table8\n[r]\n")
+        with pytest.raises(RegistryError, match=r"^record 'r', field 'h': "
+                           r"duplicate field on line 3$"):
+            _load_text(tmp_path, "[r]\nh = 1\nh : 2\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_universal_newlines(self, tmp_path, newline):
+        text = "[a]\ngeometry = table8\nh = 3\n"
+        (rec,) = _load_text(tmp_path, text, newline=newline)
+        assert (rec.id, rec.h) == ("a", 3)
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029", "\x0b"])
+    def test_only_universal_newlines_end_a_line(self, tmp_path, char):
+        text = f"[a]\ngeometry = table8\nprovenance = x{char}y\n"
+        (rec,) = _load_text(tmp_path, text)
+        assert rec.provenance == f"x{char}y"
+
+
+class TestSerializeLineBreaks:
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+    def test_a_line_break_cannot_be_written(self, brk):
+        with pytest.raises(RegistryError) as err:
+            serialize_registry([CaseRecord(id="a", geometry="table8",
+                                           provenance=f"x{brk}y")])
+        assert (err.value.record_id, err.value.field) == ("a", "provenance")
+        with pytest.raises(RegistryError) as err:
+            serialize_registry([CaseRecord(id=f"a{brk}b", geometry="table8")])
+        assert err.value.field == "id"
+
+    def test_layout(self):
+        records = [CaseRecord(id="x", geometry="delPezzoFib8-small", a=(0, 0, 1, 2),
+                              k=-1, provenance="p"),
+                   CaseRecord(id="y", geometry="table8", c13=Fraction(1, 2))]
+        assert serialize_registry(records) == (
+            "[x]\ngeometry = delPezzoFib8-small\na = 0,0,1,2\nk = -1\n"
+            "provenance = p\n\n[y]\ngeometry = table8\nc13 = 1/2\n\n")
+
+
+class TestObstructionTooLongToPrint:
+    def test_report_names_the_record(self):
+        limit = sys.get_int_max_str_digits()
+        rec = CaseRecord(id="big", geometry="table8", c13=-9 * 10 ** limit)
+        with pytest.raises(ValueError) as err:
+            report_rows([rec])
+        assert str(err.value) == (
+            "record 'big': the obstruction has a coefficient of more than "
+            f"{limit} digits")
+
+    def test_longest_printable_obstruction_is_reported(self):
+        limit = sys.get_int_max_str_digits()
+        rec = CaseRecord(id="edge", geometry="table8", h=10 ** limit - 15, c13=4,
+                         c12H=6, c1H2=6, c2H=24, H3=6)
+        (row,) = report_rows([rec])
+        assert row["obstruction"] == "9" * limit

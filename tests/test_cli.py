@@ -575,3 +575,79 @@ class TestExponentBound:
             "error: record 'big', field 'c13': the exponent of '1e1000000' exceeds "
             f"{sys.get_int_max_str_digits()} in magnitude\n"
         )
+
+
+def _run_cases(tmp_path, text, *flags):
+    path = tmp_path / "cases.ini"
+    path.write_text(text, encoding="utf-8")
+    return run(["bott-report", "--cases", str(path), *flags])
+
+
+class TestCaseFileReader:
+    @pytest.mark.parametrize("text", ["[a]\nh = 3\n", "[a]\n"])
+    def test_record_without_geometry_exits_2(self, tmp_path, text):
+        assert _run_cases(tmp_path, text) == (
+            2, "", "error: record 'a', field 'geometry': required for every record\n")
+
+    def test_unused_field_exits_2(self, tmp_path):
+        code, out, err = _run_cases(
+            tmp_path, "[t]\ngeometry = table8\nk = 5\nc1 = 7\na = 1,1,3,4\n")
+        assert (code, out) == (2, "")
+        assert err == "error: record 't', field 'a': not used by geometry 'table8'\n"
+
+    def test_default_is_reported_as_a_record(self, tmp_path):
+        code, out, err = _run_cases(
+            tmp_path, "[DEFAULT]\ngeometry = table8\nh = 3\n", "--json")
+        assert (code, err) == (0, "")
+        assert [row["id"] for row in json.loads(out)] == ["DEFAULT"]
+
+    @pytest.mark.parametrize("text,line,got", [
+        ("[a] trailing junk\ngeometry = table8\n", 1, "[a] trailing junk"),
+        ("[a]\ngeometry = table8\nprovenance = x\n  y\n", 4, "y"),
+    ])
+    def test_bad_line_exits_2_naming_it(self, tmp_path, text, line, got):
+        assert _run_cases(tmp_path, text) == (
+            2, "", f"error: line {line}: expected [id], field = value or a "
+            f"comment, got {got!r}\n")
+
+    def test_no_configparser_in_a_fresh_process(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bottcheck.cli; print('configparser' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+class TestResultsTooLongToPrint:
+    """A result past the digit limit exits 2 naming it, and prints nothing."""
+
+    @pytest.mark.parametrize("argv, label", [
+        (["thm1", "--c13=-9e4300"], "closed"),
+        (["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "NINES"], "chain"),
+        (["thm3", "--bundle", "P2: rank2(c1=NINES,c2=1)"], "Q1(b)"),
+        (["thm3", "--bundle", "P2: O(0) + O(NINES)"], "Q1(b)"),
+        (["chi-f", "--x", "NINES", "--y", "1", "--p", "1", "--q", "1"], "f"),
+    ])
+    def test_exits_2_naming_the_result(self, argv, label):
+        limit = sys.get_int_max_str_digits()
+        argv = [a.replace("NINES", "9" * limit).replace("4300", str(limit))
+                for a in argv]
+        assert run(argv) == (
+            2, "", f"error: the result {label!r} has a coefficient of more than "
+            f"{limit} digits\n")
+
+    def test_case_file_names_the_record(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        for flags in ((), ("--json",)):
+            assert _run_cases(
+                tmp_path, f"[big]\ngeometry = table8\nc13 = -9e{limit}\n", *flags
+            ) == (2, "", "error: record 'big': the obstruction has a coefficient "
+                  f"of more than {limit} digits\n")
+
+    def test_results_at_the_limit_still_print(self):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(["thm1", f"--h={10 ** limit - 15}", *THM1_NUMERICS])
+        assert (code, err) == (0, "")
+        assert out == f"closed:  {'9' * limit}\nderived: {'9' * limit}\nMATCH\n"
