@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import Affine, check_printable, parse_rational
+from .exact import Affine, check_printable, max_str_digits, parse_rational
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -318,12 +318,30 @@ _ALLOWED_BY_GEOMETRY = {
 }
 
 
+# A run of digits, with the underscores Python allows between them.
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _check_digits(record_id: str, field: str, text: str):
+    """RegistryError, without quoting ``text``, if a number in it has more
+    digits than ``max_str_digits()``, past which ``int()`` refuses it."""
+    limit = max_str_digits()
+    if limit and len(text) > limit and any(
+        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)
+    ):
+        raise RegistryError(
+            record_id, field, f"the value has a number of more than {limit} digits"
+        )
+
+
 def _parse_record(section: str, items: dict) -> CaseRecord:
     kwargs = {"id": section}
     for key, value in items.items():
         if key not in _REGISTRY_FIELDS:
             raise RegistryError(section, key, "unknown field")
         value = value.strip()
+        if key != "geometry" and key != "provenance":
+            _check_digits(section, key, value)
         try:
             if key == "geometry" or key == "provenance":
                 kwargs[key] = value
@@ -423,10 +441,14 @@ def load_registry(path) -> list:
 def serialize_registry(records) -> str:
     """The case file that ``load_registry`` reads back as ``records``:
     ``[id]``, a ``field = value`` line per field set, and a blank line,
-    per record.  RegistryError for an id or a value with a line break,
-    which the reader would split."""
+    per record.  RegistryError for what the reader would not give back:
+    an empty id, which makes the header ``[]``; an id or a value with a
+    line break, which it would split; a value with leading or trailing
+    whitespace, which it would strip."""
     lines = []
     for rec in records:
+        if not rec.id:
+            raise RegistryError(rec.id, "id", "an empty id cannot be written")
         _check_one_line(rec.id, "id", rec.id)
         lines.append(f"[{rec.id}]\n")
         for field in _REGISTRY_FIELDS:
@@ -435,6 +457,10 @@ def serialize_registry(records) -> str:
                 continue
             text = ",".join(map(str, value)) if field == "a" else str(value)
             _check_one_line(rec.id, field, text)
+            if text != text.strip():
+                raise RegistryError(
+                    rec.id, field, "leading or trailing whitespace cannot be written"
+                )
             lines.append(f"{field} = {text}\n")
         lines.append("\n")
     return "".join(lines)

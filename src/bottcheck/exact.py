@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, Tuple, Union
 
 # Rationals are stdlib Fractions: always in lowest terms, denominator > 0.
@@ -51,6 +51,9 @@ def binom(n: int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
+    if isinstance(n, int):
+        # A product of k consecutive integers is a multiple of k!.
+        return Fraction(prod(range(n - k + 1, n + 1)) // factorial(k))
     num = Fraction(1)
     for i in range(k):
         num *= n - i

@@ -131,15 +131,13 @@ def normalized_pq(twists) -> tuple:
     The caller performs the normalizing shift; this boundary check makes
     the "two twists vanish" hypothesis explicit.
     """
-    twists = tuple(twists)
-    if len(twists) != 4:
-        raise ValueError(f"need exactly 4 twists, got {len(twists)}")
     rest = list(twists)
-    try:
-        rest.remove(0)
-        rest.remove(0)
-    except ValueError:
+    if len(rest) != 4:
+        raise ValueError(f"need exactly 4 twists, got {len(rest)}")
+    if rest.count(0) < 2:
         raise HypothesisViolation(
-            f"two of the twists must be zero after normalization, got {twists}"
-        ) from None
-    return tuple(rest)
+            f"two of the twists must be zero after normalization, got {tuple(rest)}"
+        )
+    rest.remove(0)
+    rest.remove(0)
+    return rest[0], rest[1]

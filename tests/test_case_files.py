@@ -13,6 +13,7 @@ from bottcheck import cli
 from bottcheck.bottcases import (
     GEOMETRIES,
     CaseRecord,
+    RegistryError,
     _REGISTRY_FIELDS,
     _read_records,
     builtin_registry,
@@ -196,3 +197,42 @@ def test_serialized_records_read_back(case_path, drawn):
     assert text == _configparser_write(records)
     _write(case_path, text)
     assert load_registry(case_path) == records
+
+
+# --- what the writer accepts reads back ---------------------------------------
+
+_raw_one_line = st.text(_line_chars, max_size=12)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.text(_line_chars, max_size=6), _records(), _raw_one_line),
+                max_size=4, unique_by=lambda triple: triple[0]))
+def test_every_accepted_record_list_reads_back(case_path, drawn):
+    """Over records that pass the reader's own checks (a geometry with its
+    fields, distinct ids), with any one-line id and provenance, including
+    empty and padded ones: the writer refuses exactly an empty id and a
+    padded value, and what it writes reads back as the records."""
+    records = [CaseRecord(id=rid, geometry=g, **{**fields, "provenance": prov})
+               for rid, (g, fields), prov in drawn]
+    refused = [r for r in records if not r.id or r.provenance != r.provenance.strip()]
+    try:
+        text = serialize_registry(records)
+    except RegistryError as exc:
+        first = refused[0]
+        assert (exc.record_id, exc.field) == (first.id, "id" if not first.id else "provenance")
+        return
+    assert not refused
+    _write(case_path, text)
+    assert load_registry(case_path) == records
+
+
+@pytest.mark.parametrize("record, field", [
+    (CaseRecord(id="", geometry="table8"), "id"),
+    (CaseRecord(id="x", geometry="table8", provenance=" padded "), "provenance"),
+    (CaseRecord(id="x", geometry="table8", provenance="tab\t"), "provenance"),
+    (CaseRecord(id="x", geometry=" table8"), "geometry"),
+])
+def test_writer_refuses_what_would_not_read_back(record, field):
+    with pytest.raises(RegistryError) as err:
+        serialize_registry([record])
+    assert (err.value.record_id, err.value.field) == (record.id, field)

@@ -651,3 +651,42 @@ class TestResultsTooLongToPrint:
         code, out, err = run(["thm1", f"--h={10 ** limit - 15}", *THM1_NUMERICS])
         assert (code, err) == (0, "")
         assert out == f"closed:  {'9' * limit}\nderived: {'9' * limit}\nMATCH\n"
+
+
+class TestCaseFileDigitLimit:
+    """A case-file number past the digit limit exits 2 with one short line
+    naming record and field, without quoting the literal."""
+
+    @pytest.mark.parametrize("geometry, field, template", [
+        ("conicBundle", "d", "NINES"),
+        ("delPezzoFib8-small", "k", "NINES"),
+        ("p1BundleOverPlane", "c1", "NINES"),
+        ("p1BundleOverPlane", "c2", "-NINES"),
+        ("delPezzoFib8-small", "a", "NINES,0,0,1"),
+        ("delPezzoFib8-small", "a", "0, 0, 1, +NINES"),
+        ("table8", "h", "NINES"),
+        ("table8", "c13", "NINES"),
+        ("table8", "c12H", "1/NINES"),
+        ("table8", "c1H2", "-NINES/7"),
+        ("table8", "c2H", "0.NINES"),
+        ("table8", "H3", "NINESe2"),
+    ], ids=lambda v: v.replace("NINES", "N"))
+    def test_exits_2_with_one_short_line(self, tmp_path, geometry, field, template):
+        limit = sys.get_int_max_str_digits()
+        required = {"conicBundle": {"d": "1"}, "delPezzoFib8-small": {"k": "0"},
+                    "p1BundleOverPlane": {"c1": "1", "c2": "1"}}.get(geometry, {})
+        fields = {**required, field: template.replace("NINES", "9" * (limit + 1))}
+        text = f"[r]\ngeometry = {geometry}\n" + "".join(
+            f"{name} = {value}\n" for name, value in fields.items())
+        code, out, err = _run_cases(tmp_path, text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: record 'r', field {field!r}: the value has a "
+                       f"number of more than {limit} digits\n")
+
+    @pytest.mark.parametrize("shape", ["nines", "underscores", "denominator"])
+    def test_a_number_at_the_limit_still_parses(self, shape):
+        limit = sys.get_int_max_str_digits()
+        value = {"nines": "9" * limit, "underscores": "1_" * (limit - 1) + "1",
+                 "denominator": "1/" + "7" * limit}[shape]
+        rec = bottcases._parse_record("r", {"geometry": "table8", "c13": value})
+        assert rec.c13 == Fraction(value)

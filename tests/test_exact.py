@@ -1,6 +1,6 @@
 import io
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -390,3 +390,34 @@ class TestIntegerNumerators:
         for p in (UniPoly(), UniPoly((0, Fraction(0))), T / 3 - T / 3,
                   (T + 1) * Fraction(0)):
             assert (p.num, p.den) == ((), 1) and p.coeffs == ()
+
+
+def old_binom(n, k):
+    """``binom`` as it was before its integer path: a Fraction product."""
+    if k < 0:
+        raise ValueError(f"binomial lower index must be >= 0, got {k}")
+    num = Fraction(1)
+    for i in range(k):
+        num *= n - i
+    return num / factorial(k)
+
+
+class TestBinomAgainstFractionLoop:
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 12))
+    def test_int_upper(self, n, k):
+        got = binom(n, k)
+        assert type(got) is Fraction
+        assert got == old_binom(n, k)
+
+    @given(st.fractions(max_denominator=60).filter(lambda q: abs(q) < 10 ** 4),
+           st.integers(0, 8))
+    def test_fraction_upper(self, n, k):
+        got = binom(n, k)
+        assert type(got) is Fraction
+        assert got == old_binom(n, k)
+
+    @pytest.mark.parametrize("n", [3, Fraction(1, 2)])
+    def test_negative_lower_message(self, n):
+        with pytest.raises(ValueError) as err:
+            binom(n, -2)
+        assert str(err.value) == "binomial lower index must be >= 0, got -2"
