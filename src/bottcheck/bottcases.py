@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import Affine, check_printable, max_str_digits, parse_rational
+from .exact import Affine, check_digits, check_printable, parse_rational
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -318,38 +318,20 @@ _ALLOWED_BY_GEOMETRY = {
 }
 
 
-# A run of digits, with the underscores Python allows between them.
-_DIGIT_RUN = re.compile(r"[\d_]+")
-
-
-def _check_digits(record_id: str, field: str, text: str):
-    """RegistryError, without quoting ``text``, if a number in it has more
-    digits than ``max_str_digits()``, past which ``int()`` refuses it."""
-    limit = max_str_digits()
-    if limit and len(text) > limit and any(
-        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)
-    ):
-        raise RegistryError(
-            record_id, field, f"the value has a number of more than {limit} digits"
-        )
-
-
 def _parse_record(section: str, items: dict) -> CaseRecord:
     kwargs = {"id": section}
     for key, value in items.items():
         if key not in _REGISTRY_FIELDS:
             raise RegistryError(section, key, "unknown field")
         value = value.strip()
-        if key != "geometry" and key != "provenance":
-            _check_digits(section, key, value)
         try:
             if key == "geometry" or key == "provenance":
                 kwargs[key] = value
             elif key == "a":
-                parts = tuple(int(v.strip()) for v in value.split(","))
+                parts = tuple(int(v.strip()) for v in check_digits(value).split(","))
                 kwargs[key] = parts
             elif key in ("d", "k", "c1", "c2"):
-                kwargs[key] = int(value)
+                kwargs[key] = int(check_digits(value))
             else:
                 try:
                     kwargs[key] = int(value)
@@ -366,14 +348,16 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
     return record
 
 
-def _validate(c: CaseRecord):
+def _validate(c: CaseRecord, complete: bool = True):
+    """RegistryError for the first fault in ``c``; a field that its
+    geometry requires may be missing only when ``complete`` is false."""
     if c.geometry not in GEOMETRIES:
         raise RegistryError(c.id, "geometry", f"unknown geometry {c.geometry!r}")
     allowed = _ALLOWED_BY_GEOMETRY[c.geometry]
     for field in _NUMERIC_FIELDS:
         if getattr(c, field) is not None and field not in allowed:
             raise RegistryError(c.id, field, f"not used by geometry {c.geometry!r}")
-    for field in _REQUIRED_BY_GEOMETRY.get(c.geometry, ()):
+    for field in _REQUIRED_BY_GEOMETRY.get(c.geometry, ()) if complete else ():
         if getattr(c, field) is None:
             raise RegistryError(c.id, field, "required for this geometry")
     if c.h is not None:
@@ -442,14 +426,22 @@ def serialize_registry(records) -> str:
     """The case file that ``load_registry`` reads back as ``records``:
     ``[id]``, a ``field = value`` line per field set, and a blank line,
     per record.  RegistryError for what the reader would not give back:
-    an empty id, which makes the header ``[]``; an id or a value with a
-    line break, which it would split; a value with leading or trailing
-    whitespace, which it would strip."""
+    an empty id, which makes the header ``[]``; a repeated id; an id or a
+    value with a line break, which it would split; a value with leading or
+    trailing whitespace, which it would strip; a record that fails the
+    reader's own checks (``_validate``), except that a field its geometry
+    requires may be missing: the built-in templates (``conic`` has no
+    ``d``) are written as they are, and the reader refuses them."""
     lines = []
+    seen = set()
     for rec in records:
         if not rec.id:
             raise RegistryError(rec.id, "id", "an empty id cannot be written")
+        if rec.id in seen:
+            raise RegistryError(rec.id, "id", "a repeated id cannot be written")
+        seen.add(rec.id)
         _check_one_line(rec.id, "id", rec.id)
+        _validate(rec, complete=False)
         lines.append(f"[{rec.id}]\n")
         for field in _REGISTRY_FIELDS:
             value = getattr(rec, field)

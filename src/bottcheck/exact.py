@@ -51,13 +51,7 @@ def binom(n: int, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
-    if isinstance(n, int):
-        # A product of k consecutive integers is a multiple of k!.
-        return Fraction(prod(range(n - k + 1, n + 1)) // factorial(k))
-    num = Fraction(1)
-    for i in range(k):
-        num *= n - i
-    return num / factorial(k)
+    return Fraction(prod(n - i for i in range(k)), factorial(k))
 
 
 def max_str_digits() -> int:
@@ -95,6 +89,23 @@ def _integers(value) -> tuple:
     return (*(n for _, n in value.terms), value.den)
 
 
+# A run of digits, with the underscores Python allows between them.
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+
+
+def check_digits(text: str) -> str:
+    """Return ``text``, or raise OverflowError, without quoting it, if a run
+    of digits in it (underscores not counted) is longer than
+    ``max_str_digits()``, past which ``int()`` refuses to read it (no bound
+    when that is 0)."""
+    limit = max_str_digits()
+    if limit and len(text) > limit and any(
+        len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)
+    ):
+        raise OverflowError(f"the value has a number of more than {limit} digits")
+    return text
+
+
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
@@ -102,14 +113,15 @@ def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, but OverflowError for an exponent, as in
     ``1e5000``, larger in magnitude than ``max_str_digits()`` (no bound
     when that is 0): Fraction builds 10**exponent before any later bound
-    could see it.  Otherwise raises what Fraction raises."""
+    could see it; then OverflowError for a number that ``check_digits``
+    refuses.  Otherwise raises what Fraction raises."""
     limit = max_str_digits()
     exp = _EXPONENT.search(text) if limit else None
     if exp:
         digits = exp[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
             raise OverflowError(f"the exponent of {text!r} exceeds {limit} in magnitude")
-    return Fraction(text)
+    return Fraction(check_digits(text))
 
 
 def common_denominator(values: Iterable[Number]) -> Tuple[list, int]:

@@ -683,6 +683,14 @@ class TestCaseFileDigitLimit:
         assert err == (f"error: record 'r', field {field!r}: the value has a "
                        f"number of more than {limit} digits\n")
 
+    @pytest.mark.parametrize("template", ["N", "-N/3", "1/N"])
+    def test_rational_option_exits_2_with_one_short_line(self, template):
+        limit = sys.get_int_max_str_digits()
+        text = template.replace("N", "9" * (limit + 1))
+        code, out, err = run(["thm1", f"--c13={text}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: the value has a number of more than {limit} digits\n"
+
     @pytest.mark.parametrize("shape", ["nines", "underscores", "denominator"])
     def test_a_number_at_the_limit_still_parses(self, shape):
         limit = sys.get_int_max_str_digits()

@@ -1,4 +1,5 @@
 import io
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from bottcheck import bottcases, cli, rr, theorems
 from bottcheck.chern import SymClass
 from bottcheck.chow import GradedClass, PlaneBase2
-from bottcheck.exact import Affine, T, UniPoly, binom, binom_of_poly, binom_poly
+from bottcheck.exact import (
+    Affine, T, UniPoly, binom, binom_of_poly, binom_poly, check_digits, parse_rational,
+)
 
 
 class TestBinom:
@@ -421,3 +424,38 @@ class TestBinomAgainstFractionLoop:
         with pytest.raises(ValueError) as err:
             binom(n, -2)
         assert str(err.value) == "binomial lower index must be >= 0, got -2"
+
+
+class TestCheckDigits:
+    """A run of digits past the limit is refused without quoting it; the
+    underscores Python allows between digits are not counted."""
+
+    @pytest.mark.parametrize("template", ["N", "-N", "1/N", "N/7", "0.N", "Ne2", "1,N,0"])
+    def test_refuses_a_long_run(self, template):
+        limit = sys.get_int_max_str_digits()
+        text = template.replace("N", "9" * (limit + 1))
+        with pytest.raises(OverflowError) as err:
+            check_digits(text)
+        assert str(err.value) == f"the value has a number of more than {limit} digits"
+
+    def test_parse_rational_refuses_it_too(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(OverflowError) as err:
+            parse_rational("1/" + "7" * (limit + 1))
+        assert "7" not in str(err.value)
+
+    @pytest.mark.parametrize("shape", ["nines", "underscores", "fraction"])
+    def test_accepts_runs_at_the_limit(self, shape):
+        limit = sys.get_int_max_str_digits()
+        text = {"nines": "9" * limit, "underscores": "1_" * (limit - 1) + "1",
+                "fraction": "9" * limit + "/" + "9" * limit}[shape]
+        assert check_digits(text) is text
+
+    def test_no_bound_when_python_sets_none(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = "9" * (limit + 1)
+            assert check_digits(text) is text
+        finally:
+            sys.set_int_max_str_digits(limit)
