@@ -5,17 +5,27 @@ classification literature pins down; evaluation routes to the matching
 obstruction evaluator and quantifies over the unknown Hodge number
 h >= 0.  Parameters the literature leaves open stay symbolic in the
 reported obstruction, so a record is never silently specialized.
+
+``GEOMETRY_TABLE`` is the one place that says what each geometry is: one
+``Geometry`` row per name, giving the evaluator of its theorem, the
+numeric fields a record of it may set and those a complete record must
+set, the numerics the geometry fixes, and the note its verdicts carry.
+The reader's checks (``_validate``) and ``evaluate_case`` both read the
+row.  Whether two routes agree is decided by ``theorems.compare_thm*``,
+the same comparison the CLI prints; an evaluator raises
+``DualPathMismatch`` naming the record when one fails.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from .exact import Affine, check_digits, check_printable, parse_rational
+from . import theorems
+from .exact import Affine, check_digits, check_printable, parse_rational, quoted
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -23,28 +33,8 @@ from .theorems import (
     PlaneBundleInput,
     ThreefoldNumerics,
     check_hodge_number,
-    thm1_closed,
-    thm1_derived,
-    thm2_chain,
-    thm2_closed,
-    thm3_Q,
-    thm3_hrr_poly,
-    thm3_value,
+    check_twists,
 )
-
-GEOMETRIES = (
-    "delPezzoFib6",
-    "delPezzoFib8-small",
-    "delPezzoFib8-divisorial",
-    "conicBundle",
-    "p1BundleOverPlane",
-    "table8",
-    "table9",
-    "table75no1",
-)
-
-_THM1_GEOMETRIES = ("delPezzoFib6", "conicBundle", "table8", "table9", "table75no1")
-_THM2_GEOMETRIES = ("delPezzoFib8-small", "delPezzoFib8-divisorial")
 
 FAILS_BY_NEGATIVE_CHI = "FAILS_BY_NEGATIVE_CHI"
 NEEDS_H0_CHECK = "NEEDS_H0_CHECK"
@@ -59,7 +49,7 @@ class RegistryError(ValueError):
         self.record_id = record_id
         self.field = field
         if record_id is not None:
-            message = f"record {record_id!r}, field {field!r}: {message}"
+            message = f"record {quoted(record_id)}, field {quoted(field)}: {message}"
         super().__init__(message)
 
 
@@ -105,81 +95,106 @@ def _as_affine(value) -> Affine:
     return value if isinstance(value, Affine) else Affine(value)
 
 
-def _sym_or(value, name: str):
-    return Affine.sym(name) if value is None else Fraction(value)
+def _agreed(c: CaseRecord, comparison: theorems.Comparison) -> dict:
+    """The route values of ``comparison``, or DualPathMismatch naming the
+    record and the first pair of routes that disagree."""
+    if comparison.mismatch is not None:
+        raise DualPathMismatch(f"record {quoted(c.id)}: {comparison.mismatch}")
+    return comparison.values
 
 
-def _evaluate_thm1(c: CaseRecord) -> Verdict:
-    if c.geometry == "delPezzoFib6":
-        fixed = {"c12H": 6, "c1H2": 0, "c2H": 6, "H3": 0}
-        note = "general fibre numerics of a degree-6 del Pezzo fibration"
-    elif c.geometry == "conicBundle":
-        if c.d is None:
-            d = Affine.sym("d")
-        else:
-            if c.d <= 0:
-                raise RegistryError(c.id, "d", "discriminant degree must be > 0")
-            d = c.d
-        fixed = {"c12H": 12 - d, "c1H2": 2, "c2H": d + 6, "H3": 0}
-        note = "conic-bundle numerics from the discriminant degree d"
-    else:
-        fixed = {}
-        note = ""
+def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
+    fixed = g.fixed
+    if c.d is not None:
+        if c.d <= 0:
+            raise RegistryError(c.id, "d", "discriminant degree must be > 0")
+        fixed = {
+            f: v.subs({"d": c.d}) if isinstance(v, Affine) else v
+            for f, v in fixed.items()
+        }
     # The record's own value wins over the geometry's fixed numerics.
     n = ThreefoldNumerics(**{
         f: fixed.get(f) if getattr(c, f) is None else getattr(c, f)
         for f in NUMERICS_FIELDS
     })
-    closed = thm1_closed(n)
-    derived = thm1_derived(n)
-    if closed != derived:
-        raise DualPathMismatch(
-            f"record {c.id!r}: closed and derived obstruction disagree"
-        )
-    obstruction = _as_affine(closed)
-    return Verdict(obstruction, _conclude(obstruction), note)
+    obstruction = _as_affine(_agreed(c, theorems.compare_thm1(n))["closed"])
+    return Verdict(obstruction, _conclude(obstruction), g.note)
 
 
-def _evaluate_thm2(c: CaseRecord) -> Verdict:
-    k = _sym_or(c.k, "k")
+def _evaluate_thm2(c: CaseRecord, g: "Geometry") -> Verdict:
     if c.a is None:
-        obstruction = 2 * Affine.sym("sum_a") + 4 * _as_affine(k)
+        k = Affine.sym("k") if c.k is None else c.k
+        obstruction = 2 * Affine.sym("sum_a") + 4 * k
         note = "twists a0..a3 are user input (external classification tables)"
+    elif c.k is None:
+        obstruction = 2 * sum(c.a) + 4 * Affine.sym("k")
+        note = "k is user input"
     else:
-        inp = DivisorCaseInput(tuple(c.a), int(c.k), None) if c.k is not None else None
-        if inp is None:
-            obstruction = _as_affine(2 * sum(c.a)) + 4 * _as_affine(k)
-            note = "k is user input"
-        else:
-            chain = thm2_chain(inp)
-            closed = thm2_closed(inp)
-            if chain != closed:
-                raise DualPathMismatch(
-                    f"record {c.id!r}: chain and closed obstruction disagree"
-                )
-            obstruction = _as_affine(closed)
-            note = ""
-    obstruction = _as_affine(obstruction)
+        inp = DivisorCaseInput(tuple(c.a), int(c.k))
+        obstruction = _as_affine(_agreed(c, theorems.compare_thm2(inp))["closed"])
+        note = ""
     return Verdict(obstruction, _conclude(obstruction), note)
 
 
-def _evaluate_thm3(c: CaseRecord) -> Verdict:
+def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
+    missing = [f for f in g.required if getattr(c, f) is None]
+    if missing:
+        raise RegistryError(c.id, ",".join(missing), "required for a plane bundle")
     inp = PlaneBundleInput(int(c.c1), int(c.c2))
-    value = thm3_value(inp)
-    q = thm3_Q(inp).Q
-    if q(-1) != value:
-        raise DualPathMismatch(
-            f"record {c.id!r}: Q(-1) and closed obstruction disagree"
-        )
-    if thm3_hrr_poly(inp) != q:
-        raise DualPathMismatch(
-            f"record {c.id!r}: intrinsic Riemann-Roch and Q(b) disagree as "
-            "polynomials in b"
-        )
+    value = _agreed(c, theorems.compare_thm3(inp))["closed"]
     note = ""
     if value == 0:
         note = "h^0 follow-up required; split approximants via thm3_h0_split"
     return Verdict(_as_affine(value), _conclude(_as_affine(value)), note)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """A row of ``GEOMETRY_TABLE``: the evaluator of the geometry's
+    theorem, called as ``evaluate(record, row)``; the numeric fields a
+    record may set, and those a complete one must set (a template lacks
+    one: thm1 and thm2 keep it as a symbol, thm3 refuses); the thm1
+    numerics the geometry fixes, Affine in ``d`` where they depend on it,
+    each overridden by a record's own value; and the note of a thm1
+    verdict."""
+
+    evaluate: Callable
+    allowed: tuple
+    required: tuple = ()
+    fixed: dict = field(default_factory=dict)
+    note: str = ""
+
+
+_THM2_ROW = Geometry(_evaluate_thm2, ("a", "k"), ("k",))
+
+GEOMETRY_TABLE = {
+    "delPezzoFib6": Geometry(
+        _evaluate_thm1, NUMERICS_FIELDS,
+        fixed={"c12H": 6, "c1H2": 0, "c2H": 6, "H3": 0},
+        note="general fibre numerics of a degree-6 del Pezzo fibration",
+    ),
+    "delPezzoFib8-small": _THM2_ROW,
+    "delPezzoFib8-divisorial": _THM2_ROW,
+    "conicBundle": Geometry(
+        _evaluate_thm1, NUMERICS_FIELDS + ("d",), ("d",),
+        fixed={"c12H": 12 - Affine.sym("d"), "c1H2": 2, "c2H": Affine.sym("d") + 6,
+               "H3": 0},
+        note="conic-bundle numerics from the discriminant degree d",
+    ),
+    "p1BundleOverPlane": Geometry(_evaluate_thm3, ("c1", "c2"), ("c1", "c2")),
+    "table8": Geometry(_evaluate_thm1, NUMERICS_FIELDS),
+    "table9": Geometry(_evaluate_thm1, NUMERICS_FIELDS),
+    "table75no1": Geometry(_evaluate_thm1, NUMERICS_FIELDS),
+}
+
+GEOMETRIES = tuple(GEOMETRY_TABLE)
+
+
+def _row(c: CaseRecord) -> Geometry:
+    row = GEOMETRY_TABLE.get(c.geometry)
+    if row is None:
+        raise RegistryError(c.id, "geometry", f"unknown geometry {quoted(c.geometry)}")
+    return row
 
 
 def evaluate_case(c: CaseRecord) -> Verdict:
@@ -188,16 +203,8 @@ def evaluate_case(c: CaseRecord) -> Verdict:
     Deterministic and independent of any registry context; parameters
     the record leaves unset appear as symbols in the obstruction.
     """
-    if c.geometry not in GEOMETRIES:
-        raise RegistryError(c.id, "geometry", f"unknown geometry {c.geometry!r}")
-    if c.geometry in _THM1_GEOMETRIES:
-        return _evaluate_thm1(c)
-    if c.geometry in _THM2_GEOMETRIES:
-        return _evaluate_thm2(c)
-    if c.c1 is None or c.c2 is None:
-        missing = [f for f in ("c1", "c2") if getattr(c, f) is None]
-        raise RegistryError(c.id, ",".join(missing), "required for a plane bundle")
-    return _evaluate_thm3(c)
+    row = _row(c)
+    return row.evaluate(c, row)
 
 
 def builtin_registry() -> tuple:
@@ -301,23 +308,6 @@ def builtin_registry() -> tuple:
 _NUMERIC_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3", "d", "a", "k", "c1", "c2")
 _REGISTRY_FIELDS = ("geometry", *_NUMERIC_FIELDS, "provenance")
 
-_REQUIRED_BY_GEOMETRY = {
-    "conicBundle": ("d",),
-    "delPezzoFib8-small": ("k",),
-    "delPezzoFib8-divisorial": ("k",),
-    "p1BundleOverPlane": ("c1", "c2"),
-}
-
-# The numeric fields each geometry's evaluator reads; a record that sets
-# another one is rejected.
-_ALLOWED_BY_GEOMETRY = {
-    **{g: NUMERICS_FIELDS for g in _THM1_GEOMETRIES},
-    "conicBundle": NUMERICS_FIELDS + ("d",),
-    **{g: ("a", "k") for g in _THM2_GEOMETRIES},
-    "p1BundleOverPlane": ("c1", "c2"),
-}
-
-
 def _parse_record(section: str, items: dict) -> CaseRecord:
     kwargs = {"id": section}
     for key, value in items.items():
@@ -328,8 +318,7 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
             if key == "geometry" or key == "provenance":
                 kwargs[key] = value
             elif key == "a":
-                parts = tuple(int(v.strip()) for v in check_digits(value).split(","))
-                kwargs[key] = parts
+                kwargs[key] = tuple(map(int, check_digits(value).split(",")))
             elif key in ("d", "k", "c1", "c2"):
                 kwargs[key] = int(check_digits(value))
             else:
@@ -340,7 +329,7 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
         except OverflowError as exc:
             raise RegistryError(section, key, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
-            raise RegistryError(section, key, f"cannot parse {value!r}") from exc
+            raise RegistryError(section, key, f"cannot parse {quoted(value)}") from exc
     if "geometry" not in kwargs:
         raise RegistryError(section, "geometry", "required for every record")
     record = CaseRecord(**kwargs)
@@ -351,25 +340,19 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
 def _validate(c: CaseRecord, complete: bool = True):
     """RegistryError for the first fault in ``c``; a field that its
     geometry requires may be missing only when ``complete`` is false."""
-    if c.geometry not in GEOMETRIES:
-        raise RegistryError(c.id, "geometry", f"unknown geometry {c.geometry!r}")
-    allowed = _ALLOWED_BY_GEOMETRY[c.geometry]
-    for field in _NUMERIC_FIELDS:
-        if getattr(c, field) is not None and field not in allowed:
-            raise RegistryError(c.id, field, f"not used by geometry {c.geometry!r}")
-    for field in _REQUIRED_BY_GEOMETRY.get(c.geometry, ()) if complete else ():
-        if getattr(c, field) is None:
-            raise RegistryError(c.id, field, "required for this geometry")
-    if c.h is not None:
-        try:
-            check_hodge_number(c.h)
-        except ValueError as exc:
-            raise RegistryError(c.id, "h", str(exc)) from None
-    if c.a is not None:
-        if len(c.a) != 4:
-            raise RegistryError(c.id, "a", "need exactly 4 twists")
-        if len(set(c.a)) == 4:
-            raise RegistryError(c.id, "a", "twists must not be all distinct")
+    row = _row(c)
+    for name in _NUMERIC_FIELDS:
+        if getattr(c, name) is not None and name not in row.allowed:
+            raise RegistryError(c.id, name, f"not used by geometry {c.geometry!r}")
+    for name in row.required if complete else ():
+        if getattr(c, name) is None:
+            raise RegistryError(c.id, name, "required for this geometry")
+    for name, check in (("h", check_hodge_number), ("a", check_twists)):
+        if getattr(c, name) is not None:
+            try:
+                check(getattr(c, name))
+            except ValueError as exc:
+                raise RegistryError(c.id, name, str(exc)) from None
 
 
 # One stripped line of a case file: blank or a comment, a record header
@@ -394,7 +377,7 @@ def _read_records(lines) -> dict:
             raise RegistryError(
                 None, None,
                 f"line {lineno}: expected [id], field = value or a comment, "
-                f"got {text!r}",
+                f"got {quoted(text)}",
             )
         record_id, field = m["id"], m["field"]
         if record_id is not None:
@@ -405,7 +388,8 @@ def _read_records(lines) -> dict:
         elif field is not None:
             if current is None:
                 raise RegistryError(
-                    None, None, f"line {lineno}: field {field!r} before the first [id]"
+                    None, None,
+                    f"line {lineno}: field {quoted(field)} before the first [id]",
                 )
             fields = records[current]
             if field in fields:
@@ -516,6 +500,7 @@ __all__ = [
     "CaseRecord",
     "Verdict",
     "GEOMETRIES",
+    "GEOMETRY_TABLE",
     "FAILS_BY_NEGATIVE_CHI",
     "NEEDS_H0_CHECK",
     "INCONCLUSIVE",

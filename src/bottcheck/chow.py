@@ -51,9 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .exact import (
-    Poly, QuotientRule, _Sparse, _accumulate, check_printable, common_denominator,
-)
+from .exact import Poly, QuotientRule, _Sparse, _accumulate, common_denominator
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
 
@@ -187,24 +185,6 @@ class GradedClass(_Sparse):
             if m == (i, j):
                 return Fraction(c, self.den)
         return Fraction(0)
-
-    def __pow__(self, n: int) -> "GradedClass":
-        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
-
-        Every intermediate goes through ``check_printable``, so a huge
-        exponent raises ValueError before it exhausts memory.
-        """
-        if n < 0:
-            raise ValueError("negative exponent")
-        what = f"the power ^{n}"
-        out, base, k = unit(self.ring), self, n
-        while k:
-            if k & 1:
-                out = check_printable(out * base, what)
-            k >>= 1
-            if k:
-                base = check_printable(base * base, what)
-        return out
 
     def graded_part(self, k: int) -> "GradedClass":
         return GradedClass._new(

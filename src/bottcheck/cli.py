@@ -19,7 +19,9 @@ from typing import Optional, Tuple
 
 from . import bottcases, theorems
 from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
-from .exact import Affine, check_printable, max_str_digits, parse_rational
+from .exact import (
+    Affine, check_digits, check_printable, max_str_digits, parse_rational, quoted,
+)
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
 
@@ -78,7 +80,7 @@ class _Scanner:
         self.skip_ws()
         if not self.text.startswith(literal, self.pos):
             raise InputError(
-                f"expected {literal!r} at position {self.pos} in {self.text!r}"
+                f"expected {literal!r} at position {self.pos} in {quoted(self.text)}"
             )
         self.pos += len(literal)
 
@@ -99,7 +101,7 @@ class _Scanner:
         digits = self.text[start:self.pos].lstrip("+-")
         if not digits:
             raise InputError(
-                f"expected an integer at position {start} in {self.text!r}"
+                f"expected an integer at position {start} in {quoted(self.text)}"
             )
         limit = max_str_digits()
         if limit and len(digits) > limit:
@@ -113,7 +115,7 @@ class _Scanner:
         if self.pos < len(self.text):
             raise InputError(
                 f"unexpected trailing input at position {self.pos} "
-                f"in {self.text!r}"
+                f"in {quoted(self.text)}"
             )
 
 
@@ -126,7 +128,7 @@ def parse_bundle(text: str) -> BundleExpr:
     elif sc.accept("P2"):
         base = "P2"
     else:
-        raise InputError(f"expected base 'P1' or 'P2' at start of {text!r}")
+        raise InputError(f"expected base 'P1' or 'P2' at start of {quoted(text)}")
     sc.expect(":")
     twists: list = []
     c1c2 = None
@@ -163,7 +165,7 @@ def parse_bundle(text: str) -> BundleExpr:
             twists.extend([twist] * mult)
         else:
             raise InputError(
-                f"expected a term at position {sc.pos} in {text!r}"
+                f"expected a term at position {sc.pos} in {quoted(text)}"
             )
         if not sc.accept("+"):
             break
@@ -205,7 +207,7 @@ def parse_chow_expr(text: str, ambient) -> GradedClass:
                     raise InputError("zero denominator")
                 return Fraction(num, den) * unit(ambient)
             return num * unit(ambient)
-        raise InputError(f"expected a factor at position {sc.pos} in {text!r}")
+        raise InputError(f"expected a factor at position {sc.pos} in {quoted(text)}")
 
     def factor() -> GradedClass:
         if sc.accept("-"):
@@ -250,7 +252,7 @@ def parse_ring(text: str):
     try:
         values = tuple(int(v.strip()) for v in params.split(","))
     except ValueError as exc:
-        raise InputError(f"cannot parse ring parameters {params!r}") from exc
+        raise InputError(f"cannot parse ring parameters {quoted(params)}") from exc
     if kind == "line":
         if len(values) != 4:
             raise InputError("line ring needs 4 twists: line:a0,a1,a2,a3")
@@ -259,24 +261,39 @@ def parse_ring(text: str):
         if len(values) != 2:
             raise InputError("plane ring needs 2 numbers: plane:c1,c2")
         return PlaneBase2(*values)
-    raise InputError(f"unknown ring kind {kind!r}; use line:... or plane:...")
+    raise InputError(f"unknown ring kind {quoted(kind)}; use line:... or plane:...")
 
 
-def _rat(text: str) -> Fraction:
-    """A rational option value; an exponent too large to read ends the
-    run at once, with one ``error:`` line."""
-    try:
-        return parse_rational(text)
-    except OverflowError as exc:
-        raise _ParserExit(2, f"error: {exc}\n", "err") from None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or p/q, got {text!r}"
-        ) from exc
+def _option_type(parse, message: str):
+    """The argparse type of a numeric option read by ``parse``.  A number
+    too long to read (OverflowError) ends the run at once, with one
+    ``error:`` line; any other value ``parse`` refuses is a usage error,
+    ``message`` followed by the value, quoted up to a bound."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except OverflowError as exc:
+            raise _ParserExit(2, f"error: {exc}\n", "err") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"{message}{quoted(text)}") from exc
+
+    return convert
+
+
+_int = _option_type(lambda text: int(check_digits(text)), "invalid int value: ")
+_rat = _option_type(parse_rational, "expected an integer or p/q, got ")
 
 
 def _render(value) -> str:
     return value.render() if isinstance(value, Affine) else str(value)
+
+
+def _verdict(comparison, out) -> int:
+    """Print whether a theorem's routes agree; the exit code."""
+    ok = comparison.mismatch is None
+    print("MATCH" if ok else "MISMATCH", file=out)
+    return 0 if ok else 1
 
 
 def _check_results(*results):
@@ -305,14 +322,12 @@ def _cmd_thm1(args, out) -> int:
         h=args.h, c13=args.c13, c12H=args.c12H, c1H2=args.c1H2,
         c2H=args.c2H, H3=args.H3,
     )
-    closed = theorems.thm1_closed(n)
-    derived = theorems.thm1_derived(n)
-    _check_results(("closed", closed), ("derived", derived))
-    print(f"closed:  {_render(closed)}", file=out)
-    print(f"derived: {_render(derived)}", file=out)
-    ok = closed == derived
-    print("MATCH" if ok else "MISMATCH", file=out)
-    return 0 if ok else 1
+    comparison = theorems.compare_thm1(n)
+    values = comparison.values
+    _check_results(*values.items())
+    print(f"closed:  {_render(values['closed'])}", file=out)
+    print(f"derived: {_render(values['derived'])}", file=out)
+    return _verdict(comparison, out)
 
 
 def _cmd_thm2(args, out) -> int:
@@ -320,23 +335,20 @@ def _cmd_thm2(args, out) -> int:
     if bundle.base != "P1" or bundle.twists is None or len(bundle.twists) != 4:
         raise InputError(
             "thm2 needs a line-base bundle with exactly 4 summands, "
-            f"got {args.bundle!r}"
+            f"got {quoted(args.bundle)}"
         )
-    inp = theorems.DivisorCaseInput(bundle.twists, args.k, args.a)
-    chain = theorems.thm2_chain(inp)
-    closed = theorems.thm2_closed(inp)
-    _check_results(("chain", chain), ("closed", closed))
-    print(f"chain:  {chain}", file=out)
-    print(f"closed: {closed}", file=out)
-    ok = chain == closed
-    print("MATCH" if ok else "MISMATCH", file=out)
-    return 0 if ok else 1
+    comparison = theorems.compare_thm2(theorems.DivisorCaseInput(bundle.twists, args.k))
+    values = comparison.values
+    _check_results(*values.items())
+    print(f"chain:  {values['chain']}", file=out)
+    print(f"closed: {values['closed']}", file=out)
+    return _verdict(comparison, out)
 
 
 def _cmd_thm3(args, out) -> int:
     bundle = parse_bundle(args.bundle)
     if bundle.base != "P2":
-        raise InputError(f"thm3 needs a plane-base bundle, got {args.bundle!r}")
+        raise InputError(f"thm3 needs a plane-base bundle, got {quoted(args.bundle)}")
     if bundle.c1c2 is not None:
         inp = theorems.PlaneBundleInput(*bundle.c1c2)
     else:
@@ -345,24 +357,22 @@ def _cmd_thm3(args, out) -> int:
                 "thm3 needs rank 2: two O(...) summands or rank2(c1=..,c2=..)"
             )
         inp = theorems.PlaneBundleInput.from_split(*bundle.twists)
-    qs = theorems.thm3_Q(inp)
+    comparison = theorems.compare_thm3(inp)
+    values = comparison.values
+    qs = values["Q"]
     polys = (("Q1(b)", qs.Q1), ("Q2(b)", qs.Q2), ("Q3(b)", qs.Q3), ("Q(b)", qs.Q))
-    value = theorems.thm3_value(inp)
-    grid_ok = all(
-        theorems.thm3_hrr_crosscheck(inp, b) == qs.Q(b) for b in range(-3, 7)
-    )
     h0 = None if inp.split is None else theorems.thm3_h0_split(*inp.split)
-    _check_results(*polys, ("Q(-1)", qs.Q(-1)), ("closed", value), ("h0", h0))
+    _check_results(*polys, ("Q(-1)", values["Q(-1)"]), ("closed", values["closed"]),
+                   ("h0", h0))
     for name, poly in polys:
         print(f"{name} = {poly.render('b')}", file=out)
-    print(f"Q(-1):  {qs.Q(-1)}", file=out)
-    print(f"closed: {value}", file=out)
-    print(f"hrr-crosscheck[-3..6]: {'MATCH' if grid_ok else 'MISMATCH'}", file=out)
+    print(f"Q(-1):  {values['Q(-1)']}", file=out)
+    print(f"closed: {values['closed']}", file=out)
+    _, hrr_agrees = comparison.checks.values()  # Q(-1) vs closed, hrr vs Q(b)
+    print(f"hrr-crosscheck: {'MATCH' if hrr_agrees else 'MISMATCH'}", file=out)
     if h0 is not None:
         print(f"h0: {h0}", file=out)
-    ok = qs.Q(-1) == value and grid_ok
-    print("MATCH" if ok else "MISMATCH", file=out)
-    return 0 if ok else 1
+    return _verdict(comparison, out)
 
 
 def _cmd_chi_f(args, out) -> int:
@@ -456,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2 = sub.add_parser("thm2", help="divisor in |kH+2U| over the line: "
                         "pushforward chain vs closed form")
     p2.add_argument("--bundle", required=True)
-    p2.add_argument("--k", type=int, required=True)
-    p2.add_argument("--a", type=int, default=None)
+    p2.add_argument("--k", type=_int, required=True)
     p2.set_defaults(func=_cmd_thm2)
 
     p3 = sub.add_parser("thm3", help="plane bundle: Q-polynomials, closed "
@@ -467,10 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("chi-f", help="chi(W, xH + yU) on the rank-4 bundle "
                         "over the line")
-    pf.add_argument("--x", type=int, required=True)
-    pf.add_argument("--y", type=int, required=True)
-    pf.add_argument("--p", type=int, required=True)
-    pf.add_argument("--q", type=int, required=True)
+    for name in ("--x", "--y", "--p", "--q"):
+        pf.add_argument(name, type=_int, required=True)
     pf.add_argument("--oracle", action="store_true")
     pf.set_defaults(func=_cmd_chi_f)
 

@@ -89,6 +89,18 @@ def _integers(value) -> tuple:
     return (*(n for _, n in value.terms), value.den)
 
 
+#: The most characters of an input that an error message quotes.
+QUOTE_LIMIT = 80
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, cut to its first ``QUOTE_LIMIT`` characters and its
+    length when longer, so that an error line stays short."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 # A run of digits, with the underscores Python allows between them.
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 
@@ -120,7 +132,9 @@ def parse_rational(text: str) -> Fraction:
     if exp:
         digits = exp[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-            raise OverflowError(f"the exponent of {text!r} exceeds {limit} in magnitude")
+            raise OverflowError(
+                f"the exponent of {quoted(text)} exceeds {limit} in magnitude"
+            )
     return Fraction(check_digits(text))
 
 
@@ -171,7 +185,41 @@ def _convolve(a, b) -> list:
     return out
 
 
-class UniPoly:
+class _Arithmetic:
+    """What the ring types here share: immutability, and ``+``, ``-`` and
+    division by a number through each type's ``_coerce`` (None for an
+    operand it does not take), ``_plus(o, sign)``, ``__neg__`` and
+    ``__mul__`` by a number."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, -1)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(scalar))
+
+
+class UniPoly(_Arithmetic):
     """Univariate polynomial with rational coefficients.
 
     Stored as integer numerators over one common denominator:
@@ -208,9 +256,6 @@ class UniPoly:
                 den //= g
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
@@ -256,25 +301,8 @@ class UniPoly:
             return UniPoly._new([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
         return UniPoly._new([x - y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly._new([-n for n in self.num], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -286,16 +314,6 @@ class UniPoly:
         return UniPoly._new(_convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            raise ZeroDivisionError("polynomial division by zero")
-        p, q = scalar.numerator, scalar.denominator
-        if p < 0:
-            p, q = -p, -q
-        return UniPoly._new([n * q for n in self.num], self.den * p)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -373,7 +391,7 @@ def binom_poly(shift: int, k: int) -> UniPoly:
     return binom_of_poly(T + shift, k)
 
 
-class Affine:
+class Affine(_Arithmetic):
     """Affine expression const + sum(coeff_s * s) over named symbols s.
 
     Used for results that stay linear in unresolved quantities: the
@@ -409,9 +427,6 @@ class Affine:
         object.__setattr__(self, "const_num", const_num // g)
         object.__setattr__(self, "term_nums", tuple((s, n // g) for s, n in term_nums))
         object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Affine is immutable")
 
     @property
     def const(self) -> Fraction:
@@ -466,25 +481,8 @@ class Affine:
             _accumulate(terms, s, n * b)
         return Affine._new(self.const_num * a + o.const_num * b, terms.items(), den)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return Affine._new(-self.const_num, [(s, -n) for s, n in self.term_nums], self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
@@ -496,11 +494,6 @@ class Affine:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self * (1 / Fraction(scalar))
 
     def subs(self, values: Mapping[str, Union[Number, "Affine"]]):
         """Substitute symbols; returns a Fraction if none remain.
@@ -633,7 +626,7 @@ class QuotientRule:
         return out
 
 
-class _Sparse:
+class _Sparse(_Arithmetic):
     """A sparse element of a ring over the rationals, in stored form.
 
     ``terms`` holds (monomial, int numerator) pairs over the one int
@@ -689,9 +682,6 @@ class _Sparse:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ring", ring)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def coeffs(self) -> tuple:
         """The sorted nonzero (monomial, Fraction) terms."""
@@ -730,25 +720,8 @@ class _Sparse:
             _accumulate(terms, m, c * b)
         return self._new(terms.items(), den, self.ring)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return self._new([(m, -c) for m, c in self.terms], self.den, self.ring)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -765,22 +738,22 @@ class _Sparse:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            raise ZeroDivisionError("polynomial division by zero")
-        p, q = scalar.numerator, scalar.denominator
-        if p < 0:
-            p, q = -p, -q
-        return self._new([(m, c * q) for m, c in self.terms], self.den * p, self.ring)
-
     def __pow__(self, n: int):
+        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
+
+        Every intermediate goes through ``check_printable``, so a huge
+        exponent raises ValueError before it exhausts memory.
+        """
         if n < 0:
-            raise ValueError("negative polynomial power")
-        out = self._new(((self.ONE, 1),), 1, self.ring)
-        for _ in range(n):
-            out = out * self
+            raise ValueError("negative exponent")
+        what = f"the power ^{n}"
+        out, base, k = self._new(((self.ONE, 1),), 1, self.ring), self, n
+        while k:
+            if k & 1:
+                out = check_printable(out * base, what)
+            k >>= 1
+            if k:
+                base = check_printable(base * base, what)
         return out
 
     def _mono_text(self, m) -> str:

@@ -4,7 +4,9 @@ Each evaluator computes -chi(X, Omega^2_X tensor L) for the relevant
 ample twist L along two routes: the derivation path (Serre duality plus
 Riemann-Roch or pushforward chains) and the closed form.  Exact
 agreement of the two routes is part of the package's verification
-contract and is enforced by the test suite and the CLI.
+contract.  ``compare_thm1``, ``compare_thm2`` and ``compare_thm3`` are
+the one statement per theorem of what agreement means; the CLI and the
+case registry both report from them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .chern import (
     plane_bundle_tangent_classes,
@@ -40,6 +42,29 @@ NUMERICS_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3")
 
 class DualPathMismatch(ArithmeticError):
     """Two routes that must agree exactly gave different results."""
+
+
+class Comparison(NamedTuple):
+    """One theorem's routes on one input: ``values`` maps each route's
+    label to its value, and ``checks`` maps the text that names each
+    compared pair of routes when they disagree ("closed and derived
+    obstruction disagree") to whether they agree, in the order made."""
+
+    values: dict
+    checks: dict
+
+    @property
+    def mismatch(self) -> Optional[str]:
+        """The text of the first check that failed, or None."""
+        return next((text for text, agrees in self.checks.items() if not agrees), None)
+
+
+def _compare(label: str, value, other_label: str, other) -> Comparison:
+    """Two routes that must give equal values."""
+    return Comparison(
+        {label: value, other_label: other},
+        {f"{label} and {other_label} obstruction disagree": value == other},
+    )
 
 
 @dataclass(frozen=True)
@@ -102,21 +127,31 @@ def thm1_derived(n: ThreefoldNumerics):
     return chi_twisted_cotangent_symbolic().subs(n.substitutions())
 
 
+def compare_thm1(n: ThreefoldNumerics) -> Comparison:
+    """thm1's closed and derived routes."""
+    return _compare("closed", thm1_closed(n), "derived", thm1_derived(n))
+
+
+def check_twists(a) -> None:
+    """Raise ValueError unless ``a`` holds four twists, and
+    HypothesisViolation if they are pairwise distinct: thm2's chain
+    normalises by a repeated twist."""
+    if len(a) != 4:
+        raise ValueError(f"need exactly 4 twists, got {len(a)}")
+    if len(set(a)) == 4:
+        raise HypothesisViolation(f"the four twists must not be all distinct, got {a}")
+
+
 @dataclass(frozen=True)
 class DivisorCaseInput:
-    """A divisor X in |kH + 2U| on the rank-4 bundle over the line."""
+    """A divisor X in |kH + 2U| on the rank-4 bundle over the line; no
+    route depends on the twist a of aH + U, so it is not an input."""
 
     a: Tuple[int, int, int, int]
     k: int
-    a_twist: Optional[int] = None  # the twist a of aH + U; None = symbolic
 
     def __post_init__(self):
-        if len(self.a) != 4:
-            raise ValueError(f"need exactly 4 twists, got {len(self.a)}")
-        if len(set(self.a)) == 4:
-            raise HypothesisViolation(
-                f"the four twists must not be all distinct, got {self.a}"
-            )
+        check_twists(self.a)
 
 
 def _normalizing_shift(a) -> int:
@@ -201,6 +236,11 @@ def thm2_chain(inp: DivisorCaseInput) -> Fraction:
 
 def thm2_closed(inp: DivisorCaseInput) -> Fraction:
     return Fraction(2 * (sum(inp.a) + 2 * inp.k))
+
+
+def compare_thm2(inp: DivisorCaseInput) -> Comparison:
+    """thm2's chain and closed routes."""
+    return _compare("chain", thm2_chain(inp), "closed", thm2_closed(inp))
 
 
 @dataclass(frozen=True)
@@ -318,6 +358,17 @@ def thm3_hrr_poly(inp: PlaneBundleInput) -> UniPoly:
     """``thm3_hrr_form`` at one bundle's c1, c2, as a polynomial in b, to
     compare with ``thm3_Q(inp).Q``."""
     return thm3_hrr_form().as_unipoly("b", {"c1": inp.c1, "c2": inp.c2})
+
+
+def compare_thm3(inp: PlaneBundleInput) -> Comparison:
+    """thm3's routes: Q(-1) from the pushforward Q-polynomials against the
+    closed form, then the intrinsic Riemann-Roch polynomial in b
+    (``"hrr"``) against Q(b), as polynomials.  ``"Q"`` is the
+    ``QPolys``."""
+    qs, hrr = thm3_Q(inp), thm3_hrr_poly(inp)
+    values, checks = _compare("Q(-1)", qs.Q(-1), "closed", thm3_value(inp))
+    checks["intrinsic Riemann-Roch and Q(b) disagree as polynomials in b"] = hrr == qs.Q
+    return Comparison({"Q": qs, **values, "hrr": hrr}, checks)
 
 
 def thm3_h0_split(a: int, b: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from bottcheck.bottcases import (
     FAILS_BY_NEGATIVE_CHI,
+    GEOMETRIES,
+    GEOMETRY_TABLE,
     INCONCLUSIVE,
     NEEDS_H0_CHECK,
     CaseRecord,
@@ -527,3 +530,27 @@ class TestObstructionTooLongToPrint:
                          c12H=6, c1H2=6, c2H=24, H3=6)
         (row,) = report_rows([rec])
         assert row["obstruction"] == "9" * limit
+
+
+class TestGeometryTable:
+    def test_one_row_per_geometry_with_its_fields(self):
+        assert GEOMETRIES == tuple(GEOMETRY_TABLE)
+        assert set(GEOMETRY_TABLE) == set(_ALLOWED)
+        for name, row in GEOMETRY_TABLE.items():
+            assert set(row.allowed) == _ALLOWED[name]
+            assert set(row.required) == set(_REQUIRED.get(name, {}))
+
+    @pytest.mark.parametrize("a, message", [
+        ("0,1,2,3", "the four twists must not be all distinct, got (0, 1, 2, 3)"),
+        ("0,0,1", "need exactly 4 twists, got 3"),
+    ])
+    def test_twist_hypothesis_names_record_and_field(self, a, message):
+        with pytest.raises(RegistryError) as err:
+            _parse_record("r", {"geometry": "delPezzoFib8-small", "k": "0", "a": a})
+        assert str(err.value) == f"record 'r', field 'a': {message}"
+
+    def test_conic_numerics_take_the_records_d(self):
+        rec = CaseRecord(id="c", geometry="conicBundle", d=4, h=Fraction(1),
+                         c13=Fraction(1, 2))
+        symbolic = evaluate_case(replace(rec, d=None)).obstruction
+        assert evaluate_case(rec).obstruction == symbolic.subs({"d": 4})

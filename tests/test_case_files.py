@@ -12,11 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bottcheck import cli
 from bottcheck.bottcases import (
     GEOMETRIES,
+    GEOMETRY_TABLE,
     CaseRecord,
     RegistryError,
     _NUMERIC_FIELDS,
     _REGISTRY_FIELDS,
-    _REQUIRED_BY_GEOMETRY,
     _read_records,
     builtin_registry,
     load_registry,
@@ -263,7 +263,7 @@ def test_every_accepted_record_list_reads_back(case_path, drawn):
         return
     assert text == plain
     incomplete = [r for r in records
-                  if any(getattr(r, f) is None for f in _REQUIRED_BY_GEOMETRY.get(r.geometry, ()))]
+                  if any(getattr(r, f) is None for f in GEOMETRY_TABLE[r.geometry].required)]
     assert reads_back or incomplete
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from bottcheck import bottcases, cli, theorems
 from bottcheck.cli import BundleExpr, InputError, parse_bundle
-from bottcheck.exact import T
+from bottcheck.exact import T, quoted
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -109,7 +109,7 @@ class TestThm3Command:
         assert code == 0
         assert "Q(-1):  0" in out
         assert "closed: 0" in out
-        assert "hrr-crosscheck[-3..6]: MATCH" in out
+        assert "hrr-crosscheck: MATCH" in out
         assert "h0:" not in out
 
     def test_split_reports_h0(self):
@@ -214,8 +214,8 @@ class TestBottReportCommand:
     def test_registry_mismatch_exits_1(self, monkeypatch):
         # thm1_closed_form is cached per process; the comparison against
         # the derived route must still run on every record.
-        real = bottcases.thm1_closed
-        monkeypatch.setattr(bottcases, "thm1_closed", lambda n: real(n) + 1)
+        real = theorems.thm1_closed
+        monkeypatch.setattr(theorems, "thm1_closed", lambda n: real(n) + 1)
         code, out, err = run(["bott-report"])
         assert code == 1 and out == ""
         assert err == (
@@ -392,7 +392,7 @@ class TestParserStreams:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "usage: bottcheck thm2 [-h] --bundle BUNDLE --k K [--a A]\n"
+            "usage: bottcheck thm2 [-h] --bundle BUNDLE --k K\n"
             "bottcheck thm2: error: the following arguments are required: "
             "--bundle, --k\n"
         )
@@ -547,7 +547,7 @@ class TestExponentBound:
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         limit = sys.get_int_max_str_digits()
-        assert err == f"error: the exponent of {text!r} exceeds {limit} in magnitude\n"
+        assert err == f"error: the exponent of {quoted(text)} exceeds {limit} in magnitude\n"
 
     def test_exponents_within_the_limit_still_parse(self):
         code, out, err = run(["thm1", "--c13", "1e3", "--c12H", "12e-1"])
@@ -698,3 +698,68 @@ class TestCaseFileDigitLimit:
                  "denominator": "1/" + "7" * limit}[shape]
         rec = bottcases._parse_record("r", {"geometry": "table8", "c13": value})
         assert rec.c13 == Fraction(value)
+
+
+#: The longest error line a long literal may produce: the message, a quote
+#: of at most ``exact.QUOTE_LIMIT`` characters and the literal's length.
+ERROR_LINE_BOUND = 250
+
+
+class TestLongLiteralsQuotedToABound:
+    """An error about a long literal quotes at most its first characters,
+    so the error line stays short whatever the input's length."""
+
+    @pytest.mark.parametrize("argv", [
+        ["thm2", "--bundle", "P1: O(0)^4", "--k", "9" * 5000],
+        ["chi-f", "--x", "9" * 5000, "--y", "1", "--p", "1", "--q", "2"],
+        ["chow-eval", "--ring", "plane:" + "9" * 5000 + ",1", "--expr", "H"],
+        ["thm1", "--c13", "9" * 4000 + "e99999"],
+        ["thm2", "--bundle", "P1: O(0)^4", "--k", "x" * 5000],
+        ["thm1", "--c13", "x" * 5000],
+        ["thm3", "--bundle", "x" * 5000],
+        ["chow-eval", "--ring", "plane:1,1", "--expr", "H+" + "x" * 5000],
+    ], ids=["thm2-k-digits", "chi-f-x-digits", "ring-digits", "c13-exponent",
+            "thm2-k-letters", "c13-letters", "bundle-letters", "expr-letters"])
+    def test_option_exits_2_with_a_short_error_line(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        last = err.splitlines()[-1]
+        assert "error: " in last and len(last.encode()) <= ERROR_LINE_BOUND
+        assert len(err.encode()) <= ERROR_LINE_BOUND + 200  # usage line included
+
+    def test_case_file_value_exits_2_with_a_short_error_line(self, tmp_path):
+        code, out, err = _run_cases(tmp_path, "[r]\ngeometry = table8\nc13 = " + "x" * 5000)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) <= ERROR_LINE_BOUND
+        assert err.startswith("error: record 'r', field 'c13': cannot parse 'xxx")
+
+    def test_case_file_line_exits_2_with_a_short_error_line(self, tmp_path):
+        code, out, err = _run_cases(tmp_path, "[r]\n" + "x" * 5000 + "\n")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) <= ERROR_LINE_BOUND
+
+    def test_integer_digits_past_the_limit_are_one_error_line(self):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(["thm2", "--bundle", "P1: O(0)^4", "--k", "9" * (limit + 1)])
+        assert (code, out) == (2, "")
+        assert err == f"error: the value has a number of more than {limit} digits\n"
+
+    def test_short_literals_keep_their_messages(self):
+        _, _, err = run(["thm2", "--bundle", "P1: O(0)^4", "--k", "abc"])
+        assert err.splitlines()[-1] == (
+            "bottcheck thm2: error: argument --k: invalid int value: 'abc'"
+        )
+        _, _, err = run(["chow-eval", "--ring", "plane:x,1", "--expr", "H"])
+        assert err == "error: cannot parse ring parameters 'x,1'\n"
+
+    def test_a_long_literal_is_quoted_with_its_length(self):
+        assert quoted("x" * 80) == repr("x" * 80)
+        assert quoted("x" * 81) == repr("x" * 80) + "... (81 characters)"
+
+
+class TestThm2TwistOption:
+    def test_the_twist_option_is_gone(self):
+        code, out, err = run(["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "0",
+                              "--a", "77"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "bottcheck: error: unrecognized arguments: --a 77"

@@ -5,6 +5,7 @@ polynomial over three variables; the plane quotient rule is checked
 against GradedClass products in PlaneBase2 at integer (c1, c2).
 """
 
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -12,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bottcheck.chern import C1_SYM, C2_SYM, H_SYM
 from bottcheck.chow import PLANE_RULE, GradedClass, PlaneBase2
 from bottcheck.exact import Poly, QuotientRule, UniPoly
 
@@ -241,3 +243,26 @@ def test_rule_validation():
     assert rule == QuotientRule(((x * x, y),)) and hash(rule) == hash(QuotientRule(((x * x, y),)))
     X = Poly.sym("x", rule)
     assert X ** 5 == Poly({(("x", 1), ("y", 2)): 1}, rule)
+
+
+def test_huge_power_is_refused_before_it_is_built():
+    """A power squares its way up and checks every intermediate, so an
+    exponent far past the printable size fails at once."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"the power \^30000000"):
+        Poly({(): 2}) ** 30_000_000
+    assert time.perf_counter() - start < 5
+
+
+_POWER_BASES = [
+    Poly({(("x", 1),): Fraction(1, 2), (("y", 2),): -3, (): 1}),
+    1 + Poly.sym("U", PLANE_RULE) - 2 * Poly.sym("H", PLANE_RULE),
+    1 + C1_SYM / 3 - H_SYM + 2 * C2_SYM,
+]
+
+
+@pytest.mark.parametrize("x", _POWER_BASES, ids=["poly", "plane-rule", "symclass"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_power_is_one_more_factor(x, n):
+    assert x ** n == x * x ** (n - 1)
+    assert x ** 0 == 1 and (x ** 0).ring == x.ring
