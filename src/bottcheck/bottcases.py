@@ -141,11 +141,11 @@ def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
     if missing:
         raise RegistryError(c.id, ",".join(missing), "required for a plane bundle")
     inp = PlaneBundleInput(int(c.c1), int(c.c2))
-    value = _agreed(c, theorems.compare_thm3(inp))["closed"]
+    obstruction = _as_affine(_agreed(c, theorems.compare_thm3(inp))["closed"])
     note = ""
-    if value == 0:
+    if obstruction == 0:
         note = "h^0 follow-up required; split approximants via thm3_h0_split"
-    return Verdict(_as_affine(value), _conclude(_as_affine(value)), note)
+    return Verdict(obstruction, _conclude(obstruction), note)
 
 
 @dataclass(frozen=True)

@@ -181,14 +181,14 @@ class GradedClass(_Sparse):
         return _product(self.ring, xs, ys)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        for m, c in self.terms:
+        for m, c in self._terms:
             if m == (i, j):
                 return Fraction(c, self.den)
         return Fraction(0)
 
     def graded_part(self, k: int) -> "GradedClass":
         return GradedClass._new(
-            [(m, c) for m, c in self.terms if m[0] + m[1] == k], self.den, self.ring
+            [(m, c) for m, c in self._terms if m[0] + m[1] == k], self.den, self.ring
         )
 
     def degree(self) -> Fraction:

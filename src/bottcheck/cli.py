@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 from . import bottcases, theorems
 from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
 from .exact import (
-    Affine, check_digits, check_printable, max_str_digits, parse_rational, quoted,
+    QUOTE_LIMIT, Affine, check_digits, check_printable, max_str_digits, parse_rational,
+    quoted, shortened,
 )
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
@@ -34,6 +35,9 @@ MAX_RANK = 4
 
 #: The largest y for ``chi-f --oracle``, whose loop is quadratic in y.
 MAX_ORACLE_Y = 1000
+
+#: The deepest nesting of parentheses and signs ``chow-eval`` reads.
+MAX_NESTING = 100
 
 
 # --- bundle expressions ----------------------------------------------------
@@ -185,13 +189,15 @@ def parse_chow_expr(text: str, ambient) -> GradedClass:
     literals ("3", "1/2").
 
     Every product, sum, difference and power is checked with
-    ``check_printable``, so a value too long to print raises InputError.
+    ``check_printable``, so a value too long to print raises InputError,
+    and so does a factor inside more than ``MAX_NESTING`` parentheses and
+    signs, before the parser's recursion could exhaust the stack.
     """
     sc = _Scanner(text)
 
-    def atom() -> GradedClass:
+    def atom(depth: int) -> GradedClass:
         if sc.accept("("):
-            value = expr()
+            value = expr(depth + 1)
             sc.expect(")")
             return value
         if sc.accept("H"):
@@ -209,10 +215,15 @@ def parse_chow_expr(text: str, ambient) -> GradedClass:
             return num * unit(ambient)
         raise InputError(f"expected a factor at position {sc.pos} in {quoted(text)}")
 
-    def factor() -> GradedClass:
+    def factor(depth: int) -> GradedClass:
+        if depth > MAX_NESTING:
+            raise InputError(
+                f"more than {MAX_NESTING} nested parentheses and signs "
+                f"at position {sc.pos}"
+            )
         if sc.accept("-"):
-            return -factor()
-        base = atom()
+            return -factor(depth + 1)
+        base = atom(depth)
         if sc.accept("^"):
             n = sc.integer()
             if n < 0:
@@ -226,23 +237,23 @@ def parse_chow_expr(text: str, ambient) -> GradedClass:
         except ValueError as exc:
             raise InputError(str(exc)) from None
 
-    def term() -> GradedClass:
-        value = factor()
+    def term(depth: int) -> GradedClass:
+        value = factor(depth)
         while sc.accept("*"):
-            value = printable(value * factor(), "product")
+            value = printable(value * factor(depth), "product")
         return value
 
-    def expr() -> GradedClass:
-        value = term()
+    def expr(depth: int) -> GradedClass:
+        value = term(depth)
         while True:
             if sc.accept("+"):
-                value = printable(value + term(), "sum")
+                value = printable(value + term(depth), "sum")
             elif sc.accept("-"):
-                value = printable(value - term(), "difference")
+                value = printable(value - term(depth), "difference")
             else:
                 return value
 
-    value = expr()
+    value = expr(0)
     sc.done()
     return value
 
@@ -317,7 +328,7 @@ def _cmd_thm1(args, out) -> int:
         try:
             theorems.check_hodge_number(args.h)
         except ValueError as exc:
-            raise InputError(f"--h {args.h}: {exc}") from None
+            raise InputError(f"--h {shortened(str(args.h))}: {exc}") from None
     n = theorems.ThreefoldNumerics(
         h=args.h, c13=args.c13, c12H=args.c12H, c1H2=args.c1H2,
         c2H=args.c2H, H3=args.H3,
@@ -394,7 +405,7 @@ def _cmd_chi_f(args, out) -> int:
 
 
 def _cmd_bott_report(args, out) -> int:
-    if args.cases:
+    if args.cases is not None:
         records = bottcases.load_registry(args.cases)
     else:
         records = bottcases.builtin_registry()
@@ -495,6 +506,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cut_arguments(text: str, argv) -> str:
+    """``text``, an error, with every argument of ``argv`` longer than
+    ``QUOTE_LIMIT``, and every such value after an ``=`` in one, cut as
+    ``quoted`` cuts it.  argparse's own errors, and ``OSError`` for a file
+    name, show such a value in full, in repr form or as it is."""
+    values = {v for a in argv for v in (a, a.partition("=")[2]) if len(v) > QUOTE_LIMIT}
+    for v in sorted(values, key=len, reverse=True):
+        text = text.replace(repr(v), quoted(v)).replace(v, shortened(v))
+    return text
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -502,7 +524,10 @@ def run(argv, out=None, err=None) -> int:
         args = build_parser().parse_args(argv)
     except _ParserExit as exc:
         status, text, stream = exc.args
-        (out if stream == "out" else err).write(text)
+        if stream == "out":
+            out.write(text)
+        else:
+            err.write(_cut_arguments(text, argv))
         return status
     try:
         return args.func(args, out)
@@ -511,7 +536,7 @@ def run(argv, out=None, err=None) -> int:
         return 1
     except (InputError, HypothesisViolation, bottcases.RegistryError,
             ValueError, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {_cut_arguments(str(exc), argv)}", file=err)
         return 2
 
 

@@ -2,9 +2,10 @@
 
 Everything downstream (Chow classes, Chern polynomials, Riemann-Roch
 values) is built on the types here: arbitrary-precision rationals,
-univariate polynomials over the rationals, affine expressions over
-named symbols, and sparse polynomials over named variables, optionally
-in a quotient ring.  There is no floating point anywhere in the package.
+univariate polynomials over the rationals, and sparse polynomials over
+named variables, optionally in a quotient ring, with affine expressions
+as a linear view of them.  There is no floating point anywhere in the
+package.
 
 Every ring element keeps int numerators over one positive int
 denominator, in lowest terms, and makes Fractions only where a value
@@ -12,12 +13,12 @@ leaves it.  ``_Sparse`` states that stored form once and implements it
 for sparse (monomial, numerator) terms; ``Poly`` here, and
 ``chow.GradedClass`` and ``chern.SymClass``, are its subclasses and
 supply only their unit monomial, their product of terms and the text
-of a monomial.  ``UniPoly`` keeps the same form densely, as a tuple
-``num`` of the numerators of 1, t, t^2, ...; ``Affine`` keeps a
-constant ``const_num`` apart from its sorted (symbol, numerator)
-``term_nums``, so that ``subs`` can add ints over one running
-denominator and make one Fraction, or Affine, at the end.  ``_render``
-is the one text form of all of them.
+of a monomial.  ``Affine`` is a ``Poly`` of degree at most 1 that adds
+only its linear constructor and read-only views, so ``Poly.subs`` is
+the one engine that substitutes into a symbolic form.  ``UniPoly``
+keeps the same stored form densely, as a tuple ``num`` of the
+numerators of 1, t, t^2, ....  ``_render`` is the one text form of all
+of them.
 
 A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
 the normal form of a quotient ring; with c1 and c2 as variables, one
@@ -82,11 +83,9 @@ def _integers(value) -> tuple:
         return (value,)
     if isinstance(value, Fraction):
         return (value.numerator, value.denominator)
-    if isinstance(value, Affine):
-        return (value.const_num, *(n for _, n in value.term_nums), value.den)
     if isinstance(value, UniPoly):
         return (*value.num, value.den)
-    return (*(n for _, n in value.terms), value.den)
+    return (*(n for _, n in value._terms), value.den)
 
 
 #: The most characters of an input that an error message quotes.
@@ -99,6 +98,14 @@ def quoted(text: str) -> str:
     if len(text) <= QUOTE_LIMIT:
         return repr(text)
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def shortened(text: str) -> str:
+    """``text`` as it is, or cut as ``quoted`` cuts it when longer than
+    ``QUOTE_LIMIT``, for a value an error line shows without quotes."""
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 # A run of digits, with the underscores Python allows between them.
@@ -186,10 +193,10 @@ def _convolve(a, b) -> list:
 
 
 class _Arithmetic:
-    """What the ring types here share: immutability, and ``+``, ``-`` and
-    division by a number through each type's ``_coerce`` (None for an
-    operand it does not take), ``_plus(o, sign)``, ``__neg__`` and
-    ``__mul__`` by a number."""
+    """What the ring types here share: immutability, and ``+``, ``-``,
+    division by a number and powers through each type's ``_coerce`` (None
+    for an operand it does not take), ``_plus(o, sign)``, ``__neg__`` and
+    ``__mul__``."""
 
     __slots__ = ()
 
@@ -217,6 +224,24 @@ class _Arithmetic:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self * (1 / Fraction(scalar))
+
+    def __pow__(self, n: int):
+        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
+
+        Every intermediate goes through ``check_printable``, so a huge
+        exponent raises ValueError before it exhausts memory.
+        """
+        if n < 0:
+            raise ValueError("negative exponent")
+        what = f"the power ^{n}"
+        out, base, k = None, self, n
+        while k:
+            if k & 1:
+                out = base if out is None else check_printable(out * base, what)
+            k >>= 1
+            if k:
+                base = check_printable(base * base, what)
+        return self._coerce(1) if out is None else out
 
 
 class UniPoly(_Arithmetic):
@@ -315,14 +340,6 @@ class UniPoly(_Arithmetic):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = UniPoly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __call__(self, value: Number) -> Fraction:
         """Evaluate by Horner's rule, on integers.
 
@@ -391,149 +408,6 @@ def binom_poly(shift: int, k: int) -> UniPoly:
     return binom_of_poly(T + shift, k)
 
 
-class Affine(_Arithmetic):
-    """Affine expression const + sum(coeff_s * s) over named symbols s.
-
-    Used for results that stay linear in unresolved quantities: the
-    Hodge number h, the six intersection symbols of the threefold
-    evaluators, user-suppliable case parameters.  Substituting values
-    (numbers or other Affine expressions) for every symbol collapses to
-    a Fraction.
-
-    Stored as int numerators ``const_num`` and ``term_nums`` over one
-    ``den``, in the lowest terms of ``_Sparse``: ``term_nums`` holds
-    sorted (symbol, numerator) pairs, none zero.  ``const``, ``terms``
-    and ``coeff()`` give Fractions.  Instances are immutable.
-    """
-
-    __slots__ = ("const_num", "term_nums", "den")
-
-    def __init__(self, const: Number = 0, terms: Mapping[str, Number] | None = None):
-        terms = dict(terms or {})
-        nums, den = common_denominator([const, *terms.values()])
-        self._store(nums[0], zip(terms, nums[1:]), den)
-
-    @classmethod
-    def _new(cls, const_num: int, term_nums, den: int) -> "Affine":
-        """From int numerators over a positive ``den``, each symbol once."""
-        self = object.__new__(cls)
-        self._store(const_num, term_nums, den)
-        return self
-
-    def _store(self, const_num: int, term_nums, den: int) -> None:
-        """Drop zero terms, sort, cancel the common factor, then set."""
-        term_nums = sorted((s, n) for s, n in term_nums if n)
-        g = gcd(den, const_num, *(n for _, n in term_nums)) if den != 1 else 1
-        object.__setattr__(self, "const_num", const_num // g)
-        object.__setattr__(self, "term_nums", tuple((s, n // g) for s, n in term_nums))
-        object.__setattr__(self, "den", den // g)
-
-    @property
-    def const(self) -> Fraction:
-        return Fraction(self.const_num, self.den)
-
-    @property
-    def terms(self) -> tuple:
-        return tuple((s, Fraction(n, self.den)) for s, n in self.term_nums)
-
-    @staticmethod
-    def sym(name: str) -> "Affine":
-        return Affine._new(0, ((name, 1),), 1)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Affine):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Affine._new(other.numerator, (), other.denominator)
-        return None
-
-    def coeff(self, name: str) -> Fraction:
-        for s, n in self.term_nums:
-            if s == name:
-                return Fraction(n, self.den)
-        return Fraction(0)
-
-    def symbols(self) -> tuple:
-        return tuple(s for s, _ in self.term_nums)
-
-    def is_constant(self) -> bool:
-        return not self.term_nums
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.const_num == o.const_num and self.term_nums == o.term_nums
-                and self.den == o.den)
-
-    def __hash__(self):
-        return hash((self.const_num, self.term_nums, self.den))
-
-    def _plus(self, o: "Affine", sign: int) -> "Affine":
-        den = self.den
-        a, b = 1, sign
-        if den != o.den:
-            den = lcm(den, o.den)
-            a, b = den // self.den, sign * (den // o.den)
-        terms = {s: n * a for s, n in self.term_nums}
-        for s, n in o.term_nums:
-            _accumulate(terms, s, n * b)
-        return Affine._new(self.const_num * a + o.const_num * b, terms.items(), den)
-
-    def __neg__(self):
-        return Affine._new(-self.const_num, [(s, -n) for s, n in self.term_nums], self.den)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        p = scalar.numerator
-        return Affine._new(
-            self.const_num * p, [(s, n * p) for s, n in self.term_nums],
-            self.den * scalar.denominator,
-        )
-
-    __rmul__ = __mul__
-
-    def subs(self, values: Mapping[str, Union[Number, "Affine"]]):
-        """Substitute symbols; returns a Fraction if none remain.
-
-        Sums int numerators over ``den * scale``, growing ``scale`` only
-        when a value's denominator does not divide it.
-        """
-        const, scale = self.const_num, 1
-        terms: dict = {}
-        for s, c in self.term_nums:
-            if s not in values:
-                _accumulate(terms, s, c * scale)
-                continue
-            v = values[s]
-            if isinstance(v, Affine):
-                p, q, v_terms = v.const_num, v.den, v.term_nums
-            else:
-                if not isinstance(v, (int, Fraction)):
-                    v = Fraction(v)
-                p, q, v_terms = v.numerator, v.denominator, ()
-            if scale % q:
-                grow = q // gcd(scale, q)
-                scale *= grow
-                const *= grow
-                terms = {t: n * grow for t, n in terms.items()}
-            c *= scale // q
-            const += c * p
-            for t, n in v_terms:
-                _accumulate(terms, t, c * n)
-        if not any(terms.values()):
-            return Fraction(const, self.den * scale)
-        return Affine._new(const, terms.items(), self.den * scale)
-
-    def render(self) -> str:
-        return _render((("", self.const_num), *self.term_nums), self.den)
-
-    def __repr__(self):
-        return f"Affine({self.render()})"
-
-
 # --- sparse polynomials over named variables --------------------------------
 #
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
@@ -598,8 +472,8 @@ class QuotientRule:
         rels = []
         for lhs, rhs in self.relations:
             rhs = rhs if isinstance(rhs, Poly) else Poly({(): rhs})
-            if (lhs.rule is not None or lhs.den != 1 or len(lhs.terms) != 1
-                    or lhs.terms[0][1] != 1 or not lhs.terms[0][0]):
+            if (lhs.rule is not None or lhs.den != 1 or len(lhs._terms) != 1
+                    or lhs._terms[0][1] != 1 or not lhs._terms[0][0]):
                 raise ValueError(
                     f"a relation's left side must be a monomial, got {lhs!r}"
                 )
@@ -607,7 +481,7 @@ class QuotientRule:
                 raise ValueError(
                     f"a relation's right side needs integer coefficients, got {rhs!r}"
                 )
-            rels.append((lhs.terms[0][0], rhs.terms))
+            rels.append((lhs._terms[0][0], rhs._terms))
         object.__setattr__(self, "relations", tuple(rels))
 
     def reduce(self, terms: dict) -> dict:
@@ -629,8 +503,8 @@ class QuotientRule:
 class _Sparse(_Arithmetic):
     """A sparse element of a ring over the rationals, in stored form.
 
-    ``terms`` holds (monomial, int numerator) pairs over the one int
-    denominator ``den``, in lowest terms:
+    The slot ``_terms`` holds (monomial, int numerator) pairs over the
+    one int denominator ``den``, in lowest terms:
 
     * the monomials are sorted and distinct, and no numerator is 0;
     * ``den > 0``, and the gcd of ``den`` and every numerator is 1;
@@ -642,6 +516,7 @@ class _Sparse(_Arithmetic):
     common factor is cancelled once per result (skipped when the
     denominator is 1).  Fractions are made only where a value leaves the
     element: ``coeffs``, a subclass's coefficient views, and ``render``.
+    ``terms`` reads the stored pairs; code in the package reads the slot.
 
     ``ring`` is what the element lives in beyond its monomials (a
     quotient rule, an ambient Chow ring, or None).  Operands must share
@@ -653,7 +528,7 @@ class _Sparse(_Arithmetic):
     the powers of ``NAMES`` for a monomial stored as a tuple of exponents.
     """
 
-    __slots__ = ("terms", "den", "ring")
+    __slots__ = ("_terms", "den", "ring")
 
     ONE: tuple = ()
     NAMES: tuple = ()
@@ -670,26 +545,31 @@ class _Sparse(_Arithmetic):
 
     def _store(self, terms, den: int, ring) -> None:
         """Drop zero terms, sort, cancel the common factor, then set."""
-        terms = sorted((m, c) for m, c in terms if c)
+        terms = sorted([t for t in terms if t[1]])
         if not terms:
             den = 1
         elif den != 1:
-            g = gcd(den, *(c for _, c in terms))
+            g = gcd(den, *[c for _, c in terms])
             if g != 1:
                 terms = [(m, c // g) for m, c in terms]
                 den //= g
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "_terms", tuple(terms))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ring", ring)
+
+    @property
+    def terms(self) -> tuple:
+        """The stored (monomial, int numerator) pairs, over ``den``."""
+        return self._terms
 
     @property
     def coeffs(self) -> tuple:
         """The sorted nonzero (monomial, Fraction) terms."""
         den = self.den
-        return tuple((m, Fraction(c, den)) for m, c in self.terms)
+        return tuple((m, Fraction(c, den)) for m, c in self._terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -704,10 +584,10 @@ class _Sparse(_Arithmetic):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms and self.den == o.den
+        return self._terms == o._terms and self.den == o.den
 
     def __hash__(self):
-        return hash((self.terms, self.den, self.ring))
+        return hash((self._terms, self.den, self.ring))
 
     def _plus(self, o, sign: int):
         den = self.den
@@ -715,52 +595,34 @@ class _Sparse(_Arithmetic):
         if den != o.den:
             den = lcm(den, o.den)
             a, b = den // self.den, sign * (den // o.den)
-        terms = {m: c * a for m, c in self.terms}
-        for m, c in o.terms:
+        terms = {m: c * a for m, c in self._terms}
+        for m, c in o._terms:
             _accumulate(terms, m, c * b)
         return self._new(terms.items(), den, self.ring)
 
     def __neg__(self):
-        return self._new([(m, -c) for m, c in self.terms], self.den, self.ring)
+        return self._new([(m, -c) for m, c in self._terms], self.den, self.ring)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             return self._new(
-                [(m, c * p) for m, c in self.terms], self.den * other.denominator,
+                [(m, c * p) for m, c in self._terms], self.den * other.denominator,
                 self.ring,
             )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = self._product(self.terms, o.terms)
+        terms = self._product(self._terms, o._terms)
         return self._new(terms.items(), self.den * o.den, self.ring)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
-
-        Every intermediate goes through ``check_printable``, so a huge
-        exponent raises ValueError before it exhausts memory.
-        """
-        if n < 0:
-            raise ValueError("negative exponent")
-        what = f"the power ^{n}"
-        out, base, k = self._new(((self.ONE, 1),), 1, self.ring), self, n
-        while k:
-            if k & 1:
-                out = check_printable(out * base, what)
-            k >>= 1
-            if k:
-                base = check_printable(base * base, what)
-        return out
 
     def _mono_text(self, m) -> str:
         return "*".join(_power(v, e) for v, e in zip(self.NAMES, m) if e)
 
     def render(self) -> str:
-        return _render(((self._mono_text(m), c) for m, c in self.terms), self.den)
+        return _render(((self._mono_text(m), c) for m, c in self._terms), self.den)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()})"
@@ -776,8 +638,9 @@ class Poly(_Sparse):
     normal form.  Operands must carry equal rules, as two
     ``GradedClass`` operands must share their ambient ring.
 
-    ``subs`` substitutes numbers for variables of a polynomial without a
-    rule; ``as_unipoly`` views a polynomial in one variable as a
+    ``subs`` substitutes numbers, or polynomials, for variables of a
+    polynomial without a rule, and is the one substitution engine of the
+    package; ``as_unipoly`` views a polynomial in one variable as a
     ``UniPoly``; ``coeff`` extracts the coefficient of a monomial in some
     of the variables, as a polynomial in the others.
     """
@@ -824,45 +687,81 @@ class Poly(_Sparse):
         """
         want = dict(monomial)
         out = []
-        for m, c in self.terms:
+        for m, c in self._terms:
             exps = dict(m)
             if all(exps.get(v, 0) == e for v, e in want.items()):
                 out.append((tuple((v, e) for v, e in m if v not in want), c))
         return Poly._new(out, self.den)
 
-    def subs(self, values: Mapping[str, Number]):
-        """Substitute ints or Fractions for variables.
+    def subs(self, values: Mapping[str, Union[Number, "Poly"]]):
+        """Substitute numbers, or polynomials without a rule, for variables.
 
         Returns a Fraction when every variable of the polynomial gets a
-        value, otherwise a Poly in the variables left, even if it has
-        become constant, so the type depends only on which variables are
-        given.  Names that do not occur are ignored.  A polynomial with a
-        rule raises ValueError: its variables are not free.
+        number.  Otherwise returns a polynomial in the variables left and
+        those of the polynomial values, even if it has become constant, so
+        the type depends only on which variables are given and which
+        values are numbers.  That polynomial has this one's type when
+        every polynomial value has it too, and is a plain Poly otherwise.
+        Names that do not occur are ignored.  A rule on this polynomial or
+        on a value raises ValueError: its variables are not free.
+
+        Sums int numerators over ``den * scale``, growing ``scale`` only
+        when a term's denominator does not divide it.
         """
         if self.ring is not None:
             raise ValueError("cannot substitute into a quotient ring")
-        vals = {}
+        cls, vals = type(self), {}
         for v, x in values.items():
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            vals[v] = x.numerator if x.denominator == 1 else x
+            if isinstance(x, Poly):
+                if x.ring is not None:
+                    raise ValueError(f"the value of {v!r} has a quotient rule")
+                if not isinstance(x, cls):
+                    cls = Poly
+            elif type(x) is not int:
+                x = x if isinstance(x, Fraction) else Fraction(x)
+                x = x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
+            vals[v] = x
         out: dict = {}
-        for m, c in self.terms:
-            rest = ()
+        scale = 1  # the numerators in out are over self.den * scale
+        whole = True  # every variable met so far got a number
+        for m, c in self._terms:
+            q, rest, expanded = 1, (), None
             for v, e in m:
-                if v in vals:
-                    c = c * vals[v] ** e
-                else:
+                x = vals.get(v)
+                if type(x) is int:
+                    c *= x if e == 1 else x ** e
+                elif x is None:
                     rest += ((v, e),)
-            _accumulate(out, rest, c)
-        if out.keys() <= {()}:
-            return Fraction(out.get((), 0), self.den)
-        nums, den = common_denominator(out.values())
-        return Poly._new(zip(out, nums), self.den * den)
+                    whole = False
+                elif type(x) is tuple:
+                    c *= x[0] ** e
+                    q *= x[1] ** e
+                else:
+                    whole = False
+                    if expanded is None:
+                        expanded = [((), 1)]
+                    for _ in range(e):
+                        expanded = [(_mono_mul(m1, m2), a * b)
+                                    for m1, a in expanded for m2, b in x._terms]
+                    q *= x.den ** e
+            if q != 1 and scale % q:
+                grow = q // gcd(scale, q)
+                scale *= grow
+                out = {k: n * grow for k, n in out.items()}
+            if scale != 1:
+                c *= scale // q
+            if expanded is None:
+                out[rest] = out[rest] + c if rest in out else c
+            else:
+                for pm, n in expanded:
+                    _accumulate(out, _mono_mul(rest, pm), c * n)
+        if whole:
+            return Fraction(out.get((), 0), self.den * scale)
+        return cls._new(out.items(), self.den * scale)
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
         """``self.subs(values)`` as a UniPoly in ``var``, built in one pass
-        on ints over a running denominator, as ``Affine.subs`` does.
+        on ints over a running denominator, as ``subs`` does.
 
         ValueError if the polynomial has a rule, if ``values`` names
         ``var``, or if another variable gets no value.
@@ -878,7 +777,7 @@ class Poly(_Sparse):
             vals[v] = (x.numerator, x.denominator)
         out: list = []
         scale = 1  # the numerators in out are over self.den * scale
-        for m, c in self.terms:
+        for m, c in self._terms:
             e, q = 0, 1
             for v, k in m:
                 if v == var:
@@ -896,3 +795,72 @@ class Poly(_Sparse):
                 out.extend([0] * (e + 1 - len(out)))
             out[e] += c * (scale // q)
         return UniPoly._new(out, self.den * scale)
+
+
+class Affine(Poly):
+    """Affine expression const + sum(coeff_s * s) over named symbols s: a
+    ``Poly`` without a rule of degree at most 1.
+
+    Used for results that stay linear in unresolved quantities: the
+    Hodge number h, the six intersection symbols of the threefold
+    evaluators, user-suppliable case parameters.  Storage, arithmetic,
+    equality, hashing and ``render`` are ``Poly``'s, and results of
+    ``+``, ``-`` and scalar ``*`` and ``/`` stay Affine; the product of
+    two Affine expressions raises TypeError, and the product with a
+    plain Poly is a Poly.  ``subs`` is ``Poly.subs``, but returns a
+    Fraction whenever an Affine result is constant.
+
+    The views read the stored terms: ``const_num`` and ``term_nums``,
+    the sorted (symbol, numerator) pairs, over ``den``; ``const``,
+    ``terms`` and ``coeff()`` as Fractions.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, const: Number = 0, terms: Mapping[str, Number] | None = None):
+        terms = dict(terms or {})
+        nums, den = common_denominator([const, *terms.values()])
+        self._store(zip(((), *(((s, 1),) for s in terms)), nums), den, None)
+
+    @staticmethod
+    def sym(name: str) -> "Affine":
+        return Affine._new(((((name, 1),), 1),), 1)
+
+    def _product(self, xs, ys):
+        raise TypeError("the product of two Affine expressions is not affine")
+
+    @property
+    def const_num(self) -> int:
+        t = self._terms
+        return t[0][1] if t and not t[0][0] else 0
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.const_num, self.den)
+
+    @property
+    def term_nums(self) -> tuple:
+        return tuple((m[0][0], n) for m, n in self._terms if m)
+
+    @property
+    def terms(self) -> tuple:
+        den = self.den
+        return tuple((m[0][0], Fraction(n, den)) for m, n in self._terms if m)
+
+    def coeff(self, name: str) -> Fraction:
+        for m, n in self._terms:
+            if m and m[0][0] == name:
+                return Fraction(n, self.den)
+        return Fraction(0)
+
+    def symbols(self) -> tuple:
+        return tuple(m[0][0] for m, _ in self._terms if m)
+
+    def is_constant(self) -> bool:
+        t = self._terms
+        return not t or not t[-1][0]
+
+    def subs(self, values: Mapping[str, Union[Number, Poly]]):
+        """``Poly.subs``, but a Fraction for a constant Affine result."""
+        out = Poly.subs(self, values)
+        return out.const if isinstance(out, Affine) and out.is_constant() else out

@@ -1,0 +1,155 @@
+"""exact.Affine as a linear view of exact.Poly, Poly.subs with polynomial
+values, and the one ``__pow__`` of the ring types.
+
+``Poly.subs`` with ``Poly`` values is checked against a term-by-term
+expansion written with ``Poly`` arithmetic; ``UniPoly`` powers against
+repeated products.
+"""
+
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bottcheck.chern import SymClass
+from bottcheck.chow import PLANE_RULE, GradedClass
+from bottcheck.exact import Affine, Poly, UniPoly
+
+VARS = ("x", "y", "z")
+scalars = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+monomials = st.tuples(*(st.integers(0, 2) for _ in VARS)).map(
+    lambda es: tuple((v, e) for v, e in zip(VARS, es) if e)
+)
+polys = st.dictionaries(monomials, scalars, max_size=5).map(Poly)
+# Values in VARS and in a variable of their own, so that substituted
+# polynomials mix with the variables left.
+value_monomials = st.tuples(st.integers(0, 2), st.integers(0, 1)).map(
+    lambda es: tuple((v, e) for v, e in zip(("x", "w"), es) if e)
+)
+poly_values = st.dictionaries(value_monomials, scalars, max_size=3).map(Poly)
+
+
+def expand(p: Poly, values) -> Poly:
+    """p with ``values`` put in, one term at a time, by Poly arithmetic."""
+    out = Poly()
+    for m, c in p.coeffs:
+        term = Poly({(): c})
+        for v, e in m:
+            term = term * (values[v] ** e if v in values else Poly.sym(v) ** e)
+        out = out + term
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.dictionaries(st.sampled_from(VARS), st.one_of(scalars, poly_values)))
+def test_subs_with_poly_values_matches_expansion(p, values):
+    got = p.subs(values)
+    want = expand(p, values)
+    if all(v in values and not isinstance(values[v], Poly) for m, _ in p.coeffs for v, _ in m):
+        assert type(got) is Fraction and got == want
+    else:
+        assert type(got) is Poly and got == want
+        assert got.den > 0 and all(c for _, c in got.terms)
+
+
+def test_a_cancelling_value():
+    h, d = Affine.sym("h"), Affine.sym("d")
+    got = (h + d).subs({"h": -d})
+    assert type(got) is Fraction and got == 0
+    h, d = Poly.sym("h"), Poly.sym("d")
+    got = (h + d).subs({"h": -d})
+    assert type(got) is Poly and got == 0
+
+
+def test_the_conic_template_values_go_in_as_polynomials():
+    d = Affine.sym("d")
+    form = 2 * Affine.sym("c12H") + Affine.sym("c2H") / 4 + Affine.sym("h")
+    got = form.subs({"c12H": 12 - d, "c2H": d + 6})
+    assert type(got) is Affine
+    assert got == Affine(Fraction(51, 2), {"d": Fraction(-7, 4), "h": 1})
+
+
+def test_a_value_with_a_quotient_rule_is_refused():
+    U = Poly.sym("U", PLANE_RULE)
+    with pytest.raises(ValueError, match="quotient rule"):
+        Poly.sym("x").subs({"x": U})
+    with pytest.raises(ValueError, match="quotient rule"):
+        Affine.sym("x").subs({"x": U})
+
+
+def test_a_plain_poly_value_makes_a_plain_poly():
+    x = Poly.sym("x")
+    got = (2 * Affine.sym("h") + 1).subs({"h": x * x})
+    assert type(got) is Poly and got == 2 * x * x + 1
+
+
+@given(st.dictionaries(st.sampled_from(VARS), scalars, max_size=3), scalars,
+       scalars.filter(bool))
+def test_affine_operations_stay_affine(terms, n, nonzero):
+    a = Affine(n, terms)
+    b = Affine.sym("x") - 3
+    w = Affine.sym("w")
+    for got in (a + b, a - b, a + n, n + a, a - n, n - a, -a, a * n, n * a,
+                a / nonzero, (a + w).subs({"y": 2}),
+                (a + w).subs({"x": Affine.sym("y") + n})):
+        assert type(got) is Affine
+
+
+def test_affine_times_affine_is_refused():
+    h = Affine.sym("h")
+    with pytest.raises(TypeError):
+        h * h
+    with pytest.raises(TypeError):
+        h * (h + 1)
+    with pytest.raises(TypeError):
+        h ** 2
+    assert h ** 1 == h and h ** 0 == 1 and type(h ** 0) is Affine
+
+
+def test_affine_times_poly_is_a_poly():
+    h, x = Affine.sym("h"), Poly.sym("x")
+    for got in (h * x, x * h, (h + 1) * (x - 2)):
+        assert type(got) is Poly
+    assert h * x == Poly({(("h", 1), ("x", 1)): 1})
+
+
+def test_affine_is_a_view_of_poly():
+    assert issubclass(Affine, Poly)
+    own = vars(Affine)
+    for name in ("_store", "_new", "_plus", "__mul__", "__neg__", "__eq__",
+                 "__hash__", "render", "_coerce"):
+        assert name not in own, name
+    assert Affine(3, {"h": 2}) == Poly({(): 3, (("h", 1),): 2})
+    assert hash(Affine(3, {"h": 2})) == hash(Affine(3, {"h": 2}) + 0)
+
+
+# --- one __pow__, in _Arithmetic --------------------------------------------
+
+unipolys = st.lists(scalars, max_size=4).map(UniPoly)
+
+
+@given(unipolys, st.integers(1, 8))
+def test_unipoly_power_is_repeated_product(p, n):
+    assert p ** n == p * p ** (n - 1)
+    assert p ** 0 == 1
+
+
+def test_a_huge_unipoly_power_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the power"):
+        UniPoly((2,)) ** 30_000_000
+    assert time.perf_counter() - start < 5
+
+
+def test_a_negative_unipoly_power_is_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        UniPoly((1, 1)) ** -1
+
+
+def test_one_pow_for_every_ring_type():
+    for cls in (UniPoly, Poly, Affine, GradedClass, SymClass):
+        assert "__pow__" not in vars(cls)
