@@ -79,14 +79,18 @@ class Verdict:
 
 
 def _conclude(obstruction: Affine) -> str:
+    # The numerators are over a positive denominator, so they carry the
+    # signs of the coefficients.
+    const = obstruction.const_num
     if obstruction.is_constant():
-        if obstruction.const == 0:
+        if const == 0:
             return NEEDS_H0_CHECK
-        return FAILS_BY_NEGATIVE_CHI if obstruction.const > 0 else INCONCLUSIVE
+        return FAILS_BY_NEGATIVE_CHI if const > 0 else INCONCLUSIVE
     # Positive for every h >= 0 iff h is the only free symbol, its
     # coefficient is nonnegative, and the constant part is positive.
-    if obstruction.symbols() == ("h",):
-        if obstruction.coeff("h") >= 0 and obstruction.const > 0:
+    terms = obstruction.term_nums
+    if len(terms) == 1 and terms[0][0] == "h":
+        if terms[0][1] >= 0 and const > 0:
             return FAILS_BY_NEGATIVE_CHI
     return INCONCLUSIVE
 

@@ -31,8 +31,10 @@ class SurfaceChern:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        for name in ("c1", "c2"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
 
 
 def tensor_c1(r, s, c1, d1):
@@ -119,28 +121,26 @@ def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
     """
     if b < 0:
         raise ValueError(f"symmetric power needs b >= 0, got {b}")
-    c1, c2 = Fraction(c1), Fraction(c2)
-    if c1.denominator == c2.denominator == 1:
-        # Integral classes: the root arithmetic stays in ints, and e2 is
-        # divided by 2 once, at the end.
-        c1, c2 = c1.numerator, c2.numerator
-
-    def mul(x, y):
-        a, p = x
-        c, q = y
-        # (a + p r)(c + q r) with r^2 = c1 r - c2
-        return (a * c - p * q * c2, a * q + p * c + p * q * c1)
-
-    roots = [((b - i) * c1, 2 * i - b) for i in range(b + 1)]
-    e1 = (sum(r[0] for r in roots), sum(r[1] for r in roots))
-    sq = (0, 0)
-    for r in roots:
-        s = mul(r, r)
-        sq = (sq[0] + s[0], sq[1] + s[1])
-    e1sq = mul(e1, e1)
-    e2 = (Fraction(e1sq[0] - sq[0], 2), Fraction(e1sq[1] - sq[1], 2))
-    assert e1[1] == 0 and e2[1] == 0, "symmetric functions must be root-free"
-    return SurfaceChern(b + 1, e1[0], e2[0])
+    if type(c1) is not int or type(c2) is not int:
+        c1, c2 = Fraction(c1), Fraction(c2)
+        if c1.denominator == c2.denominator == 1:
+            # Integral classes: the root arithmetic stays in ints, and e2
+            # is divided by 2 once, at the end.
+            c1, c2 = c1.numerator, c2.numerator
+    # A root a + p*r is the pair (a, p), and its square, with
+    # r^2 = c1*r - c2, is (a^2 - p^2*c2, 2*a*p + p^2*c1).  Sum the roots
+    # into e1 = (s, t) and their squares into (u, v).
+    s = t = u = v = 0
+    for i in range(b + 1):
+        a, p = (b - i) * c1, 2 * i - b
+        s += a
+        t += p
+        u += a * a - p * p * c2
+        v += 2 * a * p + p * p * c1
+    # e2 = (e1^2 - sum of the squares) / 2
+    e2, e2_root = s * s - t * t * c2 - u, 2 * s * t + t * t * c1 - v
+    assert t == 0 and e2_root == 0, "symmetric functions must be root-free"
+    return SurfaceChern(b + 1, s, Fraction(e2, 2))
 
 
 # --- symbolic threefold classes -------------------------------------------

@@ -20,6 +20,17 @@ keeps the same stored form densely, as a tuple ``num`` of the
 numerators of 1, t, t^2, ....  ``_render`` is the one text form of all
 of them.
 
+``Poly.subs`` and ``Poly.as_unipoly`` at whole numbers, an int or a
+Fraction with denominator 1 for every variable, run int code compiled
+from the form: a function of the values as positional ints that reads
+the numerators from a tuple, written without any coefficient or name in
+its text, built on the first such call and kept on the form.  The
+result costs one Fraction, or one UniPoly.  A rational or polynomial
+value, a variable left free or a value that is not a number takes the
+loop over the terms, which keeps a running denominator and substitutes
+polynomials; the cached forms of ``theorems`` and ``chern`` are
+substituted at whole numbers on every check, and compile once.
+
 A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
 the normal form of a quotient ring; with c1 and c2 as variables, one
 such rule holds a Chow ring symbolic in its own parameters (the
@@ -451,6 +462,54 @@ def _accumulate(terms: dict, m, c) -> None:
     terms[m] = terms[m] + c if m in terms else c
 
 
+def _balanced(parts: list, op: str) -> str:
+    """The text of ``parts`` joined by ``op``, parenthesised as a balanced
+    tree, so that the compiler's nesting depth grows with the logarithm
+    of their number."""
+    while len(parts) > 1:
+        parts = [f"({x} {op} {y})" for x, y in zip(parts[::2], parts[1::2])] + (
+            parts[-1:] if len(parts) % 2 else [])
+    return parts[0]
+
+
+def _int_source(terms, variables: tuple, kept: str | None = None) -> str:
+    """The text of ``lambda c: lambda x0, ..., xn: ...``: given ``c``, the
+    numerators of ``terms`` followed by a 0, it makes the function that
+    sums those numerators times the powers of ``variables``, named
+    x0...xn in order, at whole numbers.  With ``kept`` it returns instead
+    one such sum per power of ``kept`` (0 up to its highest), a variable
+    not among ``variables``; a power that no term has reads the 0.
+
+    The text names only ``c`` and the parameters, and uses no number
+    other than an index into ``c`` and an exponent."""
+    param = {v: f"x{i}" for i, v in enumerate(variables)}
+    sums: dict = {}
+    for i, (m, _) in enumerate(terms):
+        factors, power = [f"c[{i}]"], 0
+        for v, e in m:
+            if v == kept:
+                power = e
+            else:
+                factors.append(param[v] if e == 1 else f"{param[v]}**{e}")
+        sums.setdefault(power, []).append(_balanced(factors, "*"))
+    zero = f"c[{len(terms)}]"
+    if kept is None:
+        body = _balanced(sums.get(0, [zero]), "+")
+    else:
+        body = "".join(f"{_balanced(sums.get(e, [zero]), '+')}, "
+                       for e in range(max(sums, default=0) + 1))
+        body = f"({body})"
+    return f"lambda c: lambda {', '.join(param.values())}: {body}"
+
+
+def _int_code(terms, variables: tuple, kept: str | None = None):
+    """The function whose text ``_int_source`` gives, compiled with no
+    builtins and bound to the numerators of ``terms``."""
+    source = _int_source(terms, variables, kept)
+    make = eval(compile(source, "<Poly int code>", "eval"), {"__builtins__": {}})
+    return make((*(n for _, n in terms), 0))
+
+
 @dataclass(frozen=True)
 class QuotientRule:
     """Relations lhs = rhs that define a quotient of a polynomial ring.
@@ -645,7 +704,9 @@ class Poly(_Sparse):
     of the variables, as a polynomial in the others.
     """
 
-    __slots__ = ()
+    # The memo of ``_whole``: {kept variable or None: (variables, function)},
+    # set on the first call; ``==`` and ``hash`` ignore it.
+    __slots__ = ("_compiled",)
 
     MISMATCH = "quotient rule mismatch"
 
@@ -693,6 +754,39 @@ class Poly(_Sparse):
                 out.append((tuple((v, e) for v, e in m if v not in want), c))
         return Poly._new(out, self.den)
 
+    def _whole(self, values: Mapping, kept: str | None = None):
+        """The int code of this polynomial run at ``values``: the sum of
+        its numerators there, or with ``kept`` one sum per power of it.
+        None, and nothing compiled, unless every value is an int or a
+        Fraction with denominator 1 and every variable but ``kept`` gets
+        one.  The function is compiled on the first call for each
+        ``kept`` and kept in the slot ``_compiled``."""
+        args = values
+        for x in values.values():
+            if type(x) is not int:
+                args = {}
+                for v, x in values.items():
+                    if type(x) is not int:
+                        if not isinstance(x, Fraction) or x.denominator != 1:
+                            return None
+                        x = x.numerator
+                    args[v] = x
+                break
+        try:
+            variables, code = self._compiled[kept]
+        except (AttributeError, KeyError):
+            variables = tuple(sorted({v for m, _ in self._terms for v, _ in m} - {kept}))
+            if not all(v in args for v in variables):
+                return None
+            code = _int_code(self._terms, variables, kept)
+            if not hasattr(self, "_compiled"):
+                object.__setattr__(self, "_compiled", {})
+            self._compiled[kept] = variables, code
+        try:
+            return code(*map(args.__getitem__, variables))
+        except KeyError:
+            return None
+
     def subs(self, values: Mapping[str, Union[Number, "Poly"]]):
         """Substitute numbers, or polynomials without a rule, for variables.
 
@@ -705,11 +799,19 @@ class Poly(_Sparse):
         Names that do not occur are ignored.  A rule on this polynomial or
         on a value raises ValueError: its variables are not free.
 
-        Sums int numerators over ``den * scale``, growing ``scale`` only
-        when a term's denominator does not divide it.
+        When every value is a whole number (an int, or a Fraction with
+        denominator 1) and every variable gets one, runs this form's
+        compiled int code (``_whole``) and makes one Fraction.  Any other
+        call, with a rational or polynomial value, a variable left free,
+        or a value that is not a number, sums int numerators over
+        ``den * scale``, growing ``scale`` only when a term's denominator
+        does not divide it.
         """
         if self.ring is not None:
             raise ValueError("cannot substitute into a quotient ring")
+        n = self._whole(values)
+        if n is not None:
+            return Fraction(n) if self.den == 1 else Fraction(n, self.den)
         cls, vals = type(self), {}
         for v, x in values.items():
             if isinstance(x, Poly):
@@ -760,16 +862,24 @@ class Poly(_Sparse):
         return cls._new(out.items(), self.den * scale)
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
-        """``self.subs(values)`` as a UniPoly in ``var``, built in one pass
-        on ints over a running denominator, as ``subs`` does.
+        """``self.subs(values)`` as a UniPoly in ``var``.
+
+        When every value is a whole number, runs the compiled int code for
+        ``var`` (``_whole``), which gives the numerator of each power of
+        ``var``; otherwise builds them in one pass on ints over a running
+        denominator, as ``subs`` does.
 
         ValueError if the polynomial has a rule, if ``values`` names
         ``var``, or if another variable gets no value.
         """
         if self.ring is not None:
             raise ValueError("a polynomial with a quotient rule is not a UniPoly")
+        values = values or {}
+        nums = None if var in values else self._whole(values, var)
+        if nums is not None:
+            return UniPoly._new(nums, self.den)
         vals = {}
-        for v, x in (values or {}).items():
+        for v, x in values.items():
             if v == var:
                 raise ValueError(f"{var} is the variable of the UniPoly; it takes no value")
             if not isinstance(x, (int, Fraction)):
@@ -847,7 +957,11 @@ class Affine(Poly):
         den = self.den
         return tuple((m[0][0], Fraction(n, den)) for m, n in self._terms if m)
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name):
+        """The coefficient of the symbol ``name`` as a Fraction; for a
+        {variable: exponent} map, ``Poly.coeff``."""
+        if not isinstance(name, str):
+            return Poly.coeff(self, name)
         for m, n in self._terms:
             if m and m[0][0] == name:
                 return Fraction(n, self.den)

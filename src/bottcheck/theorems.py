@@ -95,7 +95,7 @@ def check_hodge_number(h) -> None:
     """Raise ValueError unless h, which counts fibres, is an integer >= 0."""
     if h < 0:
         raise ValueError("the Hodge number h must be >= 0")
-    if Fraction(h).denominator != 1:
+    if not isinstance(h, int) and Fraction(h).denominator != 1:
         raise ValueError("the Hodge number h must be an integer")
 
 
@@ -203,17 +203,15 @@ def thm2_chain_form() -> Affine:
 def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
     """The chain for one normalised (p, q, k), as a polynomial in a.
 
-    Substitutes p, q and k into ``thm2_chain_form`` and returns
-    const + coeff_a * a, so a twist dependence in the form shows up as a
-    degree-1 polynomial, which ``thm2_chain`` rejects.  The cache stays:
-    a hit is cheaper than the substitution and the UniPoly it builds.  On
+    Substitutes p, q and k into ``thm2_chain_form`` and views the result
+    in a, so a twist dependence in the form shows up as a degree-1
+    polynomial, which ``thm2_chain`` rejects.  The cache stays: a hit is
+    cheaper than the substitution and the UniPoly it builds.  On
     ``bench/run.py --workload divisor-grid``, where 92% of the checks hit
-    it, the median check took 7.6 us with the cache and 17.8 us without it
+    it, the median check took 5.7 us with the cache and 7.7 us without it
     (one run each, 2-vCPU shared host, Python 3.11).
     """
-    form = thm2_chain_form()
-    const = form.subs({"a": 0, "p": p, "q": q, "k": k})
-    return UniPoly((const, form.coeff("a")))
+    return thm2_chain_form().as_unipoly("a", {"p": p, "q": q, "k": k})
 
 
 def thm2_chain(inp: DivisorCaseInput) -> Fraction:
