@@ -18,10 +18,11 @@ the same comparison the CLI prints; an evaluator raises
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, Optional, Tuple
 
 from . import theorems
@@ -35,6 +36,7 @@ from .theorems import (
     check_hodge_number,
     check_twists,
 )
+from .rr import HypothesisViolation
 
 FAILS_BY_NEGATIVE_CHI = "FAILS_BY_NEGATIVE_CHI"
 NEEDS_H0_CHECK = "NEEDS_H0_CHECK"
@@ -55,6 +57,15 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class CaseRecord:
+    """One record of a case registry.
+
+    ``__init__`` takes the fields, by keyword or in order, as the one
+    ``dataclass`` would write; it fills the instance's ``__dict__`` in
+    one update instead of one ``object.__setattr__`` per field, so a
+    record costs less than half as much to build.  ``fields``, ``replace``,
+    ``==``, ``hash``, ``repr`` and the refusal to assign are the
+    dataclass's own."""
+
     id: str
     geometry: str
     h: Optional[Fraction] = None
@@ -70,12 +81,27 @@ class CaseRecord:
     c2: Optional[int] = None
     provenance: str = ""
 
+    def __init__(self, id, geometry, h=None, c13=None, c12H=None, c1H2=None, c2H=None,
+                 H3=None, d=None, a=None, k=None, c1=None, c2=None, provenance=""):
+        self.__dict__.update({
+            "id": id, "geometry": geometry, "h": h, "c13": c13, "c12H": c12H,
+            "c1H2": c1H2, "c2H": c2H, "H3": H3, "d": d, "a": a, "k": k, "c1": c1,
+            "c2": c2, "provenance": provenance,
+        })
+
 
 @dataclass(frozen=True)
 class Verdict:
+    """An evaluated record; built as ``CaseRecord`` is, in one update."""
+
     obstruction: Affine
     conclusion: str
     note: str = ""
+
+    def __init__(self, obstruction, conclusion, note=""):
+        self.__dict__.update(
+            {"obstruction": obstruction, "conclusion": conclusion, "note": note}
+        )
 
 
 def _conclude(obstruction: Affine) -> str:
@@ -96,31 +122,38 @@ def _conclude(obstruction: Affine) -> str:
 
 
 def _as_affine(value) -> Affine:
-    return value if isinstance(value, Affine) else Affine(value)
+    """A route's value as an Affine: itself, or the constant of an int or
+    a Fraction, built from its numerator and denominator."""
+    if isinstance(value, Affine):
+        return value
+    return Affine._new((((), value.numerator),), value.denominator)
 
 
 def _agreed(c: CaseRecord, comparison: theorems.Comparison) -> dict:
     """The route values of ``comparison``, or DualPathMismatch naming the
     record and the first pair of routes that disagree."""
-    if comparison.mismatch is not None:
+    if not all(comparison.checks.values()):
         raise DualPathMismatch(f"record {quoted(c.id)}: {comparison.mismatch}")
     return comparison.values
+
+
+#: A record's thm1 fields, as a tuple in the order of NUMERICS_FIELDS.
+_numerics_of = attrgetter(*NUMERICS_FIELDS)
 
 
 def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
     fixed = g.fixed
     if c.d is not None:
-        if c.d <= 0:
-            raise RegistryError(c.id, "d", "discriminant degree must be > 0")
+        _check_field(c, "d", _check_discriminant_degree)
         fixed = {
             f: v.subs({"d": c.d}) if isinstance(v, Affine) else v
             for f, v in fixed.items()
         }
     # The record's own value wins over the geometry's fixed numerics.
-    n = ThreefoldNumerics(**{
-        f: fixed.get(f) if getattr(c, f) is None else getattr(c, f)
-        for f in NUMERICS_FIELDS
-    })
+    n = ThreefoldNumerics(*[
+        fixed.get(f) if v is None else v
+        for f, v in zip(NUMERICS_FIELDS, _numerics_of(c))
+    ])
     obstruction = _as_affine(_agreed(c, theorems.compare_thm1(n))["closed"])
     return Verdict(obstruction, _conclude(obstruction), g.note)
 
@@ -147,7 +180,7 @@ def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
     inp = PlaneBundleInput(int(c.c1), int(c.c2))
     obstruction = _as_affine(_agreed(c, theorems.compare_thm3(inp))["closed"])
     note = ""
-    if obstruction == 0:
+    if obstruction.is_zero():
         note = "h^0 follow-up required; split approximants via thm3_h0_split"
     return Verdict(obstruction, _conclude(obstruction), note)
 
@@ -312,24 +345,42 @@ def builtin_registry() -> tuple:
 _NUMERIC_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3", "d", "a", "k", "c1", "c2")
 _REGISTRY_FIELDS = ("geometry", *_NUMERIC_FIELDS, "provenance")
 
+
+def _read_number(text: str):
+    """An int, or else a rational through ``parse_rational``."""
+    try:
+        return int(text)
+    except ValueError:
+        return parse_rational(text)
+
+
+def _read_int(text: str) -> int:
+    return int(check_digits(text))
+
+
+def _read_twists(text: str) -> tuple:
+    return tuple(map(int, check_digits(text).split(",")))
+
+
+#: How the reader reads each field's stripped value.
+_READERS = {
+    "geometry": str,
+    **dict.fromkeys(("h", "c13", "c12H", "c1H2", "c2H", "H3"), _read_number),
+    **dict.fromkeys(("d", "k", "c1", "c2"), _read_int),
+    "a": _read_twists,
+    "provenance": str,
+}
+
+
 def _parse_record(section: str, items: dict) -> CaseRecord:
     kwargs = {"id": section}
     for key, value in items.items():
-        if key not in _REGISTRY_FIELDS:
+        read = _READERS.get(key)
+        if read is None:
             raise RegistryError(section, key, "unknown field")
         value = value.strip()
         try:
-            if key == "geometry" or key == "provenance":
-                kwargs[key] = value
-            elif key == "a":
-                kwargs[key] = tuple(map(int, check_digits(value).split(",")))
-            elif key in ("d", "k", "c1", "c2"):
-                kwargs[key] = int(check_digits(value))
-            else:
-                try:
-                    kwargs[key] = int(value)
-                except ValueError:
-                    kwargs[key] = parse_rational(value)
+            kwargs[key] = read(value)
         except OverflowError as exc:
             raise RegistryError(section, key, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
@@ -341,22 +392,41 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
     return record
 
 
+def _check_discriminant_degree(d) -> None:
+    """HypothesisViolation unless ``d``, the degree of a conic bundle's
+    discriminant curve, is positive."""
+    if d <= 0:
+        raise HypothesisViolation("discriminant degree must be > 0")
+
+
+#: The hypothesis each numeric field that has one must meet.
+_FIELD_CHECKS = (
+    ("h", check_hodge_number), ("a", check_twists), ("d", _check_discriminant_degree),
+)
+
+
+def _check_field(c: CaseRecord, name: str, check: Callable):
+    """``check`` on the field ``name`` of ``c``; its ValueError as a
+    RegistryError naming the record and the field."""
+    try:
+        check(getattr(c, name))
+    except ValueError as exc:
+        raise RegistryError(c.id, name, str(exc)) from None
+
+
 def _validate(c: CaseRecord, complete: bool = True):
     """RegistryError for the first fault in ``c``; a field that its
     geometry requires may be missing only when ``complete`` is false."""
     row = _row(c)
     for name in _NUMERIC_FIELDS:
-        if getattr(c, name) is not None and name not in row.allowed:
+        if name not in row.allowed and getattr(c, name) is not None:
             raise RegistryError(c.id, name, f"not used by geometry {c.geometry!r}")
     for name in row.required if complete else ():
         if getattr(c, name) is None:
             raise RegistryError(c.id, name, "required for this geometry")
-    for name, check in (("h", check_hodge_number), ("a", check_twists)):
+    for name, check in _FIELD_CHECKS:
         if getattr(c, name) is not None:
-            try:
-                check(getattr(c, name))
-            except ValueError as exc:
-                raise RegistryError(c.id, name, str(exc)) from None
+            _check_field(c, name, check)
 
 
 # One stripped line of a case file: blank or a comment, a record header
@@ -373,21 +443,21 @@ def _read_records(lines) -> dict:
     ``_LINE``, a field before the first header, or a repeated record or
     field."""
     records: dict = {}
-    current = None
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        m = _LINE.fullmatch(text)
+    current = fields = None
+    fullmatch = _LINE.fullmatch
+    for lineno, text in enumerate(map(str.strip, lines), start=1):
+        m = fullmatch(text)
         if m is None:
             raise RegistryError(
                 None, None,
                 f"line {lineno}: expected [id], field = value or a comment, "
                 f"got {quoted(text)}",
             )
-        record_id, field = m["id"], m["field"]
+        record_id, field, value = m.groups()
         if record_id is not None:
             if record_id in records:
                 raise RegistryError(record_id, "id", f"duplicate record on line {lineno}")
-            records[record_id] = {}
+            records[record_id] = fields = {}
             current = record_id
         elif field is not None:
             if current is None:
@@ -395,10 +465,9 @@ def _read_records(lines) -> dict:
                     None, None,
                     f"line {lineno}: field {quoted(field)} before the first [id]",
                 )
-            fields = records[current]
             if field in fields:
                 raise RegistryError(current, field, f"duplicate field on line {lineno}")
-            fields[field] = m["value"]
+            fields[field] = value
     return records
 
 
@@ -454,14 +523,21 @@ def _check_one_line(record_id: str, field: str, text: str):
 # --- reporting -------------------------------------------------------------
 
 
+#: The keys of a report row, in order: the columns of the text report.
+_COLUMNS = ("id", "geometry", "obstruction", "conclusion", "provenance")
+
+
 def report_rows(cases) -> list:
-    """One row per case, ordered by id: id, geometry, obstruction,
-    conclusion, provenance.  ValueError, naming the record, for an
-    obstruction too long to print."""
+    """One row per case, ordered by id, with the keys of ``_COLUMNS`` in
+    order.  ValueError, naming the record, for an obstruction too long to
+    print."""
     rows = []
-    for rec in sorted(cases, key=lambda r: r.id):
+    for rec in sorted(cases, key=attrgetter("id")):
         verdict = evaluate_case(rec)
-        check_printable(verdict.obstruction, f"record {rec.id!r}: the obstruction")
+        try:
+            check_printable(verdict.obstruction, "the obstruction")
+        except ValueError as exc:
+            raise ValueError(f"record {rec.id!r}: {exc}") from None
         rows.append(
             {
                 "id": rec.id,
@@ -478,7 +554,7 @@ def report_text(cases) -> str:
     rows = report_rows(cases)
     if not rows:
         return ""
-    headers = ("id", "geometry", "obstruction", "conclusion", "provenance")
+    headers = _COLUMNS
     widths = {
         h: max(len(h), *(len(r[h]) for r in rows)) for h in headers
     }
@@ -491,8 +567,24 @@ def report_text(cases) -> str:
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
+# One row of ``json.dumps(rows, indent=2)``, its values left to fill.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _COLUMNS) + "\n  }"
+
+
 def report_json(cases) -> str:
-    return json.dumps(report_rows(cases), indent=2) + "\n"
+    """``json.dumps(report_rows(cases), indent=2)`` and a newline: "[]"
+    for no case, else "[", the rows at two spaces' indent with their keys
+    at four, and "]", each on its own line, every string escaped to
+    ASCII.  The rows fill ``_JSON_ROW`` through the same string encoder
+    that ``json.dumps`` calls, since with ``indent`` set ``json.dumps``
+    walks the rows in Python, at about four times the cost."""
+    rows = report_rows(cases)
+    if not rows:
+        return "[]\n"
+    encode = encode_basestring_ascii
+    return "[\n" + ",\n".join(
+        _JSON_ROW % tuple(map(encode, row.values())) for row in rows
+    ) + "\n]\n"
 
 
 def with_twists(record: CaseRecord, a) -> CaseRecord:

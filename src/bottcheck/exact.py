@@ -66,11 +66,14 @@ def binom(n: int, k: int) -> Fraction:
     return Fraction(prod(n - i for i in range(k)), factorial(k))
 
 
+_get_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def max_str_digits() -> int:
     """``sys.get_int_max_str_digits()``, the most digits Python reads or
     prints in an integer: 0, no bound, when so set or on a Python before
     3.10.7, which has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return _get_int_max_str_digits()
 
 
 def check_printable(value, what: str):
@@ -80,23 +83,28 @@ def check_printable(value, what: str):
     is 0).  ``value`` is an int, a Fraction, or one of the ring types here
     or their subclasses."""
     digits = max_str_digits()
+    if not digits:
+        return value
     # A number below 2**(3*digits) < 10**digits is short enough; only a
     # longer one pays for building 10**digits.
-    if digits and any(n.bit_length() > 3 * digits and abs(n) >= 10 ** digits
-                      for n in _integers(value)):
+    bits = 3 * digits
+    integers = _integers(value)
+    if max(map(int.bit_length, integers)) > bits and any(
+        n.bit_length() > bits and abs(n) >= 10 ** digits for n in integers
+    ):
         raise ValueError(f"{what} has a coefficient of more than {digits} digits")
     return value
 
 
-def _integers(value) -> tuple:
+def _integers(value) -> list:
     """Every numerator and denominator stored in ``value``."""
+    if isinstance(value, _Sparse):
+        return [*[n for _, n in value._terms], value.den]
     if isinstance(value, int):
-        return (value,)
+        return [value]
     if isinstance(value, Fraction):
-        return (value.numerator, value.denominator)
-    if isinstance(value, UniPoly):
-        return (*value.num, value.den)
-    return (*(n for _, n in value._terms), value.den)
+        return [value.numerator, value.denominator]
+    return [*value.num, value.den]
 
 
 #: The most characters of an input that an error message quotes.
@@ -182,8 +190,14 @@ def _render(terms, den: int = 1) -> str:
     parts = []
     for mono, n in terms:
         if n:
-            mag = Fraction(abs(n), den)
-            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            # |n|/den in lowest terms, as str(Fraction(abs(n), den)) writes it.
+            mag = abs(n)
+            if den == 1:
+                mag = str(mag)
+            else:
+                g = gcd(mag, den)
+                mag = f"{mag // g}/{den // g}" if g != den else str(mag // g)
+            body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
             if parts:
                 parts.append(f"- {body}" if n < 0 else f"+ {body}")
             else:
@@ -277,6 +291,11 @@ class UniPoly(_Arithmetic):
         self = object.__new__(cls)
         self._store(num, den)
         return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _new: their default protocol
+        # assigns the slots, which __setattr__ refuses.
+        return type(self)._new, (self.num, self.den)
 
     def _store(self, num, den: int) -> None:
         """Strip trailing zeros and cancel the common factor, then set."""
@@ -574,7 +593,8 @@ class _Sparse(_Arithmetic):
     denominators, a sum scales both sides to the lcm of theirs, and the
     common factor is cancelled once per result (skipped when the
     denominator is 1).  Fractions are made only where a value leaves the
-    element: ``coeffs``, a subclass's coefficient views, and ``render``.
+    element: ``coeffs`` and a subclass's coefficient views; ``render``
+    writes each magnitude from ints.
     ``terms`` reads the stored pairs; code in the package reads the slot.
 
     ``ring`` is what the element lives in beyond its monomials (a
@@ -601,6 +621,11 @@ class _Sparse(_Arithmetic):
         self = object.__new__(cls)
         self._store(terms, den, ring)
         return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _new, as UniPoly does; a memo that
+        # a subclass keeps in another slot (Poly._compiled) stays behind.
+        return type(self)._new, (self._terms, self.den, self.ring)
 
     def _store(self, terms, den: int, ring) -> None:
         """Drop zero terms, sort, cancel the common factor, then set."""

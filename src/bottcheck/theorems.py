@@ -59,11 +59,18 @@ class Comparison(NamedTuple):
         return next((text for text, agrees in self.checks.items() if not agrees), None)
 
 
+@cache
+def _disagreement(label: str, other_label: str) -> str:
+    """The text naming the pair when two routes disagree, made once per
+    pair."""
+    return f"{label} and {other_label} obstruction disagree"
+
+
 def _compare(label: str, value, other_label: str, other) -> Comparison:
     """Two routes that must give equal values."""
     return Comparison(
         {label: value, other_label: other},
-        {f"{label} and {other_label} obstruction disagree": value == other},
+        {_disagreement(label, other_label): value == other},
     )
 
 
@@ -73,6 +80,10 @@ class ThreefoldNumerics:
 
     Any field left as None stays symbolic in the evaluator output; a
     field may also be an Affine expression in other symbols.
+
+    ``__init__`` fills the instance's ``__dict__`` in one update, as
+    ``bottcases.CaseRecord``'s does; ``==``, ``hash`` and ``repr`` read
+    the fields only.
     """
 
     h: NumericsValue = None
@@ -82,12 +93,28 @@ class ThreefoldNumerics:
     c2H: NumericsValue = None
     H3: NumericsValue = None
 
+    def __init__(self, h=None, c13=None, c12H=None, c1H2=None, c2H=None, H3=None):
+        self.__dict__.update(
+            {"h": h, "c13": c13, "c12H": c12H, "c1H2": c1H2, "c2H": c2H, "H3": H3}
+        )
+
     def substitutions(self) -> dict:
+        """The fields set, as {symbol: value} for ``subs``: an int, a
+        Fraction or an Affine as it is, anything else through Fraction.
+
+        Built on the first call and kept on the instance, outside the
+        fields, so both of thm1's routes substitute the same map; it must
+        not be modified."""
+        try:
+            return self.__dict__["_substitutions"]
+        except KeyError:
+            pass
         out = {}
         for name in NUMERICS_FIELDS:
             v = getattr(self, name)
             if v is not None:
                 out[name] = v if isinstance(v, (int, Fraction, Affine)) else Fraction(v)
+        self.__dict__["_substitutions"] = out
         return out
 
 
