@@ -1,43 +1,43 @@
 """Chow rings of the two projective-bundle geometries.
 
-Two ambient rings are supported:
+Each ring is stated once, as an ``exact.QuotientRule`` over its own
+parameters: the Chow ring of P(E) is that of the base with one more
+generator U, the class of O(1), and the Grothendieck relation of E
+(Fulton, Intersection Theory, Rem. 3.2.4).  H is the class of a line or
+point of the base, pulled back.
 
-* ``LineBase4``: P(E) over the line with E a split rank-4 bundle with
-  twists (a0..a3).  Relations H^2 = 0 and U^4 = (sum a_i) H U^3; the
-  canonical basis is H^i U^j with i <= 1, j <= 3, and the degree map is
-  normalized by deg(H U^3) = 1.
+* ``LINE_RULE``: P(E) over the line, with E a split rank-4 bundle with
+  twists (a0..a3) and s1 = sum a_i.  Relations H^2 = 0 and
+  U^4 = s1 H U^3; the normal form is the box H^i U^j with i <= 1,
+  j <= 3, and the degree map is normalized by deg(H U^3) = 1.
 
-* ``PlaneBase2``: P(E) over the plane with E of rank 2 and Chern
-  numbers (c1, c2).  Relations H^3 = 0 and U^2 = c1 H U - c2 H^2; basis
-  H^i U^j with i <= 2, j <= 1, normalized by deg(H^2 U) = 1.
+* ``PLANE_RULE``: P(E) over the plane, with E of rank 2 and Chern
+  numbers (c1, c2).  Relations H^3 = 0 and U^2 = c1 H U - c2 H^2; the
+  box H^i U^j with i <= 2, j <= 1, normalized by deg(H^2 U) = 1.
 
-In both rings the basis is the box H^i U^j with (i, j) <= ``top``.  A
-class only ever holds basis terms, and the relations are applied in one
-place: the product of two such classes (``_product``).  Sums, negations,
-scalar multiples and graded parts of reduced classes are reduced already,
-so they only drop zeros.  One step of the relations is enough because a
-product of two basis monomials overshoots the basis by at most one step:
-on the plane it carries at most U^2, and rewriting H^i U^2 as
-c1 H^(i+1) U - c2 H^(i+2) lands in the basis or in H^3 = 0; on the line
-it carries at most U^6, and rewriting U^4 as s1 H U^3 turns every
-overshoot except U^4 itself into a multiple of H^2 = 0.  The public
-constructor accepts any monomials and reduces H^i U^j as the basis term
-H^i U^min(j, top_j) times U, one factor at a time, through that product.
+The parameters (s1, or c1 and c2) are variables of the rule, like any
+other coefficient, so ``exact.Poly`` under a rule is the ring with its
+parameters symbolic, and the degree map is the coefficient of the top
+monomial, a polynomial in them.  Each rule is a rewriting system with a
+unique normal form.  It terminates: every rewrite replaces a monomial by
+smaller ones in the lexicographic order with U first (U^4 > s1 H U^3,
+U^2 > c1 H U and U^2 > c2 H^2, and H^2 or H^3 by nothing), and that
+order is a well-order.  Its normal form is unique: the leading
+monomials, H^2 and U^4 on the line, H^3 and U^2 on the plane, are
+coprime, so every critical pair reduces to one form (Buchberger's first
+criterion).  The normal form is the box above, H^i U^j with
+(i, j) <= ``top``.
 
-``PLANE_RULE`` states the plane relations once more, over symbolic c1
-and c2, as an ``exact.QuotientRule`` for ``exact.Poly``: H^3 = 0 and
-U^2 = c1 H U - c2 H^2.  c1 and c2 are then variables of the ring, like
-any other coefficient, so the argument above holds unchanged: a product
-of two polynomials in normal form (H-degree <= 2, U-degree <= 1 in each
-term) carries at most U^2, and one rewrite of U^2, followed by H^3 = 0,
-reaches the normal form.  The rewriting system terminates (each rewrite
-lowers the U-degree) and its normal form is unique, because the leading
-monomials H^3 and U^2 are coprime.  The degree map is the coefficient of
-H^2 U, a polynomial in the remaining variables.
-
-A class keeps the stored form of ``exact._Sparse``, with (i, j) for
-H^i U^j as its monomials.  The ring parameters (c1, c2, the twists) must
-be integers, so that ``_product`` stays on integer numerators.
+``LineBase4`` and ``PlaneBase2`` are the rings at integer parameters.
+Each puts its ints into its rule's terms once, when it is built
+(``relations``), which gives the relations on (i, j) monomials for
+H^i U^j.  ``GradedClass`` keeps the stored form of ``exact._Sparse`` on
+those monomials; its constructor and every product reduce through the
+ambient's relations (``_reduce``, ``QuotientRule.reduce`` on (i, j)
+monomials).  Sums, negations, scalar multiples and graded parts of
+reduced classes are reduced already, so they only drop zeros.  The
+parameters must be integers, so that the relations and the classes stay
+on integer numerators.
 
 The sign convention of the rank relation is pinned by the pushforward
 consistency checks in the test suite: the intrinsic Riemann-Roch value
@@ -51,9 +51,51 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .exact import Poly, QuotientRule, _Sparse, _accumulate, common_denominator
+from .exact import Poly, QuotientRule, _Sparse, common_denominator
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
+
+
+def _line_rule() -> QuotientRule:
+    s1, H, U = (Poly.sym(s) for s in ("s1", "H", "U"))
+    return QuotientRule(((H ** 2, 0), (U ** 4, s1 * H * U ** 3)))
+
+
+def _plane_rule() -> QuotientRule:
+    c1, c2, H, U = (Poly.sym(s) for s in ("c1", "c2", "H", "U"))
+    return QuotientRule(((H ** 3, 0), (U ** 2, c1 * H * U - c2 * H * H)))
+
+
+#: The ring over the line, s1 symbolic: H^2 = 0 and U^4 = s1 H U^3.
+LINE_RULE = _line_rule()
+
+#: The ring over the plane, c1 and c2 symbolic: H^3 = 0 and
+#: U^2 = c1 H U - c2 H^2.
+PLANE_RULE = _plane_rule()
+
+
+def _at(rule: QuotientRule, values: Mapping[str, int]) -> tuple:
+    """The relations of ``rule`` with the ints ``values`` put in for its
+    parameters, on (i, j) monomials: a triple (i, j, right side) for each
+    left side H^i U^j, the right side as ((monomial, int), ...) with no
+    zero coefficient."""
+    out = []
+    for lhs, rhs in rule.relations:
+        terms: dict = {}
+        for m, c in rhs:
+            i = j = 0
+            for v, e in m:
+                if v == "H":
+                    i = e
+                elif v == "U":
+                    j = e
+                else:
+                    c *= values[v] ** e
+            terms[i, j] = terms.get((i, j), 0) + c
+        exps = dict(lhs)
+        out.append((exps.get("H", 0), exps.get("U", 0),
+                    tuple(t for t in terms.items() if t[1])))
+    return tuple(out)
 
 
 def _integer(name: str, value) -> int:
@@ -68,14 +110,13 @@ def _integer(name: str, value) -> int:
 class LineBase4:
     twists: Tuple[int, int, int, int]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "twists", tuple(_integer("twist", a) for a in self.twists)
-        )
+    top = (1, 3)
 
-    @property
-    def top(self) -> Monomial:
-        return (1, 3)
+    def __post_init__(self):
+        twists = tuple(_integer("twist", a) for a in self.twists)
+        object.__setattr__(self, "twists", twists)
+        # LINE_RULE at s1 = the sum of the twists; not a field.
+        object.__setattr__(self, "relations", _at(LINE_RULE, {"s1": sum(twists)}))
 
 
 @dataclass(frozen=True)
@@ -83,63 +124,36 @@ class PlaneBase2:
     c1: int
     c2: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", _integer("c1", self.c1))
-        object.__setattr__(self, "c2", _integer("c2", self.c2))
+    top = (2, 1)
 
-    @property
-    def top(self) -> Monomial:
-        return (2, 1)
+    def __post_init__(self):
+        c1, c2 = _integer("c1", self.c1), _integer("c2", self.c2)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        # PLANE_RULE at this c1 and c2; not a field.
+        object.__setattr__(self, "relations", _at(PLANE_RULE, {"c1": c1, "c2": c2}))
 
 
 Ambient = LineBase4 | PlaneBase2
 
 
-def _plane_rule() -> QuotientRule:
-    c1, c2, H, U = (Poly.sym(s) for s in ("c1", "c2", "H", "U"))
-    return QuotientRule(((H ** 3, 0), (U ** 2, c1 * H * U - c2 * H * H)))
-
-
-#: The relation of ``_product``'s plane branch over symbolic c1, c2, for
-#: ``exact.Poly``: H^3 = 0 and H^i U^2 = c1 H^(i+1) U - c2 H^(i+2).
-PLANE_RULE = _plane_rule()
-
-
-def _product(ambient: Ambient, xs, ys) -> dict:
-    """Product of two lists of (basis monomial, int) terms, as a dict of
-    basis terms with int coefficients.
-
-    Multiplies term by term, drops what carries H^(top_i + 1), then
-    rewrites the overshoot in U by one step of the ring's relation.
-    """
-    top_i, top_j = ambient.top
+def _reduce(relations: tuple, terms) -> dict:
+    """The normal form of (monomial, int) ``terms`` under an ambient's
+    ``relations``, as a dict: each term divisible by a left side is
+    rewritten, trying the relations in order, until none is."""
     out: dict = {}
-    for (i1, j1), a in xs:
-        for (i2, j2), b in ys:
-            i = i1 + i2
-            if i > top_i:
-                continue
-            m = (i, j1 + j2)
-            c = a * b
+    pending = list(terms)
+    while pending:
+        m, c = pending.pop()
+        i, j = m
+        for a, b, rhs in relations:
+            if i >= a and j >= b:
+                i, j = i - a, j - b
+                for (di, dj), d in rhs:
+                    pending.append(((i + di, j + dj), c * d))
+                break
+        else:
             out[m] = out[m] + c if m in out else c
-    over = [m for m in out if m[1] > top_j]
-    if isinstance(ambient, PlaneBase2):
-        # H^i U^2 = c1 H^(i+1) U - c2 H^(i+2), and H^3 = 0: PLANE_RULE,
-        # with c1 and c2 as numbers.
-        c1, c2 = ambient.c1, ambient.c2
-        for m in over:
-            c, i = out.pop(m), m[0]
-            if c1 and i + 1 <= top_i:
-                _accumulate(out, (i + 1, 1), c * c1)
-            if c2 and i + 2 <= top_i:
-                _accumulate(out, (i + 2, 0), c * -c2)
-    else:
-        # U^4 = s1 H U^3, and H^2 = 0, so every other overshoot vanishes.
-        s1 = sum(ambient.twists)
-        for m in over:
-            c = out.pop(m)
-            if s1 and m == (0, 4):
-                _accumulate(out, (1, 3), c * s1)
     return out
 
 
@@ -160,25 +174,19 @@ class GradedClass(_Sparse):
     def __init__(self, ambient: Ambient, raw: Mapping[Monomial, Fraction] = ()):
         raw = dict(raw)
         nums, den = common_denominator(raw.values())
-        top_i, top_j = ambient.top
-        u = (((0, 1), 1),)
-        terms: dict = {}
-        for (i, j), c in zip(raw, nums):
-            if c == 0 or i > top_i:
-                continue
-            part = {(i, min(j, top_j)): c}
-            for _ in range(j - top_j):
-                part = _product(ambient, part.items(), u)
-            for m, c in part.items():
-                _accumulate(terms, m, c)
-        self._store(terms.items(), den, ambient)
+        self._store(_reduce(ambient.relations, zip(raw, nums)).items(), den, ambient)
 
     @property
     def ambient(self) -> Ambient:
         return self.ring
 
     def _product(self, xs, ys) -> dict:
-        return _product(self.ring, xs, ys)
+        terms: dict = {}
+        for (i1, j1), a in xs:
+            for (i2, j2), b in ys:
+                m = (i1 + i2, j1 + j2)
+                terms[m] = terms[m] + a * b if m in terms else a * b
+        return _reduce(self.ring.relations, terms.items())
 
     def coeff(self, i: int, j: int) -> Fraction:
         for m, c in self._terms:

@@ -26,10 +26,11 @@ from the form: a function of the values as positional ints that reads
 the numerators from a tuple, written without any coefficient or name in
 its text, built on the first such call and kept on the form.  The
 result costs one Fraction, or one UniPoly.  A rational or polynomial
-value, a variable left free or a value that is not a number takes the
-loop over the terms, which keeps a running denominator and substitutes
-polynomials; the cached forms of ``theorems`` and ``chern`` are
-substituted at whole numbers on every check, and compile once.
+value, a variable left free or a value that is not a number takes
+``subs``'s loop over the terms, which keeps a running denominator and
+substitutes polynomials (``as_unipoly`` regroups its result); the cached
+forms of ``theorems`` and ``chern`` are substituted at whole numbers on
+every check, and compile once.
 
 A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
 the normal form of a quotient ring; with c1 and c2 as variables, one
@@ -538,10 +539,9 @@ class QuotientRule:
     every multiple of lhs); neither carries a rule.  ``reduce`` rewrites
     a term divisible by an lhs, trying the relations in order, until no
     lhs divides any term.  That terminates, and gives a normal form, only
-    when the relations form a rewriting system that does; the one rule
-    in the package, ``chow.PLANE_RULE``, is such a system, and its module
-    docstring shows that one step of it reduces any product of two
-    reduced polynomials.
+    when the relations form a rewriting system that does; the rules of
+    the package, ``chow.PLANE_RULE`` and ``chow.LINE_RULE``, are such
+    systems, as the ``chow`` module docstring shows.
     """
 
     relations: tuple
@@ -891,8 +891,8 @@ class Poly(_Sparse):
 
         When every value is a whole number, runs the compiled int code for
         ``var`` (``_whole``), which gives the numerator of each power of
-        ``var``; otherwise builds them in one pass on ints over a running
-        denominator, as ``subs`` does.
+        ``var``; otherwise takes ``subs`` and reads its terms by their
+        power of ``var``.
 
         ValueError if the polynomial has a rule, if ``values`` names
         ``var``, or if another variable gets no value.
@@ -900,36 +900,22 @@ class Poly(_Sparse):
         if self.ring is not None:
             raise ValueError("a polynomial with a quotient rule is not a UniPoly")
         values = values or {}
-        nums = None if var in values else self._whole(values, var)
+        if var in values:
+            raise ValueError(f"{var} is the variable of the UniPoly; it takes no value")
+        nums = self._whole(values, var)
         if nums is not None:
             return UniPoly._new(nums, self.den)
-        vals = {}
-        for v, x in values.items():
-            if v == var:
-                raise ValueError(f"{var} is the variable of the UniPoly; it takes no value")
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            vals[v] = (x.numerator, x.denominator)
-        out: list = []
-        scale = 1  # the numerators in out are over self.den * scale
-        for m, c in self._terms:
-            e, q = 0, 1
-            for v, k in m:
-                if v == var:
-                    e = k
-                elif v in vals:
-                    c *= vals[v][0] ** k
-                    q *= vals[v][1] ** k
-                else:
-                    raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
-            if scale % q:
-                grow = q // gcd(scale, q)
-                scale *= grow
-                out = [n * grow for n in out]
-            if e >= len(out):
-                out.extend([0] * (e + 1 - len(out)))
-            out[e] += c * (scale // q)
-        return UniPoly._new(out, self.den * scale)
+        out = self.subs(values)
+        if not isinstance(out, Poly):
+            return UniPoly._new((out.numerator,), out.denominator)
+        nums = []
+        for m, c in out._terms:
+            if m and (len(m) > 1 or m[0][0] != var):
+                raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
+            e = m[0][1] if m else 0
+            nums.extend([0] * (e + 1 - len(nums)))
+            nums[e] = c
+        return UniPoly._new(nums, out.den)
 
 
 class Affine(Poly):

@@ -23,7 +23,7 @@ from .chern import (
     tensor_c1,
     tensor_c2,
 )
-from .chow import PLANE_RULE
+from . import chow
 from .exact import Affine, Poly, UniPoly, binom
 from .rr import (
     HypothesisViolation,
@@ -350,7 +350,7 @@ def thm3_hrr_form() -> Poly:
     Built once per process, on the first call; later calls return the
     same object.  Sharing it is safe because Poly is immutable.
     """
-    b, c1, H, U = (Poly.sym(s, PLANE_RULE) for s in ("b", "c1", "H", "U"))
+    b, c1, H, U = (Poly.sym(s, chow.PLANE_RULE) for s in ("b", "c1", "H", "U"))
     tc1, tc2, tc3 = plane_bundle_tangent_classes(H, U, c1)
     e1, e2, e3 = rank3_twist(-tc1, tc2, -tc3, b * U - H)
     return hrr_threefold(
@@ -368,8 +368,8 @@ def thm3_Q(inp: PlaneBundleInput) -> QPolys:
 
 
 def thm3_value(inp: PlaneBundleInput) -> Fraction:
-    """-chi(X, Omega^2_X(H + U)) = c2 - binom(c1, 2)."""
-    return inp.c2 - binom(inp.c1, 2)
+    """-chi(X, Omega^2_X(H + U)) = c2 - binom(c1, 2), as one Fraction."""
+    return Fraction(2 * inp.c2 - inp.c1 * (inp.c1 - 1), 2)
 
 
 def thm3_hrr_crosscheck(inp: PlaneBundleInput, b: int) -> Fraction:

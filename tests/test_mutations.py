@@ -1,0 +1,98 @@
+"""A table of mutations, each with the detectors that must catch it.
+
+Each entry perturbs one piece of the package by monkeypatch, with every
+cached form cleared before and after, and names its detectors:
+
+* ``route``: a CLI command whose route comparison must fail, exit 1
+  with ``MISMATCH`` as its last line;
+* ``golden``: a CLI command whose transcript must differ from the one
+  recorded in ``golden/cli_transcripts.json``.
+
+Every detector is run on the unperturbed package first and must pass
+there, so an entry cannot be caught by a detector that always fires.
+"""
+
+import io
+import json
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import pytest
+
+from bottcheck import chern, chow, cli, rr, theorems
+from bottcheck.exact import Poly, QuotientRule
+
+TRANSCRIPTS = Path(__file__).resolve().parent / "golden" / "cli_transcripts.json"
+GOLDEN = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text("utf-8"))}
+
+H, U, S1, C1, C2 = (Poly.sym(s) for s in ("H", "U", "s1", "c1", "c2"))
+
+
+class Mutation(NamedTuple):
+    module: object
+    name: str
+    value: Callable[[], object]  # the perturbed object, built when applied
+    route: tuple = ()  # argv lists whose route comparison must fail
+    golden: tuple = ()  # argv lists whose recorded transcript must change
+
+
+MUTATIONS = {
+    "PLANE_RULE with c2's sign flipped": Mutation(
+        chow, "PLANE_RULE",
+        lambda: QuotientRule(((H ** 3, 0), (U ** 2, C1 * H * U + C2 * H * H))),
+        route=(["thm3", "--bundle", "P2: O(1) + O(2)"],),
+        golden=(["chow-eval", "--ring", "plane:1,2", "--expr",
+                 "(H + U)^3 - 1/2*H*U + 3"],),
+    ),
+    "LINE_RULE with s1's sign flipped": Mutation(
+        chow, "LINE_RULE",
+        lambda: QuotientRule(((H ** 2, 0), (U ** 4, -S1 * H * U ** 3))),
+        golden=(["chow-eval", "--ring", "line:0,0,1,2", "--expr", "(H+U)^4"],),
+    ),
+}
+
+
+def _clear_form_caches():
+    for cached in (theorems.thm1_closed_form, rr.chi_twisted_cotangent_symbolic,
+                   theorems.thm2_chain_form, theorems.thm2_chain_poly,
+                   theorems.thm3_Q_form, theorems.thm3_hrr_form, chern.sym_power_form):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_forms():
+    _clear_form_caches()
+    yield
+    _clear_form_caches()
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, out=out, err=err)
+    return {"argv": argv, "code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def route_fails(argv) -> bool:
+    got = run(argv)
+    return got["code"] == 1 and got["out"].endswith("\nMISMATCH\n")
+
+
+def golden_changes(argv) -> bool:
+    return run(argv) != GOLDEN[tuple(argv)]
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_every_detector_catches_its_mutation(monkeypatch, fresh_forms, name):
+    mutation = MUTATIONS[name]
+    assert mutation.route or mutation.golden
+    for argv in mutation.route:
+        assert not route_fails(argv)
+    for argv in mutation.golden:
+        assert not golden_changes(argv)
+
+    monkeypatch.setattr(mutation.module, mutation.name, mutation.value())
+    _clear_form_caches()
+    for argv in mutation.route:
+        assert route_fails(argv), argv
+    for argv in mutation.golden:
+        assert golden_changes(argv), argv

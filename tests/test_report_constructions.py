@@ -56,7 +56,7 @@ def test_a_warm_thm1_record_makes_one_fraction_per_route(count_fractions):
     (TABLE8, 2),  # one per route
     (CONIC, 4),  # and one for each of the two numerics fixed in d
     (DP8, 2),  # the chain's and the closed form's
-    (PLANE, 3),  # Q(-1), and the closed form's binomial and difference
+    (PLANE, 2),  # Q(-1) and the closed form's
 ])
 def test_a_warm_report_row_makes_only_the_routes_fractions(count_fractions, record,
                                                            fractions):
