@@ -1,7 +1,7 @@
 """Exact-arithmetic workbench for Euler-characteristic obstructions to
 Bott vanishing on weak Fano threefolds of Picard rank 2."""
 
-from .exact import Affine, Rational, T, UniPoly, binom, binom_of_poly, binom_poly
+from .exact import Affine, Rational, T, UniPoly, binom
 from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
 from .chern import (
     SurfaceChern,
@@ -10,7 +10,6 @@ from .chern import (
     sym_power_polys,
     sym_power_splitting_oracle,
     tangent_chern_plane_bundle,
-    tensor_chern_surface,
 )
 from .rr import (
     HypothesisViolation,
@@ -18,10 +17,7 @@ from .rr import (
     euler_jaczewski_chi,
     f_formula,
     f_splitting_oracle,
-    hrr_surface,
     hrr_threefold,
-    hrr_threefold_symbolic,
-    rr_curve,
 )
 from .theorems import (
     DivisorCaseInput,

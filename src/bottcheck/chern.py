@@ -2,8 +2,9 @@
 
 Covers: tensor products of bundles on the plane, symmetric powers of a
 rank-2 bundle (closed-form polynomials plus an independent
-splitting-principle oracle), the symbolic Chern classes of the twisted
-cotangent bundle of a weak Fano threefold, and the tangent classes of a
+splitting-principle oracle), the Chern classes of the twisted cotangent
+bundle of a weak Fano threefold as polynomials in its symbolic classes,
+with the degree map that integrates them, and the tangent classes of a
 P^1-bundle over the plane.
 """
 
@@ -12,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Tuple
 
 from .chow import H_class, PlaneBase2, U_class
-from .exact import (
-    Affine, Poly, UniPoly, _Sparse, _accumulate, binom_of_poly, common_denominator,
-)
+from .exact import Affine, Poly, UniPoly, binom
 
 
 @dataclass(frozen=True)
@@ -53,14 +51,6 @@ def tensor_c2(r, s, c1, c2, d1, d2):
     )
 
 
-def tensor_chern_surface(f1: SurfaceChern, f2: SurfaceChern) -> SurfaceChern:
-    return SurfaceChern(
-        f1.rank * f2.rank,
-        tensor_c1(f1.rank, f2.rank, f1.c1, f2.c1),
-        tensor_c2(f1.rank, f2.rank, f1.c1, f1.c2, f2.c1, f2.c2),
-    )
-
-
 @dataclass(frozen=True)
 class SymPowerPolys:
     """Chern numbers of S^b E and (S^b E)(-1) as polynomials in b.
@@ -83,9 +73,9 @@ def sym_power_classes(t, c1, c2) -> SymPowerPolys:
     (UniPoly, Poly); ``t`` is the power, usually a variable.
     """
     C1 = c1 * t * (t + 1) / 2
-    C2 = c1 * c1 * t * (t * t - 1) * (3 * t + 2) / 24 + c2 * binom_of_poly(t + 2, 3)
+    C2 = c1 * c1 * t * (t * t - 1) * (3 * t + 2) / 24 + c2 * binom(t + 2, 3)
     A1 = C1 - (t + 1)
-    A2 = C2 + binom_of_poly(t + 1, 2) - t * C1
+    A2 = C2 + binom(t + 1, 2) - t * C1
     return SymPowerPolys(C1, C2, A1, A2)
 
 
@@ -145,72 +135,36 @@ def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
 
 # --- symbolic threefold classes -------------------------------------------
 #
-# Monomials c1^i H^j c2^k c3^l in the Chern classes of the tangent bundle
-# and the hyperplane-type divisor H, truncated above weighted degree 3
-# (c1, H of degree 1; c2 degree 2; c3 degree 3).  The degree functional
-# maps the seven top monomials to intersection-number symbols, with the
-# two universal substitutions deg(c1 c2) = 24 and deg(c3) = 6 - 2h.
+# Polys in the Chern classes c1, c2, c3 of the tangent bundle and the
+# hyperplane-type divisor H, of weights 1, 2, 3 and 1.  The degree
+# functional maps the seven monomials of weight 3 to intersection-number
+# symbols, with the two universal substitutions deg(c1 c2) = 24 and
+# deg(c3) = 6 - 2h; any other term has degree 0.  No truncation is
+# needed: ``rank3_twist`` of classes homogeneous of weights 1, 2, 3 by a
+# class of weight 1 gives classes of weights 1, 2, 3, so every class that
+# ``rr.hrr_threefold`` integrates is homogeneous of weight 3.
 
-SymMonomial = Tuple[int, int, int, int]  # (c1, H, c2, c3) exponents
-
-
-def _weight(m: SymMonomial) -> int:
-    i, j, k, l = m
-    return i + j + 2 * k + 3 * l
-
-
-class SymClass(_Sparse):
-    """An element of the truncated ring above, in the stored form of
-    ``exact._Sparse``; a monomial is its (c1, H, c2, c3) exponents.
-    Terms of weighted degree above 3 are dropped by the constructor and
-    by every product."""
-
-    __slots__ = ()
-
-    ONE = (0, 0, 0, 0)
-    NAMES = ("c1", "H", "c2", "c3")
-
-    def __init__(self, raw=()):
-        raw = {m: c for m, c in dict(raw).items() if _weight(m) <= 3}
-        nums, den = common_denominator(raw.values())
-        self._store(zip(raw, nums), den, None)
-
-    @staticmethod
-    def _product(xs, ys) -> dict:
-        terms: dict = {}
-        for (i1, j1, k1, l1), a in xs:
-            for (i2, j2, k2, l2), b in ys:
-                m = (i1 + i2, j1 + j2, k1 + k2, l1 + l2)
-                if _weight(m) <= 3:
-                    _accumulate(terms, m, a * b)
-        return terms
-
-
-C1_SYM = SymClass({(1, 0, 0, 0): 1})
-H_SYM = SymClass({(0, 1, 0, 0): 1})
-C2_SYM = SymClass({(0, 0, 1, 0): 1})
-C3_SYM = SymClass({(0, 0, 0, 1): 1})
-
-# Degree functional on weighted-degree-3 monomials.  c1*c2 integrates to
-# 24 on any weak Fano threefold with vanishing higher structure-sheaf
-# cohomology; c3 integrates to the topological Euler characteristic
-# 6 - 2h when the Picard rank is 2.
-_DEGREE_TABLE = {
-    (3, 0, 0, 0): Affine.sym("c13"),
-    (2, 1, 0, 0): Affine.sym("c12H"),
-    (1, 2, 0, 0): Affine.sym("c1H2"),
-    (0, 3, 0, 0): Affine.sym("H3"),
-    (0, 1, 1, 0): Affine.sym("c2H"),
-    (1, 0, 1, 0): Affine(24),
-    (0, 0, 0, 1): Affine(6) - 2 * Affine.sym("h"),
+# c1*c2 integrates to 24 on any weak Fano threefold with vanishing higher
+# structure-sheaf cohomology; c3 integrates to the topological Euler
+# characteristic 6 - 2h when the Picard rank is 2.
+_DEGREES = {
+    (("c1", 3),): Affine.sym("c13"),
+    (("H", 1), ("c1", 2)): Affine.sym("c12H"),
+    (("H", 2), ("c1", 1)): Affine.sym("c1H2"),
+    (("H", 3),): Affine.sym("H3"),
+    (("H", 1), ("c2", 1)): Affine.sym("c2H"),
+    (("c1", 1), ("c2", 1)): Affine(24),
+    (("c3", 1),): Affine(6) - 2 * Affine.sym("h"),
 }
 
 
-def symbolic_degree(x: SymClass) -> Affine:
+def symbolic_degree(x: Poly) -> Affine:
+    """The degree of a Poly in c1, H, c2, c3, affine in the six
+    intersection symbols h, c13, c12H, c1H2, c2H, H3."""
     out = Affine(0)
     for m, c in x.coeffs:
-        if _weight(m) == 3:
-            out = out + c * _DEGREE_TABLE[m]
+        if m in _DEGREES:
+            out = out + c * _DEGREES[m]
     return out
 
 
@@ -223,14 +177,14 @@ def rank3_twist(f1, f2, f3, ell):
 
 
 def cotangent_twist_e_classes():
-    """Chern classes of Omega_X(-H + K_X) in the symbolic monomial ring.
+    """Chern classes of Omega_X(-H + K_X) as Polys in c1, H, c2, c3.
 
     Derived from the generic rank-3 twist expansion with the cotangent
     classes (-c1, c2, -c3) and twist -H - c1, rather than hard-coded, so
     the known closed forms act as a test of the expansion.
     """
-    ell = -H_SYM - C1_SYM
-    return rank3_twist(-C1_SYM, C2_SYM, -C3_SYM, ell)
+    c1, H, c2, c3 = (Poly.sym(s) for s in ("c1", "H", "c2", "c3"))
+    return rank3_twist(-c1, c2, -c3, -H - c1)
 
 
 def plane_bundle_tangent_classes(H, U, c1):

@@ -194,11 +194,6 @@ class GradedClass(_Sparse):
                 return Fraction(c, self.den)
         return Fraction(0)
 
-    def graded_part(self, k: int) -> "GradedClass":
-        return GradedClass._new(
-            [(m, c) for m, c in self._terms if m[0] + m[1] == k], self.den, self.ring
-        )
-
     def degree(self) -> Fraction:
         """Top intersection number: the coefficient of the top monomial."""
         return self.coeff(*self.ring.top)

@@ -10,15 +10,15 @@ package.
 Every ring element keeps int numerators over one positive int
 denominator, in lowest terms, and makes Fractions only where a value
 leaves it.  ``_Sparse`` states that stored form once and implements it
-for sparse (monomial, numerator) terms; ``Poly`` here, and
-``chow.GradedClass`` and ``chern.SymClass``, are its subclasses and
-supply only their unit monomial, their product of terms and the text
-of a monomial.  ``Affine`` is a ``Poly`` of degree at most 1 that adds
-only its linear constructor and read-only views, so ``Poly.subs`` is
-the one engine that substitutes into a symbolic form.  ``UniPoly``
-keeps the same stored form densely, as a tuple ``num`` of the
-numerators of 1, t, t^2, ....  ``_render`` is the one text form of all
-of them.
+for sparse (monomial, numerator) terms; ``Poly`` here and
+``chow.GradedClass`` are its subclasses and supply only their unit
+monomial, their product of terms and the text of a monomial.
+``Affine`` is a ``Poly`` of degree at most 1 that adds only its linear
+constructor and read-only views, so ``Poly.subs`` is the one engine
+that substitutes into a symbolic form.  ``UniPoly`` keeps the same
+stored form densely, as a tuple ``num`` of the numerators of 1, t,
+t^2, ....  ``_render`` is the one text form of all of them; ``binom``
+takes a number or any of them as its upper argument.
 
 ``Poly.subs`` and ``Poly.as_unipoly`` at whole numbers, an int or a
 Fraction with denominator 1 for every variable, run int code compiled
@@ -29,8 +29,8 @@ result costs one Fraction, or one UniPoly.  A rational or polynomial
 value, a variable left free or a value that is not a number takes
 ``subs``'s loop over the terms, which keeps a running denominator and
 substitutes polynomials (``as_unipoly`` regroups its result); the cached
-forms of ``theorems`` and ``chern`` are substituted at whole numbers on
-every check, and compile once.
+forms of ``theorems``, ``chern`` and ``rr`` are substituted at whole
+numbers on every check, and compile once.
 
 A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
 the normal form of a quotient ring; with c1 and c2 as variables, one
@@ -55,16 +55,19 @@ Rational = Fraction
 Number = Union[int, Fraction]
 
 
-def binom(n: int, k: int) -> Fraction:
+def binom(n, k: int):
     """Generalized binomial coefficient n(n-1)...(n-k+1)/k!.
 
-    The upper argument may be any integer (or rational); k must be a
-    nonnegative integer.  This is the unique polynomial extension of the
+    The upper argument may be any integer or rational, giving a
+    Fraction, or a polynomial (UniPoly, Poly), giving an element of its
+    ring; binom(p, 0) is the ring's unit.  k must be a nonnegative
+    integer.  This is the unique polynomial extension of the
     combinatorial binomial, so e.g. binom(-1, 4) == 1.
     """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
-    return Fraction(prod(n - i for i in range(k)), factorial(k))
+    top = prod((n - i for i in range(k)), start=n ** 0)
+    return Fraction(top, factorial(k)) if type(top) is int else top / factorial(k)
 
 
 _get_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -416,27 +419,6 @@ class UniPoly(_Arithmetic):
 
 #: The identity polynomial t.
 T = UniPoly((0, 1))
-
-
-def binom_of_poly(p, k: int):
-    """Falling-factorial binomial with polynomial upper argument.
-
-    ``p`` is a UniPoly (or a number, read as a constant UniPoly) or a
-    Poly; the result lies in the same ring.
-    """
-    if k < 0:
-        raise ValueError(f"binomial lower index must be >= 0, got {k}")
-    if not isinstance(p, Poly):
-        p = UniPoly._coerce(p)
-    out = p ** 0
-    for i in range(k):
-        out = out * (p - i)
-    return out / factorial(k)
-
-
-def binom_poly(shift: int, k: int) -> UniPoly:
-    """The degree-k polynomial t -> binom(t + shift, k)."""
-    return binom_of_poly(T + shift, k)
 
 
 # --- sparse polynomials over named variables --------------------------------

@@ -1,4 +1,4 @@
-"""Riemann-Roch engines on the curve, the surface, and threefolds.
+"""Riemann-Roch engines on the surface and threefolds.
 
 Also houses the Euler-characteristic machinery for line bundles on the
 rank-4 projective bundle over the line: the closed form f(x, y) for
@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .chern import SurfaceChern, cotangent_twist_e_classes, symbolic_degree
-from .exact import Affine, UniPoly, binom, binom_of_poly
+from .chern import cotangent_twist_e_classes, symbolic_degree
+from .exact import Affine, Poly, binom
 
 
 class HypothesisViolation(ValueError):
@@ -36,24 +36,19 @@ def hrr_threefold(c1, c2, e1, e2, e3, rank: int, degree):
     )
 
 
-def hrr_threefold_symbolic(e1, e2, e3, rank: int) -> Affine:
-    """HRR over the symbolic monomial ring; result is affine in the six
-    intersection symbols h, c13, c12H, c1H2, c2H, H3."""
-    from .chern import C1_SYM, C2_SYM
-
-    return hrr_threefold(C1_SYM, C2_SYM, e1, e2, e3, rank, symbolic_degree)
-
-
 @cache
 def chi_twisted_cotangent_symbolic() -> Affine:
-    """chi(X, Omega_X(-H + K_X)) as a symbolic affine expression.
+    """chi(X, Omega_X(-H + K_X)) as a symbolic affine expression in the
+    six intersection symbols h, c13, c12H, c1H2, c2H, H3.
 
+    ``hrr_threefold`` with c1 and c2 as Poly variables, the classes of
+    ``cotangent_twist_e_classes`` and ``symbolic_degree`` as degree map.
     The form takes no input, so it is derived once per process, on the
     first call, and the same object is returned afterwards.  Sharing it
     is safe because Affine is immutable; callers substitute into it.
     """
     e1, e2, e3 = cotangent_twist_e_classes()
-    return hrr_threefold_symbolic(e1, e2, e3, 3)
+    return hrr_threefold(Poly.sym("c1"), Poly.sym("c2"), e1, e2, e3, 3, symbolic_degree)
 
 
 def chi_plane(rank, c1, c2):
@@ -64,18 +59,6 @@ def chi_plane(rank, c1, c2):
     return rank - c2 + c1 * (c1 + 3) / 2
 
 
-def hrr_surface(f: SurfaceChern) -> Fraction:
-    return chi_plane(Fraction(f.rank), f.c1, f.c2)
-
-
-def rr_curve(rank: int, deg, twist=0):
-    """chi on the line: degree plus rank, with an O(twist) applied to
-    every summand."""
-    if rank < 0:
-        raise ValueError(f"rank must be >= 0, got {rank}")
-    return deg + rank * (twist + 1)
-
-
 def f_formula(x, y, p: int, q: int):
     """chi(W, xH + yU) = (p+q) binom(y+3, 4) + (x+1) binom(y+3, 3).
 
@@ -83,13 +66,7 @@ def f_formula(x, y, p: int, q: int):
     way.  For an integer y, x, p and q may also be Affine expressions,
     which is how thm2's chain is derived symbolically.
     """
-    if isinstance(y, UniPoly):
-        b4 = binom_of_poly(y + 3, 4)
-        b3 = binom_of_poly(y + 3, 3)
-    else:
-        b4 = binom(y + 3, 4)
-        b3 = binom(y + 3, 3)
-    return (p + q) * b4 + (x + 1) * b3
+    return (p + q) * binom(y + 3, 4) + (x + 1) * binom(y + 3, 3)
 
 
 def f_splitting_oracle(x: int, y: int, p: int, q: int) -> Fraction:

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottcheck.chern import SymClass
+import bottcheck.cli  # noqa: F401  (imports every module, so every subclass)
 from bottcheck.chow import PLANE_RULE, GradedClass
-from bottcheck.exact import Affine, Poly, UniPoly
+from bottcheck.exact import Affine, Poly, UniPoly, _Sparse
 
 VARS = ("x", "y", "z")
 scalars = st.one_of(
@@ -151,5 +151,15 @@ def test_a_negative_unipoly_power_is_refused():
 
 
 def test_one_pow_for_every_ring_type():
-    for cls in (UniPoly, Poly, Affine, GradedClass, SymClass):
+    for cls in (UniPoly, Poly, Affine, GradedClass):
         assert "__pow__" not in vars(cls)
+
+
+def test_poly_and_graded_class_are_the_sparse_ring_types():
+    """Every sparse ring in the package is ``Poly`` (with its linear view
+    ``Affine``) or ``chow.GradedClass``."""
+
+    def below(cls):
+        return {c for sub in cls.__subclasses__() for c in (sub, *below(sub))}
+
+    assert below(_Sparse) == {Poly, Affine, GradedClass}

@@ -4,21 +4,19 @@ from itertools import combinations
 import pytest
 
 from bottcheck.chern import (
-    C1_SYM,
-    C2_SYM,
-    C3_SYM,
-    H_SYM,
     SurfaceChern,
-    SymClass,
     cotangent_twist_e_classes,
     sym_power_polys,
     sym_power_splitting_oracle,
     symbolic_degree,
     tangent_chern_plane_bundle,
-    tensor_chern_surface,
+    tensor_c1,
+    tensor_c2,
 )
 from bottcheck.chow import PlaneBase2
-from bottcheck.exact import Affine
+from bottcheck.exact import Affine, Poly
+
+C1, H, C2, C3 = (Poly.sym(s) for s in ("c1", "H", "c2", "c3"))
 
 
 def _split_chern(roots):
@@ -26,6 +24,15 @@ def _split_chern(roots):
     c1 = Fraction(sum(roots))
     c2 = Fraction(sum(a * b for a, b in combinations(roots, 2)))
     return SurfaceChern(len(roots), c1, c2)
+
+
+def tensor_chern_surface(f1, f2):
+    """The Chern numbers of f1 tensor f2, from ``tensor_c1`` and ``tensor_c2``."""
+    return SurfaceChern(
+        f1.rank * f2.rank,
+        tensor_c1(f1.rank, f2.rank, f1.c1, f2.c1),
+        tensor_c2(f1.rank, f2.rank, f1.c1, f1.c2, f2.c1, f2.c2),
+    )
 
 
 class TestTensor:
@@ -114,16 +121,16 @@ class TestSplittingOracle:
 class TestTwistedCotangentClasses:
     def test_first_class(self):
         e1, _, _ = cotangent_twist_e_classes()
-        assert e1 == -4 * C1_SYM - 3 * H_SYM
+        assert e1 == -4 * C1 - 3 * H
 
     def test_second_class(self):
         _, e2, _ = cotangent_twist_e_classes()
-        h, c1, c2 = H_SYM, C1_SYM, C2_SYM
+        h, c1, c2 = H, C1, C2
         assert e2 == c2 + 5 * c1 * c1 + 8 * c1 * h + 3 * h * h
 
     def test_third_class_before_substitution(self):
         _, _, e3 = cotangent_twist_e_classes()
-        h, c1, c2, c3 = H_SYM, C1_SYM, C2_SYM, C3_SYM
+        h, c1, c2, c3 = H, C1, C2, C3
         expected = (
             -c3
             - c2 * h
@@ -136,9 +143,32 @@ class TestTwistedCotangentClasses:
         assert e3 == expected
 
     def test_degree_substitutions(self):
-        assert symbolic_degree(C1_SYM * C2_SYM) == Affine(24)
-        assert symbolic_degree(C3_SYM) == Affine(6) - 2 * Affine.sym("h")
-        assert symbolic_degree(C1_SYM) == Affine(0)
+        assert symbolic_degree(C1 * C2) == Affine(24)
+        assert symbolic_degree(C3) == Affine(6) - 2 * Affine.sym("h")
+        assert symbolic_degree(C1) == Affine(0)
+
+    def test_every_weight_three_monomial_has_its_symbol(self):
+        s = Affine.sym
+        degrees = {
+            C1 ** 3: s("c13"), C1 * C1 * H: s("c12H"), C1 * H * H: s("c1H2"),
+            H ** 3: s("H3"), C2 * H: s("c2H"), C1 * C2: Affine(24),
+            C3: 6 - 2 * s("h"),
+        }
+        for x, want in degrees.items():
+            assert symbolic_degree(x) == want
+            assert symbolic_degree(-3 * x / 2) == -3 * want / 2
+        assert symbolic_degree(sum(degrees)) == sum(degrees.values())
+
+    def test_other_weights_have_degree_zero(self):
+        for x in (Poly(), 1 + H, C1 * C1, C2 * C2, C1 ** 4, C3 * H, C2 * C1 * H):
+            assert symbolic_degree(x) == 0
+
+    def test_classes_are_homogeneous_of_weights_one_two_three(self):
+        weights = {"c1": 1, "H": 1, "c2": 2, "c3": 3}
+        for i, e in enumerate(cotangent_twist_e_classes(), 1):
+            assert e.terms and all(
+                sum(weights[v] * k for v, k in m) == i for m, _ in e.terms
+            )
 
 
 class TestTangentOfPlaneBundle:

@@ -14,7 +14,7 @@ from bottcheck.chow import (
     U_class,
     unit,
 )
-from bottcheck.rr import hrr_surface, hrr_threefold
+from bottcheck.rr import chi_plane, hrr_threefold
 from bottcheck.chern import tangent_chern_plane_bundle
 
 
@@ -120,7 +120,7 @@ def test_pushforward_convention_pin(split):
         ell = y * U_class(amb)
         zero = 0 * ell
         chi = hrr_threefold(tc1, tc2, ell, zero, zero, 1, lambda x: x.degree())
-        downstairs = hrr_surface(SurfaceChern(y + 1, sp.C1(y), sp.C2(y)))
+        downstairs = chi_plane(y + 1, sp.C1(y), sp.C2(y))
         assert chi == downstairs
 
 
@@ -227,11 +227,11 @@ class TestOnePassProduct:
         assert (x * y).coeffs == _pending_reduce(amb, _raw_product(
             dict(x.coeffs), dict(y.coeffs)))
 
-    @given(ambients, raws, raws, st.integers(-3, 3), st.integers(0, 6))
-    def test_results_stay_well_formed(self, amb, raw1, raw2, n, k):
+    @given(ambients, raws, raws, st.integers(-3, 3))
+    def test_results_stay_well_formed(self, amb, raw1, raw2, n):
         x, y = GradedClass(amb, raw1), GradedClass(amb, raw2)
         for z in (x * y, x + y, x - y, y - x, -x, n * x, x * Fraction(n, 2),
-                  x + n, n - x, x.graded_part(k), x ** 3):
+                  x + n, n - x, x ** 3):
             assert _well_formed(z)
             assert z == GradedClass(amb, dict(z.coeffs))
 
@@ -326,8 +326,8 @@ class TestIntegerNumerators:
         assert_canonical(z)
         assert z.coeffs == _fraction_product(amb, x.coeffs, y.coeffs)
 
-    @given(ambients, raws, raws, scalars, st.integers(0, 6))
-    def test_other_operations_match_fraction_arithmetic(self, amb, raw1, raw2, n, k):
+    @given(ambients, raws, raws, scalars)
+    def test_other_operations_match_fraction_arithmetic(self, amb, raw1, raw2, n):
         x, y = GradedClass(amb, raw1), GradedClass(amb, raw2)
         xs, ys = x.coeffs, y.coeffs
         for got, want in (
@@ -338,7 +338,6 @@ class TestIntegerNumerators:
             (n * x, _fraction_scale(xs, n)),
             (x + n, _fraction_sum(xs, (((0, 0), Fraction(n)),))),
             (n - x, _fraction_sum((((0, 0), Fraction(n)),), xs, -1)),
-            (x.graded_part(k), tuple((m, c) for m, c in xs if sum(m) == k)),
         ):
             assert_canonical(got)
             assert got.coeffs == want

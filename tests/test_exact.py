@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bottcheck import bottcases, cli, rr, theorems
-from bottcheck.chern import SymClass
-from bottcheck.chow import GradedClass, PlaneBase2
+from bottcheck.chow import PLANE_RULE, GradedClass, PlaneBase2
 from bottcheck.exact import (
-    Affine, T, UniPoly, binom, binom_of_poly, binom_poly, check_digits, parse_rational,
+    Affine, Poly, T, UniPoly, binom, check_digits, parse_rational,
 )
 
 
@@ -42,27 +41,40 @@ class TestBinom:
 
 class TestBinomPoly:
     def test_shift3_k3_at_zero(self):
-        assert binom_poly(3, 3)(0) == 1
+        assert binom(T + 3, 3)(0) == 1
 
     def test_shift3_k4(self):
-        p = binom_poly(3, 4)
+        p = binom(T + 3, 4)
         assert p(-1) == 0  # binom(2, 4)
         assert p(-4) == 1  # binom(-1, 4)
 
     def test_identity(self):
-        assert binom_poly(0, 1) == T
+        assert binom(T, 1) == T
 
     @pytest.mark.parametrize("shift", [-2, 0, 1, 3])
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
     def test_matches_binom_on_integers(self, shift, k):
-        p = binom_poly(shift, k)
+        p = binom(T + shift, k)
         for t in range(-10, 11):
             assert p(t) == binom(t + shift, k)
 
     def test_poly_upper_argument(self):
         # binom(2t + 1, 2) at t = 3 is binom(7, 2)
-        p = binom_of_poly(2 * T + 1, 2)
+        p = binom(2 * T + 1, 2)
         assert p(3) == binom(7, 2)
+
+    def test_zeroth_is_the_unit_of_the_ring(self):
+        one = binom(T + 5, 0)
+        assert isinstance(one, UniPoly) and one == 1
+        one = binom(Poly.sym("U", PLANE_RULE), 0)
+        assert isinstance(one, Poly) and one == 1 and one.ring is PLANE_RULE
+        assert type(binom(Fraction(1, 2), 0)) is Fraction
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_sparse_upper_argument_matches_numbers(self, k):
+        p = binom(Poly.sym("x") - 2, k)
+        for x in (-3, 0, 4, Fraction(5, 2)):
+            assert p.subs({"x": x}) == binom(x - 2, k)
 
 
 class TestUniPoly:
@@ -205,11 +217,6 @@ def test_constructors_normalize_mixed_int_and_fraction(pairs):
     a, b = same(lambda cs: Affine(cs[0] if cs else 0, dict(zip(names, cs[1:]))))
     assert (a.const, a.terms) == (b.const, b.terms)
     assert type(a.const) is Fraction and all(type(c) is Fraction for _, c in a.terms)
-
-    monos = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0),
-             (0, 0, 0, 1)]
-    a, b = same(lambda cs: SymClass(dict(zip(monos, cs))))
-    assert a.coeffs == b.coeffs and all(type(c) is Fraction for _, c in a.coeffs)
 
     ambient = PlaneBase2(3, 3)
     chow_monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]

@@ -20,12 +20,14 @@ from typing import Callable, NamedTuple
 import pytest
 
 from bottcheck import chern, chow, cli, rr, theorems
-from bottcheck.exact import Poly, QuotientRule
+from bottcheck.exact import Affine, Poly, QuotientRule
 
 TRANSCRIPTS = Path(__file__).resolve().parent / "golden" / "cli_transcripts.json"
 GOLDEN = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text("utf-8"))}
 
 H, U, S1, C1, C2 = (Poly.sym(s) for s in ("H", "U", "s1", "c1", "c2"))
+THM1 = ["thm1", "--h", "0", "--c13", "4", "--c12H", "6", "--c1H2", "6", "--c2H", "24",
+        "--H3", "6"]
 
 
 class Mutation(NamedTuple):
@@ -48,6 +50,12 @@ MUTATIONS = {
         chow, "LINE_RULE",
         lambda: QuotientRule(((H ** 2, 0), (U ** 4, -S1 * H * U ** 3))),
         golden=(["chow-eval", "--ring", "line:0,0,1,2", "--expr", "(H+U)^4"],),
+    ),
+    "thm1's degree table with deg(c1*c2) = 25": Mutation(
+        chern, "_DEGREES",
+        lambda: {**chern._DEGREES, (C1 * C2).terms[0][0]: Affine(25)},
+        route=(THM1,),
+        golden=(THM1,),
     ),
 }
 

@@ -13,7 +13,6 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottcheck.chern import C1_SYM, C2_SYM, H_SYM
 from bottcheck.chow import PLANE_RULE, GradedClass, PlaneBase2
 from bottcheck.exact import Poly, QuotientRule, UniPoly
 
@@ -257,11 +256,10 @@ def test_huge_power_is_refused_before_it_is_built():
 _POWER_BASES = [
     Poly({(("x", 1),): Fraction(1, 2), (("y", 2),): -3, (): 1}),
     1 + Poly.sym("U", PLANE_RULE) - 2 * Poly.sym("H", PLANE_RULE),
-    1 + C1_SYM / 3 - H_SYM + 2 * C2_SYM,
 ]
 
 
-@pytest.mark.parametrize("x", _POWER_BASES, ids=["poly", "plane-rule", "symclass"])
+@pytest.mark.parametrize("x", _POWER_BASES, ids=["poly", "plane-rule"])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_power_is_one_more_factor(x, n):
     assert x ** n == x * x ** (n - 1)

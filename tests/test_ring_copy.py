@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from bottcheck.bottcases import Verdict, builtin_registry, evaluate_case
-from bottcheck.chern import C1_SYM, C2_SYM, H_SYM
 from bottcheck.chow import PLANE_RULE, H_class, LineBase4, PlaneBase2, U_class
 from bottcheck.exact import Affine, Poly, UniPoly
 from bottcheck.theorems import thm1_closed_form
@@ -38,7 +37,6 @@ ELEMENTS = {
     "UniPoly zero": UniPoly(),
     "GradedClass plane": H_class(PlaneBase2(3, 3)) * U_class(PlaneBase2(3, 3)) / 2,
     "GradedClass line": U_class(LineBase4((0, 0, 1, 2))) ** 3,
-    "SymClass": C1_SYM * C2_SYM / 2 - H_SYM ** 3,
 }
 
 

@@ -2,67 +2,52 @@ from fractions import Fraction
 
 import pytest
 
-from bottcheck.chern import H_SYM, SymClass
-from bottcheck.exact import T, UniPoly, binom
+from bottcheck.chern import symbolic_degree
+from bottcheck.exact import Poly, T, UniPoly, binom
 from bottcheck.rr import (
     HypothesisViolation,
     chi_plane,
     euler_jaczewski_chi,
     f_formula,
     f_splitting_oracle,
-    hrr_surface,
-    hrr_threefold_symbolic,
+    hrr_threefold,
     normalized_pq,
-    rr_curve,
 )
-from bottcheck.chern import SurfaceChern
+
+C1, C2 = Poly.sym("c1"), Poly.sym("c2")
 
 
 class TestHrrThreefoldSymbolic:
     def test_structure_sheaf(self):
-        zero = SymClass()
-        chi = hrr_threefold_symbolic(zero, zero, zero, 1)
+        zero = Poly()
+        chi = hrr_threefold(C1, C2, zero, zero, zero, 1, symbolic_degree)
         assert chi == 1
 
     def test_h_twist_with_vanishing_degrees(self):
-        zero = SymClass()
-        chi = hrr_threefold_symbolic(H_SYM, zero, zero, 1)
+        zero = Poly()
+        chi = hrr_threefold(C1, C2, Poly.sym("H"), zero, zero, 1, symbolic_degree)
         value = chi.subs({s: 0 for s in chi.symbols()})
         assert value == 1
 
 
 class TestHrrSurface:
     def test_structure_sheaf(self):
-        assert hrr_surface(SurfaceChern(1, 0, 0)) == 1
+        chi = chi_plane(1, Fraction(0), 0)
+        assert type(chi) is Fraction and chi == 1
 
     @pytest.mark.parametrize("d", range(6))
     def test_line_bundles_count_monomials(self, d):
-        assert hrr_surface(SurfaceChern(1, d, 0)) == binom(d + 2, 2)
+        assert chi_plane(1, Fraction(d), 0) == binom(d + 2, 2)
 
     def test_rank_two(self):
-        assert hrr_surface(SurfaceChern(2, 3, 3)) == 8
+        assert chi_plane(2, Fraction(3), 3) == 8
 
     def test_additive_over_split_sums(self):
         for a in range(-3, 4):
             for b in range(-3, 4):
-                whole = hrr_surface(SurfaceChern(2, a + b, a * b))
-                parts = hrr_surface(SurfaceChern(1, a, 0)) + hrr_surface(
-                    SurfaceChern(1, b, 0)
-                )
+                whole = chi_plane(2, Fraction(a + b), a * b)
+                parts = chi_plane(1, Fraction(a), 0) + chi_plane(1, Fraction(b), 0)
                 assert whole == parts
-
-
-class TestRrCurve:
-    def test_line_bundles(self):
-        for d in range(-3, 4):
-            assert rr_curve(1, d) == d + 1
-
-    def test_rank_four(self):
-        p, q, x = 1, 2, 5
-        assert rr_curve(4, p + q, x) == (p + q) + 4 * (x + 1)
-
-    def test_rank_zero(self):
-        assert rr_curve(0, 0) == 0
 
 
 class TestFFormula:
