@@ -256,10 +256,11 @@ def test_huge_power_is_refused_before_it_is_built():
 _POWER_BASES = [
     Poly({(("x", 1),): Fraction(1, 2), (("y", 2),): -3, (): 1}),
     1 + Poly.sym("U", PLANE_RULE) - 2 * Poly.sym("H", PLANE_RULE),
+    1 + Poly.sym("c1") / 3 - Poly.sym("H") + 2 * Poly.sym("c2"),
 ]
 
 
-@pytest.mark.parametrize("x", _POWER_BASES, ids=["poly", "plane-rule"])
+@pytest.mark.parametrize("x", _POWER_BASES, ids=["poly", "plane-rule", "chern-symbols"])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_power_is_one_more_factor(x, n):
     assert x ** n == x * x ** (n - 1)

@@ -37,6 +37,7 @@ ELEMENTS = {
     "UniPoly zero": UniPoly(),
     "GradedClass plane": H_class(PlaneBase2(3, 3)) * U_class(PlaneBase2(3, 3)) / 2,
     "GradedClass line": U_class(LineBase4((0, 0, 1, 2))) ** 3,
+    "Poly in Chern symbols": Poly.sym("c1") * Poly.sym("c2") / 2 - Poly.sym("H") ** 3,
 }
 
 
