@@ -26,7 +26,7 @@ from operator import attrgetter
 from typing import Callable, Optional, Tuple
 
 from . import theorems
-from .exact import Affine, check_digits, check_printable, parse_rational, quoted
+from .exact import Poly, check_digits, check_printable, parse_rational, quoted
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -94,7 +94,7 @@ class CaseRecord:
 class Verdict:
     """An evaluated record; built as ``CaseRecord`` is, in one update."""
 
-    obstruction: Affine
+    obstruction: Poly
     conclusion: str
     note: str = ""
 
@@ -104,29 +104,31 @@ class Verdict:
         )
 
 
-def _conclude(obstruction: Affine) -> str:
+def _conclude(obstruction: Poly) -> str:
     # The numerators are over a positive denominator, so they carry the
-    # signs of the coefficients.
-    const = obstruction.const_num
-    if obstruction.is_constant():
+    # signs of the coefficients.  The terms are sorted, so the constant
+    # term, the monomial (), comes first.
+    const, terms = 0, obstruction._terms
+    if terms and not terms[0][0]:
+        const, terms = terms[0][1], terms[1:]
+    if not terms:
         if const == 0:
             return NEEDS_H0_CHECK
         return FAILS_BY_NEGATIVE_CHI if const > 0 else INCONCLUSIVE
-    # Positive for every h >= 0 iff h is the only free symbol, its
-    # coefficient is nonnegative, and the constant part is positive.
-    terms = obstruction.term_nums
-    if len(terms) == 1 and terms[0][0] == "h":
+    # Positive for every h >= 0 iff h to the first power is the only other
+    # term, its coefficient is nonnegative, and the constant is positive.
+    if len(terms) == 1 and terms[0][0] == (("h", 1),):
         if terms[0][1] >= 0 and const > 0:
             return FAILS_BY_NEGATIVE_CHI
     return INCONCLUSIVE
 
 
-def _as_affine(value) -> Affine:
-    """A route's value as an Affine: itself, or the constant of an int or
-    a Fraction, built from its numerator and denominator."""
-    if isinstance(value, Affine):
+def _as_poly(value) -> Poly:
+    """A route's value as a Poly: itself, or the constant of an int or a
+    Fraction, built from its numerator and denominator."""
+    if isinstance(value, Poly):
         return value
-    return Affine._new((((), value.numerator),), value.denominator)
+    return Poly._new((((), value.numerator),), value.denominator)
 
 
 def _agreed(c: CaseRecord, comparison: theorems.Comparison) -> dict:
@@ -146,7 +148,7 @@ def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
     if c.d is not None:
         _check_field(c, "d", _check_discriminant_degree)
         fixed = {
-            f: v.subs({"d": c.d}) if isinstance(v, Affine) else v
+            f: v.subs({"d": c.d}) if isinstance(v, Poly) else v
             for f, v in fixed.items()
         }
     # The record's own value wins over the geometry's fixed numerics.
@@ -154,21 +156,21 @@ def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
         fixed.get(f) if v is None else v
         for f, v in zip(NUMERICS_FIELDS, _numerics_of(c))
     ])
-    obstruction = _as_affine(_agreed(c, theorems.compare_thm1(n))["closed"])
+    obstruction = _as_poly(_agreed(c, theorems.compare_thm1(n))["closed"])
     return Verdict(obstruction, _conclude(obstruction), g.note)
 
 
 def _evaluate_thm2(c: CaseRecord, g: "Geometry") -> Verdict:
     if c.a is None:
-        k = Affine.sym("k") if c.k is None else c.k
-        obstruction = 2 * Affine.sym("sum_a") + 4 * k
+        k = Poly.sym("k") if c.k is None else c.k
+        obstruction = 2 * Poly.sym("sum_a") + 4 * k
         note = "twists a0..a3 are user input (external classification tables)"
     elif c.k is None:
-        obstruction = 2 * sum(c.a) + 4 * Affine.sym("k")
+        obstruction = 2 * sum(c.a) + 4 * Poly.sym("k")
         note = "k is user input"
     else:
         inp = DivisorCaseInput(tuple(c.a), int(c.k))
-        obstruction = _as_affine(_agreed(c, theorems.compare_thm2(inp))["closed"])
+        obstruction = _as_poly(_agreed(c, theorems.compare_thm2(inp))["closed"])
         note = ""
     return Verdict(obstruction, _conclude(obstruction), note)
 
@@ -178,7 +180,7 @@ def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
     if missing:
         raise RegistryError(c.id, ",".join(missing), "required for a plane bundle")
     inp = PlaneBundleInput(int(c.c1), int(c.c2))
-    obstruction = _as_affine(_agreed(c, theorems.compare_thm3(inp))["closed"])
+    obstruction = _as_poly(_agreed(c, theorems.compare_thm3(inp))["closed"])
     note = ""
     if obstruction.is_zero():
         note = "h^0 follow-up required; split approximants via thm3_h0_split"
@@ -191,7 +193,7 @@ class Geometry:
     theorem, called as ``evaluate(record, row)``; the numeric fields a
     record may set, and those a complete one must set (a template lacks
     one: thm1 and thm2 keep it as a symbol, thm3 refuses); the thm1
-    numerics the geometry fixes, Affine in ``d`` where they depend on it,
+    numerics the geometry fixes, Polys in ``d`` where they depend on it,
     each overridden by a record's own value; and the note of a thm1
     verdict."""
 
@@ -214,7 +216,7 @@ GEOMETRY_TABLE = {
     "delPezzoFib8-divisorial": _THM2_ROW,
     "conicBundle": Geometry(
         _evaluate_thm1, NUMERICS_FIELDS + ("d",), ("d",),
-        fixed={"c12H": 12 - Affine.sym("d"), "c1H2": 2, "c2H": Affine.sym("d") + 6,
+        fixed={"c12H": 12 - Poly.sym("d"), "c1H2": 2, "c2H": Poly.sym("d") + 6,
                "H3": 0},
         note="conic-bundle numerics from the discriminant degree d",
     ),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from .chow import H_class, PlaneBase2, U_class
-from .exact import Affine, Poly, UniPoly, binom
+from .exact import Poly, UniPoly, binom
 
 
 @dataclass(frozen=True)
@@ -148,20 +148,20 @@ def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
 # structure-sheaf cohomology; c3 integrates to the topological Euler
 # characteristic 6 - 2h when the Picard rank is 2.
 _DEGREES = {
-    (("c1", 3),): Affine.sym("c13"),
-    (("H", 1), ("c1", 2)): Affine.sym("c12H"),
-    (("H", 2), ("c1", 1)): Affine.sym("c1H2"),
-    (("H", 3),): Affine.sym("H3"),
-    (("H", 1), ("c2", 1)): Affine.sym("c2H"),
-    (("c1", 1), ("c2", 1)): Affine(24),
-    (("c3", 1),): Affine(6) - 2 * Affine.sym("h"),
+    (("c1", 3),): Poly.sym("c13"),
+    (("H", 1), ("c1", 2)): Poly.sym("c12H"),
+    (("H", 2), ("c1", 1)): Poly.sym("c1H2"),
+    (("H", 3),): Poly.sym("H3"),
+    (("H", 1), ("c2", 1)): Poly.sym("c2H"),
+    (("c1", 1), ("c2", 1)): 24,
+    (("c3", 1),): 6 - 2 * Poly.sym("h"),
 }
 
 
-def symbolic_degree(x: Poly) -> Affine:
-    """The degree of a Poly in c1, H, c2, c3, affine in the six
-    intersection symbols h, c13, c12H, c1H2, c2H, H3."""
-    out = Affine(0)
+def symbolic_degree(x: Poly) -> Poly:
+    """The degree of a Poly in c1, H, c2, c3, a Poly of degree at most 1
+    in the six intersection symbols h, c13, c12H, c1H2, c2H, H3."""
+    out = Poly()
     for m, c in x.coeffs:
         if m in _DEGREES:
             out = out + c * _DEGREES[m]

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from . import bottcases, theorems
 from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
 from .exact import (
-    QUOTE_LIMIT, Affine, check_digits, check_printable, max_str_digits, parse_rational,
+    QUOTE_LIMIT, Poly, check_digits, check_printable, max_str_digits, parse_rational,
     quoted, shortened,
 )
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
@@ -297,7 +297,7 @@ _rat = _option_type(parse_rational, "expected an integer or p/q, got ")
 
 
 def _render(value) -> str:
-    return value.render() if isinstance(value, Affine) else str(value)
+    return value.render() if isinstance(value, Poly) else str(value)
 
 
 def _verdict(comparison, out) -> int:

@@ -3,19 +3,18 @@
 Everything downstream (Chow classes, Chern polynomials, Riemann-Roch
 values) is built on the types here: arbitrary-precision rationals,
 univariate polynomials over the rationals, and sparse polynomials over
-named variables, optionally in a quotient ring, with affine expressions
-as a linear view of them.  There is no floating point anywhere in the
-package.
+named variables, optionally in a quotient ring.  There is no floating
+point anywhere in the package.
 
 Every ring element keeps int numerators over one positive int
 denominator, in lowest terms, and makes Fractions only where a value
 leaves it.  ``_Sparse`` states that stored form once and implements it
 for sparse (monomial, numerator) terms; ``Poly`` here and
 ``chow.GradedClass`` are its subclasses and supply only their unit
-monomial, their product of terms and the text of a monomial.
-``Affine`` is a ``Poly`` of degree at most 1 that adds only its linear
-constructor and read-only views, so ``Poly.subs`` is the one engine
-that substitutes into a symbolic form.  ``UniPoly`` keeps the same
+monomial, their product of terms and the text of a monomial.  Every
+symbolic form of the package, affine or not, is a plain ``Poly``, so
+``Poly.subs`` is the one engine that substitutes into one.  ``UniPoly``
+keeps the same
 stored form densely, as a tuple ``num`` of the numerators of 1, t,
 t^2, ....  ``_render`` is the one text form of all of them; ``binom``
 takes a number or any of them as its upper argument.
@@ -48,9 +47,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, Tuple, Union
-
-# Rationals are stdlib Fractions: always in lowest terms, denominator > 0.
-Rational = Fraction
 
 Number = Union[int, Fraction]
 
@@ -798,12 +794,10 @@ class Poly(_Sparse):
         """Substitute numbers, or polynomials without a rule, for variables.
 
         Returns a Fraction when every variable of the polynomial gets a
-        number.  Otherwise returns a polynomial in the variables left and
-        those of the polynomial values, even if it has become constant, so
-        the type depends only on which variables are given and which
-        values are numbers.  That polynomial has this one's type when
-        every polynomial value has it too, and is a plain Poly otherwise.
-        Names that do not occur are ignored.  A rule on this polynomial or
+        number.  Otherwise returns a Poly in the variables left and those
+        of the polynomial values, even if it has become constant, so the
+        type depends only on which variables are given and which values
+        are numbers.  Names that do not occur are ignored.  A rule on this polynomial or
         on a value raises ValueError: its variables are not free.
 
         When every value is a whole number (an int, or a Fraction with
@@ -819,13 +813,11 @@ class Poly(_Sparse):
         n = self._whole(values)
         if n is not None:
             return Fraction(n) if self.den == 1 else Fraction(n, self.den)
-        cls, vals = type(self), {}
+        vals = {}
         for v, x in values.items():
             if isinstance(x, Poly):
                 if x.ring is not None:
                     raise ValueError(f"the value of {v!r} has a quotient rule")
-                if not isinstance(x, cls):
-                    cls = Poly
             elif type(x) is not int:
                 x = x if isinstance(x, Fraction) else Fraction(x)
                 x = x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
@@ -866,7 +858,7 @@ class Poly(_Sparse):
                     _accumulate(out, _mono_mul(rest, pm), c * n)
         if whole:
             return Fraction(out.get((), 0), self.den * scale)
-        return cls._new(out.items(), self.den * scale)
+        return Poly._new(out.items(), self.den * scale)
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
         """``self.subs(values)`` as a UniPoly in ``var``.
@@ -899,75 +891,3 @@ class Poly(_Sparse):
             nums[e] = c
         return UniPoly._new(nums, out.den)
 
-
-class Affine(Poly):
-    """Affine expression const + sum(coeff_s * s) over named symbols s: a
-    ``Poly`` without a rule of degree at most 1.
-
-    Used for results that stay linear in unresolved quantities: the
-    Hodge number h, the six intersection symbols of the threefold
-    evaluators, user-suppliable case parameters.  Storage, arithmetic,
-    equality, hashing and ``render`` are ``Poly``'s, and results of
-    ``+``, ``-`` and scalar ``*`` and ``/`` stay Affine; the product of
-    two Affine expressions raises TypeError, and the product with a
-    plain Poly is a Poly.  ``subs`` is ``Poly.subs``, but returns a
-    Fraction whenever an Affine result is constant.
-
-    The views read the stored terms: ``const_num`` and ``term_nums``,
-    the sorted (symbol, numerator) pairs, over ``den``; ``const``,
-    ``terms`` and ``coeff()`` as Fractions.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, const: Number = 0, terms: Mapping[str, Number] | None = None):
-        terms = dict(terms or {})
-        nums, den = common_denominator([const, *terms.values()])
-        self._store(zip(((), *(((s, 1),) for s in terms)), nums), den, None)
-
-    @staticmethod
-    def sym(name: str) -> "Affine":
-        return Affine._new(((((name, 1),), 1),), 1)
-
-    def _product(self, xs, ys):
-        raise TypeError("the product of two Affine expressions is not affine")
-
-    @property
-    def const_num(self) -> int:
-        t = self._terms
-        return t[0][1] if t and not t[0][0] else 0
-
-    @property
-    def const(self) -> Fraction:
-        return Fraction(self.const_num, self.den)
-
-    @property
-    def term_nums(self) -> tuple:
-        return tuple((m[0][0], n) for m, n in self._terms if m)
-
-    @property
-    def terms(self) -> tuple:
-        den = self.den
-        return tuple((m[0][0], Fraction(n, den)) for m, n in self._terms if m)
-
-    def coeff(self, name):
-        """The coefficient of the symbol ``name`` as a Fraction; for a
-        {variable: exponent} map, ``Poly.coeff``."""
-        if not isinstance(name, str):
-            return Poly.coeff(self, name)
-        for m, n in self._terms:
-            if m and m[0][0] == name:
-                return Fraction(n, self.den)
-        return Fraction(0)
-
-    def symbols(self) -> tuple:
-        return tuple(m[0][0] for m, _ in self._terms if m)
-
-    def is_constant(self) -> bool:
-        t = self._terms
-        return not t or not t[-1][0]
-
-    def subs(self, values: Mapping[str, Union[Number, Poly]]):
-        """``Poly.subs``, but a Fraction for a constant Affine result."""
-        out = Poly.subs(self, values)
-        return out.const if isinstance(out, Affine) and out.is_constant() else out

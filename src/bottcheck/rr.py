@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 
 from .chern import cotangent_twist_e_classes, symbolic_degree
-from .exact import Affine, Poly, binom
+from .exact import Poly, binom
 
 
 class HypothesisViolation(ValueError):
@@ -37,15 +37,15 @@ def hrr_threefold(c1, c2, e1, e2, e3, rank: int, degree):
 
 
 @cache
-def chi_twisted_cotangent_symbolic() -> Affine:
-    """chi(X, Omega_X(-H + K_X)) as a symbolic affine expression in the
-    six intersection symbols h, c13, c12H, c1H2, c2H, H3.
+def chi_twisted_cotangent_symbolic() -> Poly:
+    """chi(X, Omega_X(-H + K_X)) as a Poly, affine in the six
+    intersection symbols h, c13, c12H, c1H2, c2H, H3.
 
     ``hrr_threefold`` with c1 and c2 as Poly variables, the classes of
     ``cotangent_twist_e_classes`` and ``symbolic_degree`` as degree map.
     The form takes no input, so it is derived once per process, on the
     first call, and the same object is returned afterwards.  Sharing it
-    is safe because Affine is immutable; callers substitute into it.
+    is safe because a Poly is immutable; callers substitute into it.
     """
     e1, e2, e3 = cotangent_twist_e_classes()
     return hrr_threefold(Poly.sym("c1"), Poly.sym("c2"), e1, e2, e3, 3, symbolic_degree)
@@ -62,9 +62,9 @@ def chi_plane(rank, c1, c2):
 def f_formula(x, y, p: int, q: int):
     """chi(W, xH + yU) = (p+q) binom(y+3, 4) + (x+1) binom(y+3, 3).
 
-    x and y may be integers or polynomials; the result is exact either
-    way.  For an integer y, x, p and q may also be Affine expressions,
-    which is how thm2's chain is derived symbolically.
+    x, y, p and q may be integers or polynomials; the result is exact
+    either way.  With Poly values of x, p and q and an integer y it is
+    affine in them, which is how thm2's chain is derived symbolically.
     """
     return (p + q) * binom(y + 3, 4) + (x + 1) * binom(y + 3, 3)
 

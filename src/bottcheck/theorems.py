@@ -24,7 +24,7 @@ from .chern import (
     tensor_c2,
 )
 from . import chow
-from .exact import Affine, Poly, UniPoly, binom
+from .exact import Poly, UniPoly, binom
 from .rr import (
     HypothesisViolation,
     chi_plane,
@@ -34,7 +34,7 @@ from .rr import (
     normalized_pq,
 )
 
-NumericsValue = Union[int, Fraction, Affine, None]
+NumericsValue = Union[int, Fraction, Poly, None]
 
 #: The fields of ``ThreefoldNumerics``, the six symbols of thm1's forms.
 NUMERICS_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3")
@@ -79,7 +79,7 @@ class ThreefoldNumerics:
     """Intersection numerics of a weak Fano threefold of Picard rank 2.
 
     Any field left as None stays symbolic in the evaluator output; a
-    field may also be an Affine expression in other symbols.
+    field may also be a Poly in other symbols.
 
     ``__init__`` fills the instance's ``__dict__`` in one update, as
     ``bottcases.CaseRecord``'s does; ``==``, ``hash`` and ``repr`` read
@@ -100,7 +100,7 @@ class ThreefoldNumerics:
 
     def substitutions(self) -> dict:
         """The fields set, as {symbol: value} for ``subs``: an int, a
-        Fraction or an Affine as it is, anything else through Fraction.
+        Fraction or a Poly as it is, anything else through Fraction.
 
         Built on the first call and kept on the instance, outside the
         fields, so both of thm1's routes substitute the same map; it must
@@ -113,7 +113,7 @@ class ThreefoldNumerics:
         for name in NUMERICS_FIELDS:
             v = getattr(self, name)
             if v is not None:
-                out[name] = v if isinstance(v, (int, Fraction, Affine)) else Fraction(v)
+                out[name] = v if isinstance(v, (int, Fraction, Poly)) else Fraction(v)
         self.__dict__["_substitutions"] = out
         return out
 
@@ -127,15 +127,15 @@ def check_hodge_number(h) -> None:
 
 
 @cache
-def thm1_closed_form() -> Affine:
+def thm1_closed_form() -> Poly:
     """The closed form of -chi(X, Omega^2_X(H - K_X)) in the six symbols.
 
     Built once per process, on the first call; later calls return the
-    same object.  Sharing it is safe because Affine is immutable.
+    same object.  Sharing it is safe because a Poly is immutable.
     """
-    s = Affine.sym
+    s = Poly.sym
     return (
-        Affine(16)
+        16
         + s("h")
         - s("c13") / 2
         - Fraction(5, 4) * (s("c12H") + s("c1H2"))
@@ -193,8 +193,8 @@ def _normalizing_shift(a) -> int:
 
 
 @cache
-def thm2_chain_form() -> Affine:
-    """chi(X, Omega_X(-aH - U)) as an affine expression in a, p, q and k.
+def thm2_chain_form() -> Poly:
+    """chi(X, Omega_X(-aH - U)) as a Poly, affine in a, p, q and k.
 
     Eleven-term combination of f obtained from the restriction sequences
     for X in |kH + 2U| and the Euler-Jaczewski sequence on the ambient
@@ -204,9 +204,9 @@ def thm2_chain_form() -> Affine:
     a term.
 
     Built once per process, on the first call; later calls return the
-    same object.  Sharing it is safe because Affine is immutable.
+    same object.  Sharing it is safe because a Poly is immutable.
     """
-    a, p, q, k = (Affine.sym(s) for s in "apqk")
+    a, p, q, k = (Poly.sym(s) for s in "apqk")
 
     def f(x, y):
         return f_formula(x, y, p, q)

@@ -26,7 +26,7 @@ from bottcheck.chern import (
     tangent_chern_plane_bundle,
 )
 from bottcheck.chow import PlaneBase2
-from bottcheck.exact import Affine, binom
+from bottcheck.exact import Poly, binom
 from bottcheck.rr import f_formula, f_splitting_oracle
 from bottcheck.theorems import (
     DivisorCaseInput,
@@ -54,26 +54,27 @@ def test_criterion_1_twisted_cotangent_identity():
     """Derived twisted-cotangent Euler characteristic equals the closed form."""
     assert thm1_derived(ThreefoldNumerics()) == thm1_closed(ThreefoldNumerics())
     form = thm1_closed_form()
-    assert form.const == 16
-    assert form.coeff("h") == 1
-    assert form.coeff("c13") == Fraction(-1, 2)
-    assert form.coeff("c12H") == Fraction(-5, 4)
-    assert form.coeff("c1H2") == Fraction(-5, 4)
-    assert form.coeff("c2H") == Fraction(3, 4)
-    assert form.coeff("H3") == Fraction(-1, 2)
-    assert set(form.symbols()) == {"h", "c13", "c12H", "c1H2", "c2H", "H3"}
+    symbols = ("h", "c13", "c12H", "c1H2", "c2H", "H3")
+    assert form.coeff(dict.fromkeys(symbols, 0)) == 16
+    assert form.coeff({"h": 1}) == 1
+    assert form.coeff({"c13": 1}) == Fraction(-1, 2)
+    assert form.coeff({"c12H": 1}) == Fraction(-5, 4)
+    assert form.coeff({"c1H2": 1}) == Fraction(-5, 4)
+    assert form.coeff({"c2H": 1}) == Fraction(3, 4)
+    assert form.coeff({"H3": 1}) == Fraction(-1, 2)
+    assert {v for m, _ in form.terms for v, _ in m} == set(symbols)
     print("criterion 1: PASS")
 
 
 def test_criterion_2_specializations():
     """Del-Pezzo-6 and conic-bundle inputs reproduce their closed forms."""
     dp6 = ThreefoldNumerics(c12H=6, c1H2=0, c2H=6, H3=0)
-    expected = Affine(13) + Affine.sym("h") - Affine.sym("c13") / 2
+    expected = 13 + Poly.sym("h") - Poly.sym("c13") / 2
     assert thm1_closed(dp6) == expected
     assert thm1_derived(dp6) == expected
     for d in range(1, 8):
         conic = ThreefoldNumerics(c12H=12 - d, c1H2=2, c2H=d + 6, H3=0)
-        want = Affine(2 * d + 3) + Affine.sym("h") - Affine.sym("c13") / 2
+        want = 2 * d + 3 + Poly.sym("h") - Poly.sym("c13") / 2
         assert thm1_closed(conic) == want
         assert thm1_derived(conic) == want
     print("criterion 2: PASS")
@@ -145,16 +146,16 @@ def test_criterion_7_registry_verdicts():
     records = {r.id: r for r in builtin_registry()}
 
     v = evaluate_case(records["table8-no1"])
-    assert v.obstruction == Affine(14) + Affine.sym("h")
+    assert v.obstruction == 14 + Poly.sym("h")
     assert v.conclusion == FAILS_BY_NEGATIVE_CHI
 
     v = evaluate_case(records["table8-no2"])
-    assert v.obstruction == Affine(21) + Affine.sym("h")
-    assert v.obstruction.const > 0
+    assert v.obstruction == 21 + Poly.sym("h")
+    assert v.obstruction.coeff({"h": 0}) == 21
     assert v.conclusion == FAILS_BY_NEGATIVE_CHI
 
     v = evaluate_case(records["table9"])
-    assert v.obstruction == Affine(20) + Affine.sym("h")
+    assert v.obstruction == 20 + Poly.sym("h")
     assert v.conclusion == FAILS_BY_NEGATIVE_CHI
 
     twists = (1, 1, 2, 3)  # user-supplied; sum + 2k > 0 for every k below
@@ -163,7 +164,7 @@ def test_criterion_7_registry_verdicts():
         assert sum(twists) + 2 * rec.k > 0
         v = evaluate_case(with_twists(rec, twists))
         assert v.obstruction == 2 * (sum(twists) + 2 * rec.k)
-        assert not v.obstruction.symbols() and v.obstruction.const > 0
+        assert v.obstruction.coeffs == (((), 2 * (sum(twists) + 2 * rec.k)),)
         assert v.conclusion == FAILS_BY_NEGATIVE_CHI
 
     v = evaluate_case(records["p1bundle-33"])

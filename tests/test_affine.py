@@ -1,9 +1,11 @@
-"""exact.Affine on int numerators, and Poly.as_unipoly with values.
+"""Affine forms as Polys of degree at most 1, and Poly.as_unipoly with
+values.
 
-``Affine`` is checked against ``OldAffine``, the Fraction-dict body it
-replaced, copied here unchanged as the oracle: arithmetic, substitution
-of numbers and of expressions, the Fraction views, render, equality and
-hashing, and the stored form after every operation.
+A ``Poly`` of degree at most 1 is checked against ``OldAffine``, the
+Fraction-dict affine expression that int numerators replaced, copied
+here unchanged as the oracle: arithmetic, substitution of numbers and of
+expressions, the coefficients, render, equality and hashing, and the
+stored form after every operation.
 ``Poly.as_unipoly(var, values)`` is checked against
 ``subs(values).as_unipoly(var)``.
 """
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from bottcheck.chow import PLANE_RULE
-from bottcheck.exact import Affine, Poly, UniPoly
+from bottcheck.exact import Poly, UniPoly
 
 
 class OldAffine:
@@ -143,36 +145,54 @@ scalars = st.one_of(st.integers(-40, 40), fractions, fractions.map(lambda f: Fra
 nonzero = scalars.filter(bool)
 
 
+def affine(const, terms) -> Poly:
+    """const + the sum of c * s over the {symbol s: c} ``terms``."""
+    return Poly({(): const, **{((s, 1),): c for s, c in terms.items()}})
+
+
+def view(e: Poly) -> tuple:
+    """(const, the sorted (symbol, coefficient) pairs) of a Poly of degree
+    at most 1, as Fractions: the fields of an OldAffine."""
+    const, terms = Fraction(0), []
+    for m, c in e.coeffs:
+        if not m:
+            const = c
+        else:
+            ((s, k),) = m
+            assert k == 1
+            terms.append((s, c))
+    return const, tuple(terms)
+
+
 @st.composite
 def pairs(draw):
-    """An (Affine, OldAffine) pair from the same constant and terms."""
+    """A (Poly, OldAffine) pair from the same constant and terms."""
     const = draw(scalars)
     terms = draw(st.dictionaries(st.sampled_from(SYMBOLS), scalars, max_size=4))
-    return Affine(const, terms), OldAffine(const, terms)
+    return affine(const, terms), OldAffine(const, terms)
 
 
-def check_stored_form(e: Affine):
+def check_stored_form(e: Poly):
     assert type(e.den) is int and e.den > 0
-    assert type(e.const_num) is int
-    assert all(type(s) is str and type(n) is int and n for s, n in e.term_nums)
-    names = [s for s, _ in e.term_nums]
-    assert names == sorted(set(names))
-    assert gcd(e.den, e.const_num, *(n for _, n in e.term_nums)) == 1
+    assert all(type(n) is int and n for _, n in e.terms)
+    monomials = [m for m, _ in e.terms]
+    assert monomials == sorted(set(monomials))
+    assert all(m == () or (len(m) == 1 and type(m[0][0]) is str and m[0][1] == 1)
+               for m in monomials)
+    assert gcd(e.den, *(n for _, n in e.terms)) == 1
 
 
 def same(new, old):
-    """``new`` (Affine or Fraction) holds the value ``old`` does."""
+    """``new`` (Poly or Fraction) holds the value ``old`` does."""
     if isinstance(old, OldAffine):
-        assert isinstance(new, Affine)
+        assert type(new) is Poly
         check_stored_form(new)
-        assert type(new.const) is Fraction and new.const == old.const
-        assert new.terms == old.terms
-        assert all(type(c) is Fraction for _, c in new.terms)
-        assert new.symbols() == old.symbols()
-        assert new.is_constant() == old.is_constant()
+        const, terms = view(new)
+        assert const == old.const and terms == old.terms
+        assert tuple(s for s, _ in terms) == old.symbols()
         assert new.render() == old.render()
         for s in SYMBOLS:
-            assert type(new.coeff(s)) is Fraction and new.coeff(s) == old.coeff(s)
+            assert new.coeff({s: 1}) == old.coeff(s)
     else:
         assert type(new) is type(old) is Fraction and new == old
 
@@ -227,7 +247,11 @@ def test_subs_affines_matches_oracle(p, raw):
     a, oa = p
     new = {s: v[0] if isinstance(v, tuple) else v for s, v in raw.items()}
     old = {s: v[1] if isinstance(v, tuple) else v for s, v in raw.items()}
-    same(a.subs(new), oa.subs(old))
+    want = oa.subs(old)
+    # A Poly value keeps the result a Poly, even a constant one.
+    if any(isinstance(new.get(s), Poly) or s not in new for s in oa.symbols()):
+        want = want if isinstance(want, OldAffine) else OldAffine(want)
+    same(a.subs(new), want)
 
 
 @given(pairs(), st.dictionaries(st.sampled_from(SYMBOLS), scalars,
@@ -243,8 +267,9 @@ def test_full_subs_makes_a_fraction(p, values):
 def test_equality_and_hash_match_oracle(p, q):
     (a, oa), (b, ob) = p, q
     assert (a == b) == (oa == ob)
-    assert (a == a.const) == (oa == oa.const)
-    twin = Affine(a.const, dict(a.terms))
+    const, terms = view(a)
+    assert (a == const) == (oa == oa.const)
+    twin = affine(const, dict(terms))
     assert twin == a and hash(twin) == hash(a)
     assume(a != b)
     assert a - b != 0
@@ -252,15 +277,15 @@ def test_equality_and_hash_match_oracle(p, q):
 
 def test_equal_values_of_different_types_store_alike():
     for const in (3, Fraction(3), Fraction(6, 2)):
-        e = Affine(const, {"h": Fraction(4, 2), "d": 0})
-        assert (e.const_num, e.term_nums, e.den) == (3, (("h", 2),), 1)
-    assert Affine() == 0 and (Affine().const_num, Affine().term_nums, Affine().den) == (0, (), 1)
+        e = affine(const, {"h": Fraction(4, 2), "d": 0})
+        assert (e.terms, e.den) == ((((), 3), ((("h", 1),), 2)), 1)
+    assert Poly() == 0 and (Poly().terms, Poly().den) == ((), 1)
 
 
 def test_subs_carries_one_running_denominator():
-    e = Affine(Fraction(1, 6), {"x": Fraction(1, 4), "h": 1})
-    out = e.subs({"x": Fraction(2, 9), "h": Affine(Fraction(1, 10), {"d": Fraction(3, 7)})})
-    assert out == Affine(Fraction(1, 6) + Fraction(1, 18) + Fraction(1, 10),
+    e = affine(Fraction(1, 6), {"x": Fraction(1, 4), "h": 1})
+    out = e.subs({"x": Fraction(2, 9), "h": affine(Fraction(1, 10), {"d": Fraction(3, 7)})})
+    assert out == affine(Fraction(1, 6) + Fraction(1, 18) + Fraction(1, 10),
                          {"d": Fraction(3, 7)})
     check_stored_form(out)
 

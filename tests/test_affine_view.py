@@ -1,5 +1,5 @@
-"""exact.Affine as a linear view of exact.Poly, Poly.subs with polynomial
-values, and the one ``__pow__`` of the ring types.
+"""Poly.subs with polynomial values, affine forms as plain Polys, and the
+one ``__pow__`` of the ring types.
 
 ``Poly.subs`` with ``Poly`` values is checked against a term-by-term
 expansion written with ``Poly`` arithmetic; ``UniPoly`` powers against
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcheck.cli  # noqa: F401  (imports every module, so every subclass)
 from bottcheck.chow import PLANE_RULE, GradedClass
-from bottcheck.exact import Affine, Poly, UniPoly, _Sparse
+from bottcheck.exact import Poly, UniPoly, _Sparse
 
 VARS = ("x", "y", "z")
 scalars = st.one_of(
@@ -57,74 +57,37 @@ def test_subs_with_poly_values_matches_expansion(p, values):
 
 
 def test_a_cancelling_value():
-    h, d = Affine.sym("h"), Affine.sym("d")
-    got = (h + d).subs({"h": -d})
-    assert type(got) is Fraction and got == 0
     h, d = Poly.sym("h"), Poly.sym("d")
     got = (h + d).subs({"h": -d})
     assert type(got) is Poly and got == 0
 
 
 def test_the_conic_template_values_go_in_as_polynomials():
-    d = Affine.sym("d")
-    form = 2 * Affine.sym("c12H") + Affine.sym("c2H") / 4 + Affine.sym("h")
+    d = Poly.sym("d")
+    form = 2 * Poly.sym("c12H") + Poly.sym("c2H") / 4 + Poly.sym("h")
     got = form.subs({"c12H": 12 - d, "c2H": d + 6})
-    assert type(got) is Affine
-    assert got == Affine(Fraction(51, 2), {"d": Fraction(-7, 4), "h": 1})
+    assert type(got) is Poly
+    assert got == Fraction(51, 2) - Fraction(7, 4) * d + Poly.sym("h")
 
 
 def test_a_value_with_a_quotient_rule_is_refused():
     U = Poly.sym("U", PLANE_RULE)
     with pytest.raises(ValueError, match="quotient rule"):
         Poly.sym("x").subs({"x": U})
-    with pytest.raises(ValueError, match="quotient rule"):
-        Affine.sym("x").subs({"x": U})
 
 
 def test_a_plain_poly_value_makes_a_plain_poly():
     x = Poly.sym("x")
-    got = (2 * Affine.sym("h") + 1).subs({"h": x * x})
+    got = (2 * Poly.sym("h") + 1).subs({"h": x * x})
     assert type(got) is Poly and got == 2 * x * x + 1
 
 
-@given(st.dictionaries(st.sampled_from(VARS), scalars, max_size=3), scalars,
-       scalars.filter(bool))
-def test_affine_operations_stay_affine(terms, n, nonzero):
-    a = Affine(n, terms)
-    b = Affine.sym("x") - 3
-    w = Affine.sym("w")
-    for got in (a + b, a - b, a + n, n + a, a - n, n - a, -a, a * n, n * a,
-                a / nonzero, (a + w).subs({"y": 2}),
-                (a + w).subs({"x": Affine.sym("y") + n})):
-        assert type(got) is Affine
-
-
-def test_affine_times_affine_is_refused():
-    h = Affine.sym("h")
-    with pytest.raises(TypeError):
-        h * h
-    with pytest.raises(TypeError):
-        h * (h + 1)
-    with pytest.raises(TypeError):
-        h ** 2
-    assert h ** 1 == h and h ** 0 == 1 and type(h ** 0) is Affine
-
-
 def test_affine_times_poly_is_a_poly():
-    h, x = Affine.sym("h"), Poly.sym("x")
-    for got in (h * x, x * h, (h + 1) * (x - 2)):
+    h, x = Poly.sym("h"), Poly.sym("x")
+    for got in (h * x, x * h, (h + 1) * (x - 2), h * h, h ** 2):
         assert type(got) is Poly
     assert h * x == Poly({(("h", 1), ("x", 1)): 1})
-
-
-def test_affine_is_a_view_of_poly():
-    assert issubclass(Affine, Poly)
-    own = vars(Affine)
-    for name in ("_store", "_new", "_plus", "__mul__", "__neg__", "__eq__",
-                 "__hash__", "render", "_coerce"):
-        assert name not in own, name
-    assert Affine(3, {"h": 2}) == Poly({(): 3, (("h", 1),): 2})
-    assert hash(Affine(3, {"h": 2})) == hash(Affine(3, {"h": 2}) + 0)
+    assert h ** 2 == h * h == Poly({(("h", 2),): 1})
 
 
 # --- one __pow__, in _Arithmetic --------------------------------------------
@@ -151,15 +114,15 @@ def test_a_negative_unipoly_power_is_refused():
 
 
 def test_one_pow_for_every_ring_type():
-    for cls in (UniPoly, Poly, Affine, GradedClass):
+    for cls in (UniPoly, Poly, GradedClass):
         assert "__pow__" not in vars(cls)
 
 
 def test_poly_and_graded_class_are_the_sparse_ring_types():
-    """Every sparse ring in the package is ``Poly`` (with its linear view
-    ``Affine``) or ``chow.GradedClass``."""
+    """Every sparse ring in the package is ``Poly`` or
+    ``chow.GradedClass``; an affine form is a plain ``Poly``."""
 
     def below(cls):
         return {c for sub in cls.__subclasses__() for c in (sub, *below(sub))}
 
-    assert below(_Sparse) == {Poly, Affine, GradedClass}
+    assert below(_Sparse) == {Poly, GradedClass}

@@ -24,7 +24,7 @@ from bottcheck.bottcases import (
     with_twists,
 )
 from bottcheck.bottcases import _parse_record
-from bottcheck.exact import Affine
+from bottcheck.exact import Poly
 from bottcheck.theorems import ThreefoldNumerics
 
 
@@ -36,13 +36,13 @@ class TestEvaluate:
     def test_table8_no1(self):
         rec = _by_id(builtin_registry())["table8-no1"]
         verdict = evaluate_case(rec)
-        assert verdict.obstruction == Affine(14) + Affine.sym("h")
+        assert verdict.obstruction == 14 + Poly.sym("h")
         assert verdict.obstruction.render() == "14 + h"
         assert verdict.conclusion == FAILS_BY_NEGATIVE_CHI
 
     def test_table8_no2(self):
         verdict = evaluate_case(_by_id(builtin_registry())["table8-no2"])
-        assert verdict.obstruction == Affine(21) + Affine.sym("h")
+        assert verdict.obstruction == 21 + Poly.sym("h")
         assert verdict.conclusion == FAILS_BY_NEGATIVE_CHI
 
     def test_table9(self):
@@ -59,14 +59,14 @@ class TestEvaluate:
     def test_dp6_template_stays_symbolic(self):
         verdict = evaluate_case(_by_id(builtin_registry())["dp6"])
         assert verdict.obstruction == (
-            Affine(13) + Affine.sym("h") - Affine.sym("c13") / 2
+            13 + Poly.sym("h") - Poly.sym("c13") / 2
         )
         assert verdict.conclusion == INCONCLUSIVE
 
     def test_conic_template_stays_symbolic(self):
         verdict = evaluate_case(_by_id(builtin_registry())["conic"])
         assert verdict.obstruction == (
-            Affine(3) + 2 * Affine.sym("d") + Affine.sym("h") - Affine.sym("c13") / 2
+            3 + 2 * Poly.sym("d") + Poly.sym("h") - Poly.sym("c13") / 2
         )
 
     @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ class TestEvaluate:
     def test_obstructions_affine_in_h_with_nonnegative_coefficient(self):
         for rec in builtin_registry():
             ob = evaluate_case(rec).obstruction
-            assert ob.coeff("h") >= 0
+            assert all(c >= 0 for _, c in ob.coeff({"h": 1}).coeffs)
 
     def test_unknown_geometry(self):
         with pytest.raises(RegistryError):
@@ -283,21 +283,21 @@ class TestGeometryNumericsYieldToTheRecord:
         assert verdict.obstruction == _thm1_value(0, 2, Fraction(1, 3), 2, 10, 0)
 
     def test_conic_record_with_c12H_and_symbolic_d(self):
-        d = Affine.sym("d")
+        d = Poly.sym("d")
         rec = CaseRecord(id="r", geometry="conicBundle", c12H=5)
-        want = _thm1_value(0, 0, 5, 2, 0, 0) + Affine.sym("h") \
-            - Affine.sym("c13") / 2 + Fraction(3, 4) * (d + 6)
+        want = _thm1_value(0, 0, 5, 2, 0, 0) + Poly.sym("h") \
+            - Poly.sym("c13") / 2 + Fraction(3, 4) * (d + 6)
         assert evaluate_case(rec).obstruction == want
 
     def test_conic_without_d_stays_symbolic(self):
         verdict = evaluate_case(CaseRecord(id="r", geometry="conicBundle"))
         assert verdict.obstruction == (
-            Affine(3) + 2 * Affine.sym("d") + Affine.sym("h") - Affine.sym("c13") / 2
+            3 + 2 * Poly.sym("d") + Poly.sym("h") - Poly.sym("c13") / 2
         )
         assert verdict.obstruction.render() == "3 - 1/2*c13 + 2*d + h"
 
     def test_numerics_pass_ints_and_affines_through(self):
-        d = 12 - Affine.sym("d")
+        d = 12 - Poly.sym("d")
         subs = ThreefoldNumerics(h=3, c13=Fraction(1, 2), c12H=d).substitutions()
         assert subs == {"h": 3, "c13": Fraction(1, 2), "c12H": d}
         assert type(subs["h"]) is int and subs["c12H"] is d

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 
 from bottcheck import bottcases, cli, rr, theorems
 from bottcheck.chow import PLANE_RULE, GradedClass, PlaneBase2
-from bottcheck.exact import (
-    Affine, Poly, T, UniPoly, binom, check_digits, parse_rational,
-)
+from bottcheck.exact import Poly, T, UniPoly, binom, check_digits, parse_rational
 
 
 class TestBinom:
@@ -128,42 +126,56 @@ def test_poly_ring_commutativity(cs1, cs2):
 
 
 class TestAffine:
+    """Polys of degree at most 1, the shape of every obstruction."""
+
     def test_substitution_collapses(self):
-        e = Affine(3) + 2 * Affine.sym("h") - Affine.sym("c13") / 2
+        e = 3 + 2 * Poly.sym("h") - Poly.sym("c13") / 2
         assert e.subs({"h": 1, "c13": 4}) == 3
 
     def test_partial_substitution(self):
-        e = Affine(3) + Affine.sym("h")
+        e = 3 + Poly.sym("h")
         out = e.subs({})
-        assert isinstance(out, Affine) and out.coeff("h") == 1
+        assert isinstance(out, Poly) and out.coeff({"h": 1}) == 1
 
     def test_affine_valued_substitution(self):
-        e = Affine.sym("x")
-        assert e.subs({"x": Affine(12) - Affine.sym("d")}) == Affine(12) - Affine.sym("d")
+        e = Poly.sym("x")
+        assert e.subs({"x": 12 - Poly.sym("d")}) == 12 - Poly.sym("d")
 
     def test_render(self):
-        assert (Affine(14) + Affine.sym("h")).render() == "14 + h"
-        assert Affine(0).render() == "0"
-        assert (Affine.sym("h") - 1).render() == "-1 + h"
+        assert (14 + Poly.sym("h")).render() == "14 + h"
+        assert Poly().render() == "0"
+        assert (Poly.sym("h") - 1).render() == "-1 + h"
 
     def test_zero_coefficients_dropped(self):
-        e = Affine.sym("h") - Affine.sym("h")
-        assert e.is_constant() and e == 0
+        e = Poly.sym("h") - Poly.sym("h")
+        assert e.terms == () and e == 0
 
 
 # --- fast paths against their term-by-term references ----------------------
 
 symbols = st.sampled_from(["x", "y", "z", "d"])
 scalars = st.one_of(st.integers(-20, 20), fractions)
-affines = st.builds(Affine, scalars, st.dictionaries(symbols, scalars, max_size=4))
+
+
+def affine(const, terms) -> Poly:
+    """const + the sum of c * s over the {symbol s: c} ``terms``."""
+    return Poly({(): const, **{((s, 1),): c for s, c in terms.items()}})
+
+
+affines = st.builds(affine, scalars, st.dictionaries(symbols, scalars, max_size=4))
 
 
 def subs_reference(e, values):
-    out = Affine(e.const)
-    for s, c in e.terms:
-        v = values.get(s, Affine.sym(s))
-        out = out + c * (v if isinstance(v, Affine) else Affine(v))
-    return out.const if out.is_constant() else out
+    """``e`` with ``values`` put in one term at a time: a Fraction when
+    every symbol of ``e`` gets a number, a Poly otherwise."""
+    out, whole = Fraction(0), True
+    for m, c in e.coeffs:
+        for s, _ in m:
+            v = values.get(s, Poly.sym(s))
+            whole = whole and not isinstance(v, Poly)
+            c = c * v
+        out = out + c
+    return out if whole else Poly() + out
 
 
 @given(affines, st.dictionaries(symbols, st.one_of(scalars, affines), max_size=4))
@@ -180,11 +192,11 @@ def test_affine_subs_collapses_to_fraction(e, values):
 
 
 def test_affine_subs_conic_discriminant():
-    d = Affine.sym("d")
+    d = Poly.sym("d")
     values = {"c12H": 12 - d, "c1H2": 2, "c2H": d + 6, "H3": 0}
     form = theorems.thm1_closed_form()
     assert form.subs(values) == subs_reference(form, values)
-    assert form.subs(values).coeff("d") == 2
+    assert form.subs(values).coeff({"d": 1}) == 2
 
 
 @given(st.lists(fractions, max_size=5), scalars)
@@ -214,9 +226,9 @@ def test_constructors_normalize_mixed_int_and_fraction(pairs):
     assert a.coeffs == b.coeffs and all(type(c) is Fraction for c in a.coeffs)
 
     names = ["x", "y", "z", "d", "h", "k"]
-    a, b = same(lambda cs: Affine(cs[0] if cs else 0, dict(zip(names, cs[1:]))))
-    assert (a.const, a.terms) == (b.const, b.terms)
-    assert type(a.const) is Fraction and all(type(c) is Fraction for _, c in a.terms)
+    a, b = same(lambda cs: affine(cs[0] if cs else 0, dict(zip(names, cs[1:]))))
+    assert (a.terms, a.den) == (b.terms, b.den)
+    assert a.coeffs == b.coeffs and all(type(c) is Fraction for _, c in a.coeffs)
 
     ambient = PlaneBase2(3, 3)
     chow_monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]

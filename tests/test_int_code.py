@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from bottcheck import bottcases, chern, exact, rr, theorems
 from bottcheck.chow import PLANE_RULE
-from bottcheck.exact import Affine, Poly, UniPoly
+from bottcheck.exact import Poly, UniPoly
 from test_no_floats import inexact_nodes
 
 VARS = ("b", "c1", "c2", "x")
@@ -122,7 +122,7 @@ def test_a_huge_coefficient_runs_as_an_int():
 @pytest.mark.parametrize("p, want", [
     (Poly(), Fraction(0)),
     (Poly({(): Fraction(7, 3)}), Fraction(7, 3)),
-    (Affine(-5), Fraction(-5)),
+    (Poly({(): -5}), Fraction(-5)),
 ])
 def test_forms_without_variables(p, want):
     got = p.subs({"b": 4})
@@ -131,7 +131,7 @@ def test_forms_without_variables(p, want):
 
 
 def test_affine_subs_at_whole_numbers_is_a_fraction():
-    form = Affine(Fraction(1, 2), {"h": 3, "d": Fraction(-5, 4)})
+    form = Fraction(1, 2) + 3 * Poly.sym("h") - Fraction(5, 4) * Poly.sym("d")
     got = form.subs({"h": 2, "d": Fraction(8)})
     assert type(got) is Fraction and got == Fraction(1, 2) + 6 - 10
 
@@ -192,7 +192,7 @@ def test_polynomial_values_and_free_variables_take_the_loop(builds):
     assert _P.subs({"x": 2}) == 11 + Poly.sym("y")
     assert type(_P.subs({"x": 2})) is Poly
     assert _P.subs({"y": 0}) == 3 * Poly.sym("x") ** 2 - 1
-    assert Affine(1, {"h": 2}).subs({"h": Affine.sym("k")}) == Affine(1, {"k": 2})
+    assert (1 + 2 * Poly.sym("h")).subs({"h": Poly.sym("k")}) == 1 + 2 * Poly.sym("k")
     assert _P.as_unipoly("x", {"y": Fraction(2, 3)}) == UniPoly((-1, Fraction(1, 3), 3))
     assert builds == []
 
@@ -248,7 +248,7 @@ def _cached_form_calls():
     chern.sym_power_polys(chern.SurfaceChern(2, 3, 4))
     for row in bottcases.GEOMETRY_TABLE.values():
         for value in row.fixed.values():
-            if isinstance(value, Affine):
+            if isinstance(value, Poly):
                 value.subs({"d": 3})
 
 

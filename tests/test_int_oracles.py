@@ -9,6 +9,7 @@ earlier routes, copied as they were.
 import cProfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from hypothesis import given, strategies as st
 from bottcheck import bottcases, chern
 from bottcheck.bottcases import FAILS_BY_NEGATIVE_CHI, INCONCLUSIVE, NEEDS_H0_CHECK
 from bottcheck.chern import SurfaceChern, sym_power_polys, sym_power_splitting_oracle
-from bottcheck.exact import Affine, Poly
+from bottcheck.exact import Poly
 from bottcheck.theorems import PlaneBundleInput, check_hodge_number, thm3_hrr_crosscheck, thm3_Q
 
 
@@ -57,7 +58,20 @@ def old_splitting_oracle(c1, c2, b):
     return SurfaceChern(b + 1, e1[0], e2[0])
 
 
-def old_conclude(obstruction: Affine) -> str:
+def old_views(p: Poly) -> SimpleNamespace:
+    """The views of the removed ``Affine`` that ``old_conclude`` reads, of
+    a Poly of degree at most 1: ``const``, ``is_constant()``,
+    ``symbols()`` and ``coeff(name)``, as Fractions."""
+    terms = {m[0][0] if m else None: c for m, c in p.coeffs}
+    const = terms.pop(None, Fraction(0))
+    return SimpleNamespace(
+        const=const, is_constant=lambda: not terms, symbols=lambda: tuple(terms),
+        coeff=lambda name: terms.get(name, Fraction(0)),
+    )
+
+
+def old_conclude(obstruction: Poly) -> str:
+    obstruction = old_views(obstruction)
     if obstruction.is_constant():
         if obstruction.const == 0:
             return NEEDS_H0_CHECK
@@ -132,8 +146,13 @@ def test_surface_chern_keeps_a_fraction_and_converts_the_rest(count_fractions):
 # --- the registry's verdicts --------------------------------------------------
 
 
+def affine(const, terms) -> Poly:
+    """const + the sum of c * s over the {symbol s: c} ``terms``."""
+    return Poly({(): const, **{((s, 1),): c for s, c in terms.items()}})
+
+
 _affines = st.builds(
-    Affine,
+    affine,
     st.one_of(_whole, _rational),
     st.dictionaries(st.sampled_from(["h", "k", "c13"]), st.one_of(_whole, _rational),
                     max_size=2),
@@ -146,21 +165,24 @@ def test_conclude_reads_the_signs_as_before(obstruction):
 
 
 @pytest.mark.parametrize("obstruction, want", [
-    (Affine(0), NEEDS_H0_CHECK),
-    (Affine(Fraction(1, 3)), FAILS_BY_NEGATIVE_CHI),
-    (Affine(Fraction(-1, 3)), INCONCLUSIVE),
-    (Affine(2, {"h": Fraction(1, 4)}), FAILS_BY_NEGATIVE_CHI),
-    (Affine(2, {"h": -1}), INCONCLUSIVE),
-    (Affine(0, {"h": 1}), INCONCLUSIVE),
-    (Affine(2, {"k": 1}), INCONCLUSIVE),
-    (Affine(2, {"h": 1, "k": 1}), INCONCLUSIVE),
+    (affine(0, {}), NEEDS_H0_CHECK),
+    (affine(Fraction(1, 3), {}), FAILS_BY_NEGATIVE_CHI),
+    (affine(Fraction(-1, 3), {}), INCONCLUSIVE),
+    (affine(2, {"h": Fraction(1, 4)}), FAILS_BY_NEGATIVE_CHI),
+    (affine(2, {"h": -1}), INCONCLUSIVE),
+    (affine(0, {"h": 1}), INCONCLUSIVE),
+    (affine(2, {"k": 1}), INCONCLUSIVE),
+    (affine(2, {"h": 1, "k": 1}), INCONCLUSIVE),
+    # Only the affine shape 'constant + c*h' counts, not a power of h.
+    (2 + Poly.sym("h") ** 2, INCONCLUSIVE),
+    (2 + Poly.sym("h") * Poly.sym("k"), INCONCLUSIVE),
 ])
 def test_conclude_on_each_branch(obstruction, want):
     assert bottcases._conclude(obstruction) == want
 
 
 def test_conclude_makes_no_fraction(count_fractions):
-    obstruction = Affine(Fraction(7, 2), {"h": 3})
+    obstruction = affine(Fraction(7, 2), {"h": 3})
     got, made = count_fractions(lambda: bottcases._conclude(obstruction))
     assert got == FAILS_BY_NEGATIVE_CHI
     assert made == 0
@@ -187,18 +209,11 @@ def test_whole_hodge_numbers_pass(h):
     check_hodge_number(h)
 
 
-# --- Affine.coeff -------------------------------------------------------------
+# --- the coefficients of an affine form -------------------------------------
 
 
 def test_affine_coeff_of_a_monomial_is_poly_coeff():
-    form = Affine(3, {"h": 2})
+    form = affine(3, {"h": 2})
     got = form.coeff({"h": 1})
     assert type(got) is Poly and got == Poly({(): 2})
     assert form.coeff({"h": 0}) == Poly({(): 3})
-    assert form.coeff({"h": 1}) == Poly.coeff(form, {"h": 1})
-
-
-def test_affine_coeff_of_a_name_is_a_fraction():
-    form = Affine(3, {"h": Fraction(2, 5)})
-    assert form.coeff("h") == Fraction(2, 5) and type(form.coeff("h")) is Fraction
-    assert form.coeff("k") == 0 and type(form.coeff("k")) is Fraction

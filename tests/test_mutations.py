@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from bottcheck import chern, chow, cli, rr, theorems
-from bottcheck.exact import Affine, Poly, QuotientRule
+from bottcheck import chern, chow, cli, exact, rr, theorems
+from bottcheck.exact import Poly, QuotientRule
 
 TRANSCRIPTS = Path(__file__).resolve().parent / "golden" / "cli_transcripts.json"
 GOLDEN = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text("utf-8"))}
@@ -28,6 +28,20 @@ GOLDEN = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text("utf-8")
 H, U, S1, C1, C2 = (Poly.sym(s) for s in ("H", "U", "s1", "c1", "c2"))
 THM1 = ["thm1", "--h", "0", "--c13", "4", "--c12H", "6", "--c1H2", "6", "--c2H", "24",
         "--H3", "6"]
+
+
+def _int_code_one_more():
+    """``exact._int_code``, but its whole-number sum (``kept`` None) is one
+    more."""
+    real = exact._int_code
+
+    def perturbed(terms, variables, kept=None):
+        code = real(terms, variables, kept)
+        if kept is not None:
+            return code
+        return lambda *values: code(*values) + 1
+
+    return perturbed
 
 
 class Mutation(NamedTuple):
@@ -53,8 +67,15 @@ MUTATIONS = {
     ),
     "thm1's degree table with deg(c1*c2) = 25": Mutation(
         chern, "_DEGREES",
-        lambda: {**chern._DEGREES, (C1 * C2).terms[0][0]: Affine(25)},
+        lambda: {**chern._DEGREES, (C1 * C2).terms[0][0]: 25},
         route=(THM1,),
+        golden=(THM1,),
+    ),
+    # Both thm1 routes substitute through this one engine, so they agree
+    # on the wrong value (57/4 for 14, a numerator one more over 4) and
+    # no route comparison can see it.
+    "whole-number Poly.subs one more": Mutation(
+        exact, "_int_code", _int_code_one_more,
         golden=(THM1,),
     ),
 }

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from bottcheck import bottcases, exact, theorems
 from bottcheck.bottcases import CaseRecord, evaluate_case, report_json, report_rows
-from bottcheck.exact import Affine
+from bottcheck.exact import Poly
 from bottcheck.theorems import ThreefoldNumerics
 
 TABLE8 = CaseRecord(id="t", geometry="table8", h=3, c13=-12, c12H=14, c1H2=5, c2H=33,
@@ -48,8 +48,8 @@ def test_a_warm_thm1_record_makes_one_fraction_per_route(count_fractions):
     evaluate_case(TABLE8)  # compiles both forms' int code
     verdict, made = count_fractions(lambda: evaluate_case(TABLE8))
     assert made == 2
-    assert verdict.obstruction == Affine(theorems.thm1_closed(ThreefoldNumerics(
-        h=3, c13=-12, c12H=14, c1H2=5, c2H=33, H3=7)))
+    assert verdict.obstruction == theorems.thm1_closed(ThreefoldNumerics(
+        h=3, c13=-12, c12H=14, c1H2=5, c2H=33, H3=7))
 
 
 @pytest.mark.parametrize("record, fractions", [
@@ -67,10 +67,10 @@ def test_a_warm_report_row_makes_only_the_routes_fractions(count_fractions, reco
 
 def test_a_verdict_takes_the_routes_number_as_it_is(count_fractions):
     for value in (Fraction(87, 4), Fraction(-3), 0, 12, -5, Fraction(1, 10 ** 30)):
-        got, made = count_fractions(lambda: bottcases._as_affine(value))
+        got, made = count_fractions(lambda: bottcases._as_poly(value))
         assert made == 0
-        assert type(got) is Affine and got == Affine(value)
-        assert got.is_constant() and got.const == value
+        assert type(got) is Poly and got == value
+        assert got.coeffs == ((((), value),) if value else ())
 
 
 def test_both_routes_substitute_one_map_per_record(monkeypatch):
@@ -142,6 +142,6 @@ def test_render_writes_magnitudes_as_fraction_does(terms, den):
 
 
 def test_a_warm_render_makes_no_fraction(count_fractions):
-    value = Affine(Fraction(87, 4), {"h": Fraction(3, 2), "c13": -1})
+    value = Fraction(87, 4) + Fraction(3, 2) * Poly.sym("h") - Poly.sym("c13")
     _, made = count_fractions(value.render)
     assert made == 0

@@ -13,7 +13,7 @@ import pytest
 
 from bottcheck.bottcases import Verdict, builtin_registry, evaluate_case
 from bottcheck.chow import PLANE_RULE, H_class, LineBase4, PlaneBase2, U_class
-from bottcheck.exact import Affine, Poly, UniPoly
+from bottcheck.exact import Poly, UniPoly
 from bottcheck.theorems import thm1_closed_form
 
 ROUND_TRIPS = {
@@ -31,8 +31,8 @@ ELEMENTS = {
     "Poly": Poly.sym("x") ** 2 / 3 - 7 * Poly.sym("y") + 1,
     "Poly zero": Poly(),
     "Poly with a rule": _plane("U") ** 2 + _plane("H") * _plane("c1") / 2,
-    "Affine": Affine(1, {"h": 2, "c13": -1}) / 4,
-    "Affine constant": Affine(-5),
+    "affine Poly": (1 + 2 * Poly.sym("h") - Poly.sym("c13")) / 4,
+    "constant Poly": Poly({(): -5}),
     "UniPoly": UniPoly((1, -2, 0, 3)) / 5,
     "UniPoly zero": UniPoly(),
     "GradedClass plane": H_class(PlaneBase2(3, 3)) * U_class(PlaneBase2(3, 3)) / 2,
@@ -82,7 +82,7 @@ def test_pickle_leaves_the_compiled_code_behind():
 
 @pytest.mark.parametrize("way", sorted(ROUND_TRIPS))
 def test_a_verdict_round_trips(way):
-    v = Verdict(Affine(3), "x", "")
+    v = Verdict(Poly({(): 3}), "x", "")
     assert ROUND_TRIPS[way](v) == v
     for rec in builtin_registry():
         verdict = evaluate_case(rec)

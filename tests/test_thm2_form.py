@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bottcheck import cli, theorems
-from bottcheck.exact import Affine, T, UniPoly
+from bottcheck.exact import Poly, T, UniPoly
 from bottcheck.rr import f_formula
 
 
@@ -62,10 +62,10 @@ def divisor_grid():
 
 
 def test_chain_form_is_the_closed_identity():
-    p, q, k = (Affine.sym(s) for s in "pqk")
+    p, q, k = (Poly.sym(s) for s in "pqk")
     form = theorems.thm2_chain_form()
     assert form == 2 * p + 2 * q + 4 * k
-    assert form.coeff("a") == 0 and form.const == 0
+    assert form.coeff({"a": 1}) == 0 and form.coeff(dict.fromkeys("apqk", 0)) == 0
     assert form.render() == "4*k + 2*p + 2*q"
 
 
@@ -104,7 +104,7 @@ def test_twist_dependent_chain_is_a_mismatch(monkeypatch, fresh_chain_caches):
 
     monkeypatch.setattr(theorems, "f_formula", with_twist)
     clear_chain_caches()
-    assert theorems.thm2_chain_form().coeff("a") != 0
+    assert theorems.thm2_chain_form().coeff({"a": 1}) != 0
     with pytest.raises(theorems.DualPathMismatch, match="depends on the twist"):
         theorems.thm2_chain(theorems.DivisorCaseInput((0, 0, 1, 1), 0))
     out, err = io.StringIO(), io.StringIO()
