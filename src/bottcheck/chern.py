@@ -20,19 +20,25 @@ from .exact import Poly, UniPoly, binom
 
 @dataclass(frozen=True)
 class SurfaceChern:
-    """Rank and Chern numbers (coefficients of h, h^2) on the plane."""
+    """Rank and Chern numbers (coefficients of h, h^2) on the plane, as
+    Fractions.
+
+    ``__init__`` fills the instance's ``__dict__`` in one update, as
+    ``bottcases.CaseRecord``'s does; ``==``, ``hash`` and ``repr`` are the
+    dataclass's own."""
 
     rank: int
     c1: Fraction
     c2: Fraction
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        for name in ("c1", "c2"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+    def __init__(self, rank, c1, c2):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        self.__dict__.update({
+            "rank": rank,
+            "c1": c1 if type(c1) is Fraction else Fraction(c1),
+            "c2": c2 if type(c2) is Fraction else Fraction(c2),
+        })
 
 
 def tensor_c1(r, s, c1, d1):
@@ -196,8 +202,8 @@ def plane_bundle_tangent_classes(H, U, c1):
     Poly under ``chow.PLANE_RULE``); c1 is E's first Chern number, a
     number or an element of that ring.
     """
-    rel = 2 * U - c1 * H
-    return rel + 3 * H, 3 * H * (rel + H), 3 * H * H * rel
+    rel, h3 = 2 * U - c1 * H, 3 * H
+    return rel + h3, h3 * (rel + H), h3 * H * rel
 
 
 def tangent_chern_plane_bundle(ambient: PlaneBase2):

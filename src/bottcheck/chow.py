@@ -29,15 +29,21 @@ criterion).  The normal form is the box above, H^i U^j with
 (i, j) <= ``top``.
 
 ``LineBase4`` and ``PlaneBase2`` are the rings at integer parameters.
-Each puts its ints into its rule's terms once, when it is built
-(``relations``), which gives the relations on (i, j) monomials for
-H^i U^j.  ``GradedClass`` keeps the stored form of ``exact._Sparse`` on
-those monomials; its constructor and every product reduce through the
+A rule's right sides are split into (H, U) monomials and parameter
+powers once per rule value (``_skeletons``, cached on the hashable
+``QuotientRule``); each ring then only multiplies its ints into them
+when it is built, and sets its fields and ``relations``, the relations
+on (i, j) monomials for H^i U^j, in one ``__dict__`` update.
+``GradedClass`` keeps the stored form of ``exact._Sparse`` on those
+monomials; its constructor and every product reduce through the
 ambient's relations (``_reduce``, ``QuotientRule.reduce`` on (i, j)
-monomials).  Sums, negations, scalar multiples and graded parts of
-reduced classes are reduced already, so they only drop zeros.  The
-parameters must be integers, so that the relations and the classes stay
-on integer numerators.
+monomials).  Sums of reduced classes
+are reduced already, so they only drop zeros and sort.  Negations and
+scalar multiples of reduced classes skip even that, as ``exact._Sparse``
+says: they keep every monomial, so the class stays reduced, and they
+keep the stored order.  ``unit``, ``H_class`` and ``U_class`` are in
+stored form as written.  The parameters must be integers, so that the
+relations and the classes stay on integer numerators.
 
 The sign convention of the rank relation is pinned by the pushforward
 consistency checks in the test suite: the intrinsic Riemann-Roch value
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Tuple
 
 from .exact import Poly, QuotientRule, _Sparse, common_denominator
@@ -74,27 +81,36 @@ LINE_RULE = _line_rule()
 PLANE_RULE = _plane_rule()
 
 
+@cache
+def _skeletons(rule: QuotientRule) -> tuple:
+    """The relations of ``rule`` split into (H, U) monomials, once per
+    rule value: a triple (i, j, right side) for each left side H^i U^j,
+    the right side as (((i', j'), int, parameter powers), ...) with the
+    powers as ((parameter, exponent), ...)."""
+    out = []
+    for lhs, rhs in rule.relations:
+        terms = []
+        for m, c in rhs:
+            exps = dict(m)
+            terms.append(((exps.pop("H", 0), exps.pop("U", 0)), c, tuple(exps.items())))
+        exps = dict(lhs)
+        out.append((exps.get("H", 0), exps.get("U", 0), tuple(terms)))
+    return tuple(out)
+
+
 def _at(rule: QuotientRule, values: Mapping[str, int]) -> tuple:
     """The relations of ``rule`` with the ints ``values`` put in for its
     parameters, on (i, j) monomials: a triple (i, j, right side) for each
     left side H^i U^j, the right side as ((monomial, int), ...) with no
     zero coefficient."""
     out = []
-    for lhs, rhs in rule.relations:
+    for i, j, rhs in _skeletons(rule):
         terms: dict = {}
-        for m, c in rhs:
-            i = j = 0
-            for v, e in m:
-                if v == "H":
-                    i = e
-                elif v == "U":
-                    j = e
-                else:
-                    c *= values[v] ** e
-            terms[i, j] = terms.get((i, j), 0) + c
-        exps = dict(lhs)
-        out.append((exps.get("H", 0), exps.get("U", 0),
-                    tuple(t for t in terms.items() if t[1])))
+        for m, c, powers in rhs:
+            for v, e in powers:
+                c *= values[v] ** e
+            terms[m] = terms[m] + c if m in terms else c
+        out.append((i, j, tuple([t for t in terms.items() if t[1]])))
     return tuple(out)
 
 
@@ -112,11 +128,12 @@ class LineBase4:
 
     top = (1, 3)
 
-    def __post_init__(self):
-        twists = tuple(_integer("twist", a) for a in self.twists)
-        object.__setattr__(self, "twists", twists)
+    def __init__(self, twists):
+        twists = tuple(_integer("twist", a) for a in twists)
         # LINE_RULE at s1 = the sum of the twists; not a field.
-        object.__setattr__(self, "relations", _at(LINE_RULE, {"s1": sum(twists)}))
+        self.__dict__.update(
+            {"twists": twists, "relations": _at(LINE_RULE, {"s1": sum(twists)})}
+        )
 
 
 @dataclass(frozen=True)
@@ -126,12 +143,12 @@ class PlaneBase2:
 
     top = (2, 1)
 
-    def __post_init__(self):
-        c1, c2 = _integer("c1", self.c1), _integer("c2", self.c2)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+    def __init__(self, c1, c2):
+        c1, c2 = _integer("c1", c1), _integer("c2", c2)
         # PLANE_RULE at this c1 and c2; not a field.
-        object.__setattr__(self, "relations", _at(PLANE_RULE, {"c1": c1, "c2": c2}))
+        self.__dict__.update(
+            {"c1": c1, "c2": c2, "relations": _at(PLANE_RULE, {"c1": c1, "c2": c2})}
+        )
 
 
 Ambient = LineBase4 | PlaneBase2
@@ -200,12 +217,12 @@ class GradedClass(_Sparse):
 
 
 def unit(ambient: Ambient) -> GradedClass:
-    return GradedClass._new((((0, 0), 1),), 1, ambient)
+    return GradedClass._canonical((((0, 0), 1),), 1, ambient)
 
 
 def H_class(ambient: Ambient) -> GradedClass:
-    return GradedClass._new((((1, 0), 1),), 1, ambient)
+    return GradedClass._canonical((((1, 0), 1),), 1, ambient)
 
 
 def U_class(ambient: Ambient) -> GradedClass:
-    return GradedClass._new((((0, 1), 1),), 1, ambient)
+    return GradedClass._canonical((((0, 1), 1),), 1, ambient)

@@ -298,19 +298,22 @@ class UniPoly(_Arithmetic):
         return type(self)._new, (self.num, self.den)
 
     def _store(self, num, den: int) -> None:
-        """Strip trailing zeros and cancel the common factor, then set."""
-        num = list(num)
-        while num and not num[-1]:
-            num.pop()
-        if not num:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *num)
-            if g != 1:
-                num = [n // g for n in num]
-                den //= g
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
+        """Strip trailing zeros and cancel the common factor, then set.
+        ``num`` is a list or a tuple."""
+        k = len(num)
+        while k and not num[k - 1]:
+            k -= 1
+        if not k:
+            num, den = (), 1
+        else:
+            num = tuple(num[:k]) if k < len(num) else tuple(num)
+            if den != 1:
+                g = gcd(den, *num)
+                if g != 1:
+                    num = tuple([n // g for n in num])
+                    den //= g
+        _set_num(self, num)
+        _set_uni_den(self, den)
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
@@ -373,11 +376,17 @@ class UniPoly(_Arithmetic):
     def __call__(self, value: Number) -> Fraction:
         """Evaluate by Horner's rule, on integers.
 
-        At p/q the sum of num[i] p^i q^(d-i) is accumulated, and divided
-        by den q^d once at the end.
+        At an int the sum of num[i] value^i is accumulated and divided by
+        den.  At p/q the sum of num[i] p^i q^(d-i) is accumulated, and
+        divided by den q^d once at the end.
         """
         if not self.num:
             return Fraction(0)
+        if type(value) is int:
+            acc = 0
+            for c in reversed(self.num):
+                acc = acc * value + c
+            return Fraction(acc) if self.den == 1 else Fraction(acc, self.den)
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         p, q = value.numerator, value.denominator
@@ -412,6 +421,11 @@ class UniPoly(_Arithmetic):
     def __repr__(self):
         return f"UniPoly({self.render()})"
 
+
+# The slots' own setters, which skip the attribute lookup of
+# ``object.__setattr__``; ``_Arithmetic.__setattr__`` refuses assignment.
+_set_num = UniPoly.num.__set__
+_set_uni_den = UniPoly.den.__set__
 
 #: The identity polynomial t.
 T = UniPoly((0, 1))
@@ -556,6 +570,20 @@ class QuotientRule:
         return out
 
 
+def _cancelled(terms, den: int):
+    """Sorted nonzero (monomial, int) ``terms``, a list or a tuple, over a
+    positive ``den``, as the tuple and denominator of the stored form:
+    the common factor cancelled (skipped when ``den`` is 1), and zero as
+    ``((), 1)``."""
+    if not terms:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *[c for _, c in terms])
+        if g != 1:
+            return tuple([(m, c // g) for m, c in terms]), den // g
+    return tuple(terms), den
+
+
 class _Sparse(_Arithmetic):
     """A sparse element of a ring over the rationals, in stored form.
 
@@ -570,9 +598,16 @@ class _Sparse(_Arithmetic):
     operations are integer arithmetic: a product multiplies the
     denominators, a sum scales both sides to the lcm of theirs, and the
     common factor is cancelled once per result (skipped when the
-    denominator is 1).  Fractions are made only where a value leaves the
-    element: ``coeffs`` and a subclass's coefficient views; ``render``
-    writes each magnitude from ints.
+    denominator is 1).  A sum or a product goes through ``_store``, which
+    drops zeros and sorts.  A negation and a multiple by a nonzero int or
+    Fraction (``_scaled``, also behind ``x / n``) skip both: they change
+    no monomial, and they scale every numerator by the same nonzero int,
+    so the stored terms stay sorted, distinct and nonzero; only the gcd
+    can change, and it is cancelled when the new denominator is not 1.
+    Zero times anything is the zero element.  Terms already in stored
+    form are set through ``_canonical``.  Fractions are made only where a
+    value leaves the element: ``coeffs`` and a subclass's coefficient
+    views; ``render`` writes each magnitude from ints.
     ``terms`` reads the stored pairs; code in the package reads the slot.
 
     ``ring`` is what the element lives in beyond its monomials (a
@@ -600,6 +635,17 @@ class _Sparse(_Arithmetic):
         self._store(terms, den, ring)
         return self
 
+    @classmethod
+    def _canonical(cls, terms: tuple, den: int, ring=None):
+        """An element from a tuple of terms over ``den`` that is already in
+        stored form, set as it is, without ``_store``'s filter, sort and
+        gcd."""
+        self = object.__new__(cls)
+        _set_terms(self, terms)
+        _set_den(self, den)
+        _set_ring(self, ring)
+        return self
+
     def __reduce__(self):
         # copy and pickle rebuild through _new, as UniPoly does; a memo that
         # a subclass keeps in another slot (Poly._compiled) stays behind.
@@ -607,17 +653,10 @@ class _Sparse(_Arithmetic):
 
     def _store(self, terms, den: int, ring) -> None:
         """Drop zero terms, sort, cancel the common factor, then set."""
-        terms = sorted([t for t in terms if t[1]])
-        if not terms:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *[c for _, c in terms])
-            if g != 1:
-                terms = [(m, c // g) for m, c in terms]
-                den //= g
-        object.__setattr__(self, "_terms", tuple(terms))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ring", ring)
+        terms, den = _cancelled(sorted([t for t in terms if t[1]]), den)
+        _set_terms(self, terms)
+        _set_den(self, den)
+        _set_ring(self, ring)
 
     @property
     def terms(self) -> tuple:
@@ -639,7 +678,9 @@ class _Sparse(_Arithmetic):
                 raise ValueError(self.MISMATCH)
             return other
         if isinstance(other, (int, Fraction)):
-            return self._new(((self.ONE, other.numerator),), other.denominator, self.ring)
+            n = other.numerator
+            return self._canonical(((self.ONE, n),) if n else (), other.denominator,
+                                   self.ring)
         return None
 
     def __eq__(self, other):
@@ -663,15 +704,24 @@ class _Sparse(_Arithmetic):
         return self._new(terms.items(), den, self.ring)
 
     def __neg__(self):
-        return self._new([(m, -c) for m, c in self._terms], self.den, self.ring)
+        return self._canonical(tuple([(m, -c) for m, c in self._terms]), self.den,
+                               self.ring)
+
+    def _scaled(self, p: int, q: int):
+        """This element times p/q, a number in lowest terms with q > 0.
+
+        The monomials and their order stay; a nonzero p makes no numerator
+        0.  Only the common factor of p and the denominator, or of q and
+        the numerators, can arise, so it is cancelled once, and only when
+        the new denominator is not 1."""
+        if not p:
+            return self._canonical((), 1, self.ring)
+        terms = self._terms if p == 1 else [(m, c * p) for m, c in self._terms]
+        return self._canonical(*_cancelled(terms, self.den * q), self.ring)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return self._new(
-                [(m, c * p) for m, c in self._terms], self.den * other.denominator,
-                self.ring,
-            )
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -688,6 +738,12 @@ class _Sparse(_Arithmetic):
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()})"
+
+
+# The slots' own setters, as for UniPoly.
+_set_terms = _Sparse._terms.__set__
+_set_den = _Sparse.den.__set__
+_set_ring = _Sparse.ring.__set__
 
 
 class Poly(_Sparse):

@@ -172,13 +172,19 @@ def check_twists(a) -> None:
 @dataclass(frozen=True)
 class DivisorCaseInput:
     """A divisor X in |kH + 2U| on the rank-4 bundle over the line; no
-    route depends on the twist a of aH + U, so it is not an input."""
+    route depends on the twist a of aH + U, so it is not an input.
+
+    ``__init__`` runs ``check_twists`` on the twists and fills the
+    instance's ``__dict__`` in one update, as ``ThreefoldNumerics``'s
+    does; ``fields``, ``==``, ``hash``, ``repr`` and the refusal to
+    assign are the dataclass's own."""
 
     a: Tuple[int, int, int, int]
     k: int
 
-    def __post_init__(self):
-        check_twists(self.a)
+    def __init__(self, a, k):
+        check_twists(a)
+        self.__dict__.update({"a": a, "k": k})
 
 
 def _normalizing_shift(a) -> int:

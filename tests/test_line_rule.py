@@ -7,13 +7,16 @@ checked in ``tests/test_chow.py`` against relations the tests state on
 their own.
 """
 
+import dataclasses
+from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bottcheck import chow
 from bottcheck.chow import LINE_RULE, GradedClass, LineBase4, PlaneBase2
-from bottcheck.exact import Poly
+from bottcheck.exact import Poly, QuotientRule
 
 rationals = st.one_of(
     st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -69,6 +72,38 @@ def test_the_ambients_put_their_numbers_into_the_rules():
     assert PlaneBase2(3, -5).relations == (
         (3, 0, ()), (0, 2, (((1, 1), 3), ((2, 0), 5))))
     assert PlaneBase2(0, 2).relations == ((3, 0, ()), (0, 2, (((2, 0), -2),)))
+
+
+def test_the_skeletons_are_split_once_per_rule_value():
+    # An equal rule built again shares the skeletons; a rule with c2's
+    # sign flipped, as the mutation table patches it in, gets its own.
+    assert chow._skeletons(chow._plane_rule()) is chow._skeletons(chow.PLANE_RULE)
+    c1, c2, H, U = (Poly.sym(s) for s in ("c1", "c2", "H", "U"))
+    flipped = QuotientRule(((H ** 3, 0), (U ** 2, c1 * H * U + c2 * H * H)))
+    assert chow._at(flipped, {"c1": 3, "c2": -5}) == (
+        (3, 0, ()), (0, 2, (((1, 1), 3), ((2, 0), -5))))
+    assert PlaneBase2(3, -5).relations == (
+        (3, 0, ()), (0, 2, (((1, 1), 3), ((2, 0), 5))))
+
+
+def test_the_ambients_keep_their_dataclass_contract():
+    # Each fills __dict__ in one update; relations stay outside the fields.
+    assert [f.name for f in dataclasses.fields(PlaneBase2)] == ["c1", "c2"]
+    assert [f.name for f in dataclasses.fields(LineBase4)] == ["twists"]
+    plane, line = PlaneBase2(Fraction(6, 2), -5), LineBase4([1, -2, 0, Fraction(4)])
+    assert (type(plane.c1), plane.c1, plane.c2) == (int, 3, -5)
+    assert line.twists == (1, -2, 0, 4) and type(line.twists[3]) is int
+    assert plane == PlaneBase2(c1=3, c2=-5) and hash(plane) == hash(PlaneBase2(3, -5))
+    assert plane != PlaneBase2(3, 5) and line == LineBase4(twists=(1, -2, 0, 4))
+    assert repr(plane) == "PlaneBase2(c1=3, c2=-5)"
+    assert repr(line) == "LineBase4(twists=(1, -2, 0, 4))"
+    for ambient in (plane, line):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ambient.relations = ()
+    with pytest.raises(ValueError, match=r"^c2 must be an integer, got Fraction\(1, 2\)$"):
+        PlaneBase2(1, Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"^twist must be an integer, got 'x'$"):
+        LineBase4((0, 0, 1, "x"))
 
 
 def test_each_ring_is_stated_once():

@@ -44,6 +44,13 @@ def _int_code_one_more():
     return perturbed
 
 
+def _scalar_denominator_dropped():
+    """``exact._Sparse._scaled``, the scalar path of ``x * n``, ``n * x``
+    and ``x / n``, but with the denominator of the scalar dropped."""
+    real = exact._Sparse._scaled
+    return lambda self, p, q: real(self, p, 1)
+
+
 class Mutation(NamedTuple):
     module: object
     name: str
@@ -78,13 +85,23 @@ MUTATIONS = {
         exact, "_int_code", _int_code_one_more,
         golden=(THM1,),
     ),
+    # thm1's closed form is built with / 2 and Fraction(5, 4) *, its
+    # derived form with other denominators, so the routes disagree; so do
+    # thm3's, whose Q-polynomials divide by 2 and 24.
+    "scalar multiple with the denominator dropped": Mutation(
+        exact._Sparse, "_scaled", _scalar_denominator_dropped,
+        route=(THM1, ["thm3", "--bundle", "P2: rank2(c1=3,c2=3)"]),
+        golden=(THM1, ["chow-eval", "--ring", "plane:1,2", "--expr",
+                       "(H + U)^3 - 1/2*H*U + 3"]),
+    ),
 }
 
 
 def _clear_form_caches():
     for cached in (theorems.thm1_closed_form, rr.chi_twisted_cotangent_symbolic,
                    theorems.thm2_chain_form, theorems.thm2_chain_poly,
-                   theorems.thm3_Q_form, theorems.thm3_hrr_form, chern.sym_power_form):
+                   theorems.thm3_Q_form, theorems.thm3_hrr_form, chern.sym_power_form,
+                   chow._skeletons):
         cached.cache_clear()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -92,6 +93,36 @@ class TestThm2:
     def test_all_distinct_rejected(self):
         with pytest.raises(HypothesisViolation):
             DivisorCaseInput((0, 1, 2, 3), 0)
+
+    def test_divisor_input_keeps_its_dataclass_contract(self):
+        # Its own __init__ fills __dict__ in one update; the rest is the
+        # dataclass's, as for bottcases.CaseRecord.
+        assert [f.name for f in dataclasses.fields(DivisorCaseInput)] == ["a", "k"]
+        inp = DivisorCaseInput((0, 0, 1, 2), 3)
+        assert inp == DivisorCaseInput(a=(0, 0, 1, 2), k=3)
+        assert hash(inp) == hash(DivisorCaseInput((0, 0, 1, 2), 3))
+        assert inp != DivisorCaseInput((0, 0, 1, 2), 4)
+        assert repr(inp) == "DivisorCaseInput(a=(0, 0, 1, 2), k=3)"
+        assert vars(inp) == {"a": (0, 0, 1, 2), "k": 3}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inp.k = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del inp.a
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'k'"):
+            DivisorCaseInput((0, 0, 1, 2))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'b'"):
+            DivisorCaseInput((0, 0, 1, 2), 3, b=1)
+
+    @pytest.mark.parametrize("a, error, text", [
+        ((0, 1, 2, 3), HypothesisViolation,
+         "the four twists must not be all distinct, got (0, 1, 2, 3)"),
+        ((0, 0, 1), ValueError, "need exactly 4 twists, got 3"),
+        ((0, 0, 1, 1, 2), ValueError, "need exactly 4 twists, got 5"),
+    ])
+    def test_divisor_input_refuses_what_check_twists_refuses(self, a, error, text):
+        with pytest.raises(error) as err:
+            DivisorCaseInput(a, 0)
+        assert str(err.value) == text
 
     def test_grid_agreement(self):
         # two entries forced equal, all in [-3, 3], k in [-3, 3]
