@@ -344,7 +344,7 @@ def builtin_registry() -> tuple:
 
 # --- registry file format --------------------------------------------------
 
-_NUMERIC_FIELDS = ("h", "c13", "c12H", "c1H2", "c2H", "H3", "d", "a", "k", "c1", "c2")
+_NUMERIC_FIELDS = (*NUMERICS_FIELDS, "d", "a", "k", "c1", "c2")
 _REGISTRY_FIELDS = ("geometry", *_NUMERIC_FIELDS, "provenance")
 
 
@@ -367,7 +367,7 @@ def _read_twists(text: str) -> tuple:
 #: How the reader reads each field's stripped value.
 _READERS = {
     "geometry": str,
-    **dict.fromkeys(("h", "c13", "c12H", "c1H2", "c2H", "H3"), _read_number),
+    **dict.fromkeys(NUMERICS_FIELDS, _read_number),
     **dict.fromkeys(("d", "k", "c1", "c2"), _read_int),
     "a": _read_twists,
     "provenance": str,

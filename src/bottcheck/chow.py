@@ -178,8 +178,9 @@ class GradedClass(_Sparse):
     """A fully reduced element of one of the two ambient Chow rings.
 
     ``terms`` holds (basis monomial, int numerator) pairs over the one
-    denominator ``den``, as ``exact._Sparse`` keeps them; ``ambient`` is
-    the ring.  ``coeffs`` gives the same terms with Fraction coefficients.
+    denominator ``den``, as ``exact._Sparse`` keeps them; ``ring`` is the
+    ambient (a ``LineBase4`` or a ``PlaneBase2``).  ``coeffs`` gives the
+    same terms with Fraction coefficients.
     """
 
     __slots__ = ()
@@ -192,10 +193,6 @@ class GradedClass(_Sparse):
         raw = dict(raw)
         nums, den = common_denominator(raw.values())
         self._store(_reduce(ambient.relations, zip(raw, nums)).items(), den, ambient)
-
-    @property
-    def ambient(self) -> Ambient:
-        return self.ring
 
     def _product(self, xs, ys) -> dict:
         terms: dict = {}

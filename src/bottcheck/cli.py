@@ -330,8 +330,7 @@ def _cmd_thm1(args, out) -> int:
         except ValueError as exc:
             raise InputError(f"--h {shortened(str(args.h))}: {exc}") from None
     n = theorems.ThreefoldNumerics(
-        h=args.h, c13=args.c13, c12H=args.c12H, c1H2=args.c1H2,
-        c2H=args.c2H, H3=args.H3,
+        **{name: getattr(args, name) for name in theorems.NUMERICS_FIELDS}
     )
     comparison = theorems.compare_thm1(n)
     values = comparison.values
@@ -465,12 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("thm1", help="weak-Fano threefold obstruction from "
                         "intersection numerics, both routes")
-    p1.add_argument("--h", type=_rat, default=None)
-    p1.add_argument("--c13", type=_rat, default=None)
-    p1.add_argument("--c12H", type=_rat, default=None)
-    p1.add_argument("--c1H2", type=_rat, default=None)
-    p1.add_argument("--c2H", type=_rat, default=None)
-    p1.add_argument("--H3", type=_rat, default=None)
+    for name in theorems.NUMERICS_FIELDS:
+        p1.add_argument(f"--{name}", type=_rat, default=None)
     p1.add_argument("--symbolic-h", action="store_true")
     p1.set_defaults(func=_cmd_thm1)
 

@@ -26,10 +26,11 @@ the numerators from a tuple, written without any coefficient or name in
 its text, built on the first such call and kept on the form.  The
 result costs one Fraction, or one UniPoly.  A rational or polynomial
 value, a variable left free or a value that is not a number takes
-``subs``'s loop over the terms, which keeps a running denominator and
-substitutes polynomials (``as_unipoly`` regroups its result); the cached
-forms of ``theorems``, ``chern`` and ``rr`` are substituted at whole
-numbers on every check, and compile once.
+``subs``'s general substitution, which builds each term on the ring's
+own ``*``, ``**`` and ``+`` and divides by the denominator once
+(``as_unipoly`` regroups its result); the cached forms of ``theorems``,
+``chern`` and ``rr`` are substituted at whole numbers on every check,
+and compile once.
 
 A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
 the normal form of a quotient ring; with c1 and c2 as variables, one
@@ -397,19 +398,13 @@ class UniPoly(_Arithmetic):
         return Fraction(acc, self.den * scale // q)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner) by Horner's rule as in ``__call__``, with inner's
-        numerator polynomial in place of p and its denominator as q."""
-        if not self.num:
-            return UniPoly()
+        """self(inner) by Horner's rule on UniPoly's own ``*`` and ``+``
+        over the numerators, then one division by ``den``."""
         inner = self._coerce(inner)
-        m, e = inner.num, inner.den
-        acc: list = []
-        scale = 1
-        for c in reversed(self.num):
-            acc = _convolve(acc, m) or [0]
-            acc[0] += c * scale
-            scale *= e
-        return UniPoly._new(acc, self.den * scale // e)
+        acc = UniPoly()
+        for n in reversed(self.num):
+            acc = acc * inner + n
+        return acc / self.den
 
     def render(self, var: str = "t") -> str:
         return _render(
@@ -860,9 +855,10 @@ class Poly(_Sparse):
         denominator 1) and every variable gets one, runs this form's
         compiled int code (``_whole``) and makes one Fraction.  Any other
         call, with a rational or polynomial value, a variable left free,
-        or a value that is not a number, sums int numerators over
-        ``den * scale``, growing ``scale`` only when a term's denominator
-        does not divide it.
+        or a value that is not a number, builds each term as its
+        numerator times the product of its values' powers, a free
+        variable standing for itself, on the ring's own ``*``, ``**`` and
+        ``+``, and divides the sum by ``den`` once.
         """
         if self.ring is not None:
             raise ValueError("cannot substitute into a quotient ring")
@@ -874,47 +870,23 @@ class Poly(_Sparse):
             if isinstance(x, Poly):
                 if x.ring is not None:
                     raise ValueError(f"the value of {v!r} has a quotient rule")
-            elif type(x) is not int:
-                x = x if isinstance(x, Fraction) else Fraction(x)
-                x = x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
+            elif not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
             vals[v] = x
-        out: dict = {}
-        scale = 1  # the numerators in out are over self.den * scale
-        whole = True  # every variable met so far got a number
+        whole = True  # every variable met got a number
+        total = 0
         for m, c in self._terms:
-            q, rest, expanded = 1, (), None
             for v, e in m:
                 x = vals.get(v)
-                if type(x) is int:
-                    c *= x if e == 1 else x ** e
-                elif x is None:
-                    rest += ((v, e),)
+                if x is None:
+                    x = Poly.sym(v)
+                if isinstance(x, Poly):
                     whole = False
-                elif type(x) is tuple:
-                    c *= x[0] ** e
-                    q *= x[1] ** e
-                else:
-                    whole = False
-                    if expanded is None:
-                        expanded = [((), 1)]
-                    for _ in range(e):
-                        expanded = [(_mono_mul(m1, m2), a * b)
-                                    for m1, a in expanded for m2, b in x._terms]
-                    q *= x.den ** e
-            if q != 1 and scale % q:
-                grow = q // gcd(scale, q)
-                scale *= grow
-                out = {k: n * grow for k, n in out.items()}
-            if scale != 1:
-                c *= scale // q
-            if expanded is None:
-                out[rest] = out[rest] + c if rest in out else c
-            else:
-                for pm, n in expanded:
-                    _accumulate(out, _mono_mul(rest, pm), c * n)
+                c = c * x ** e
+            total = total + c
         if whole:
-            return Fraction(out.get((), 0), self.den * scale)
-        return Poly._new(out.items(), self.den * scale)
+            return Fraction(total, self.den)
+        return total / self.den
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
         """``self.subs(values)`` as a UniPoly in ``var``.

@@ -101,20 +101,3 @@ def euler_jaczewski_chi(x, y, p: int, q: int):
         - 2 * f_formula(x, y, p, q)
     )
 
-
-def normalized_pq(twists) -> tuple:
-    """Extract (p, q) from four twists of which at least two are zero.
-
-    The caller performs the normalizing shift; this boundary check makes
-    the "two twists vanish" hypothesis explicit.
-    """
-    rest = list(twists)
-    if len(rest) != 4:
-        raise ValueError(f"need exactly 4 twists, got {len(rest)}")
-    if rest.count(0) < 2:
-        raise HypothesisViolation(
-            f"two of the twists must be zero after normalization, got {tuple(rest)}"
-        )
-    rest.remove(0)
-    rest.remove(0)
-    return rest[0], rest[1]

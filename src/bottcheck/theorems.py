@@ -31,7 +31,6 @@ from .rr import (
     chi_twisted_cotangent_symbolic,
     f_formula,
     hrr_threefold,
-    normalized_pq,
 )
 
 NumericsValue = Union[int, Fraction, Poly, None]
@@ -159,14 +158,25 @@ def compare_thm1(n: ThreefoldNumerics) -> Comparison:
     return _compare("closed", thm1_closed(n), "derived", thm1_derived(n))
 
 
-def check_twists(a) -> None:
-    """Raise ValueError unless ``a`` holds four twists, and
-    HypothesisViolation if they are pairwise distinct: thm2's chain
-    normalises by a repeated twist."""
+def check_twists(a) -> Tuple[int, int, int]:
+    """thm2's normal form (t, p, q) of the twists ``a``: t is the smallest
+    repeated twist, and p <= q are the other two twists minus t, so the
+    chain runs on the twists (0, 0, p, q).  Raise ValueError unless ``a``
+    holds four twists, and HypothesisViolation if they are pairwise
+    distinct.
+
+    One sort does it all: in sorted order a repeat is two equal
+    neighbours, and the first such pair holds t."""
     if len(a) != 4:
         raise ValueError(f"need exactly 4 twists, got {len(a)}")
-    if len(set(a)) == 4:
-        raise HypothesisViolation(f"the four twists must not be all distinct, got {a}")
+    s0, s1, s2, s3 = sorted(a)
+    if s0 == s1:
+        return s0, s2 - s0, s3 - s0
+    if s1 == s2:
+        return s1, s0 - s1, s3 - s1
+    if s2 == s3:
+        return s2, s0 - s2, s1 - s2
+    raise HypothesisViolation(f"the four twists must not be all distinct, got {a}")
 
 
 @dataclass(frozen=True)
@@ -174,28 +184,17 @@ class DivisorCaseInput:
     """A divisor X in |kH + 2U| on the rank-4 bundle over the line; no
     route depends on the twist a of aH + U, so it is not an input.
 
-    ``__init__`` runs ``check_twists`` on the twists and fills the
-    instance's ``__dict__`` in one update, as ``ThreefoldNumerics``'s
-    does; ``fields``, ``==``, ``hash``, ``repr`` and the refusal to
-    assign are the dataclass's own."""
+    ``__init__`` fills the instance's ``__dict__`` in one update, as
+    ``ThreefoldNumerics``'s does, with the fields and, outside them, the
+    normal form (t, p, q) that ``check_twists`` returns for the twists,
+    which ``thm2_chain`` reads; ``fields``, ``==``, ``hash``, ``repr``
+    and the refusal to assign are the dataclass's own."""
 
     a: Tuple[int, int, int, int]
     k: int
 
     def __init__(self, a, k):
-        check_twists(a)
-        self.__dict__.update({"a": a, "k": k})
-
-
-def _normalizing_shift(a) -> int:
-    """Smallest twist value occurring at least twice; ``DivisorCaseInput``
-    guarantees that one does.  In sorted order a repeat is two equal
-    neighbours, so when neither of the first two pairs is one, the last
-    pair is."""
-    s0, s1, s2, _ = sorted(a)
-    if s0 == s1:
-        return s0
-    return s1 if s1 == s2 else s2
+        self.__dict__.update({"a": a, "k": k, "_normal_form": check_twists(a)})
 
 
 @cache
@@ -234,15 +233,17 @@ def thm2_chain_form() -> Poly:
 
 @lru_cache(maxsize=None)
 def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
-    """The chain for one normalised (p, q, k), as a polynomial in a.
+    """The chain for one normalised (p, q, k), p <= q, as a polynomial
+    in a.
 
     Substitutes p, q and k into ``thm2_chain_form`` and views the result
     in a, so a twist dependence in the form shows up as a degree-1
     polynomial, which ``thm2_chain`` rejects.  The cache stays: a hit is
-    cheaper than the substitution and the UniPoly it builds.  On
-    ``bench/run.py --workload divisor-grid``, where 92% of the checks hit
-    it, the median check took 5.7 us with the cache and 7.7 us without it
-    (one run each, 2-vCPU shared host, Python 3.11).
+    cheaper than the substitution and the UniPoly it builds.  Criterion
+    3's grid of 10,927 checks (``bench/run.py --workload divisor-grid``)
+    needs 448 keys, so 96% of its checks hit it; when 92% did, the median
+    check took 5.7 us with the cache and 7.7 us without it (one run each,
+    2-vCPU shared host, Python 3.11).
     """
     return thm2_chain_form().as_unipoly("a", {"p": p, "q": q, "k": k})
 
@@ -250,12 +251,12 @@ def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
 def thm2_chain(inp: DivisorCaseInput) -> Fraction:
     """-chi(X, Omega^2_X(aH + U)) along the pushforward chain.
 
-    The chain runs on twists normalized so two of them vanish; the shift
+    The chain runs on the twists (0, 0, p, q) of the input's normal form
+    (t, p, q), shifted by t so that two of them vanish; the shift
     bookkeeping (8t for a shift by t) reconstructs the value on the
     original twists, which must match thm2_closed.
     """
-    t = _normalizing_shift(inp.a)
-    p, q = normalized_pq([ai - t for ai in inp.a])
+    t, p, q = inp._normal_form
     poly = thm2_chain_poly(p, q, inp.k)
     if poly.degree:  # None for the zero polynomial, 0 for a constant
         raise DualPathMismatch(

@@ -51,6 +51,29 @@ def _scalar_denominator_dropped():
     return lambda self, p, q: real(self, p, 1)
 
 
+def _twists_q_one_more():
+    """``theorems.check_twists``, but with q of the normal form one more."""
+    real = theorems.check_twists
+
+    def perturbed(a):
+        t, p, q = real(a)
+        return t, p, q + 1
+
+    return perturbed
+
+
+def _general_subs_den_times_too_much():
+    """``exact.Poly.subs``, but a call that ``_whole`` refuses returns
+    ``den`` times its value."""
+    real = exact.Poly.subs
+
+    def perturbed(self, values):
+        out = real(self, values)
+        return out if self._whole(values) is not None else out * self.den
+
+    return perturbed
+
+
 class Mutation(NamedTuple):
     module: object
     name: str
@@ -93,6 +116,22 @@ MUTATIONS = {
         route=(THM1, ["thm3", "--bundle", "P2: rank2(c1=3,c2=3)"]),
         golden=(THM1, ["chow-eval", "--ring", "plane:1,2", "--expr",
                        "(H + U)^3 - 1/2*H*U + 3"]),
+    ),
+    "thm2's normal form with q one more": Mutation(
+        theorems, "check_twists", _twists_q_one_more,
+        route=(["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "0"],),
+        golden=(["thm2", "--bundle", "P1: O(0)^2 + O(1) + O(2)", "--k", "0"],),
+    ),
+    # thm1's two forms are one polynomial, stored alike over the same
+    # denominator, so both routes agree on the wrong value and no route
+    # comparison can see it; the goldens with a rational value or a free h
+    # take the general substitution.
+    "general Poly.subs den times too much": Mutation(
+        exact.Poly, "subs", _general_subs_den_times_too_much,
+        golden=(["thm1", "--h", "2", "--c13", "1/2", "--c12H", "-3/4", "--c1H2", "5/3",
+                 "--c2H", "24", "--H3", "7/2"],
+                ["thm1", "--symbolic-h", "--c13", "4", "--c12H", "6", "--c1H2", "6",
+                 "--c2H", "24", "--H3", "6"]),
     ),
 }
 

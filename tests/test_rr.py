@@ -5,13 +5,11 @@ import pytest
 from bottcheck.chern import symbolic_degree
 from bottcheck.exact import Poly, T, UniPoly, binom
 from bottcheck.rr import (
-    HypothesisViolation,
     chi_plane,
     euler_jaczewski_chi,
     f_formula,
     f_splitting_oracle,
     hrr_threefold,
-    normalized_pq,
 )
 
 C1, C2 = Poly.sym("c1"), Poly.sym("c2")
@@ -112,18 +110,6 @@ class TestEulerJaczewski:
 
     def test_product_fourfold(self):
         assert euler_jaczewski_chi(1, 1, 0, 0) == 0
-
-
-class TestNormalizedPq:
-    def test_extracts_remaining_pair(self):
-        assert sorted(normalized_pq((0, 1, 0, 2))) == [1, 2]
-
-    def test_extra_zeros_ok(self):
-        assert normalized_pq((0, 0, 0, 0)) == (0, 0)
-
-    def test_rejects_without_two_zeros(self):
-        with pytest.raises(HypothesisViolation):
-            normalized_pq((0, 1, 2, 3))
 
 
 def test_chi_plane_polynomial_inputs():

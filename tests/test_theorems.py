@@ -103,7 +103,7 @@ class TestThm2:
         assert hash(inp) == hash(DivisorCaseInput((0, 0, 1, 2), 3))
         assert inp != DivisorCaseInput((0, 0, 1, 2), 4)
         assert repr(inp) == "DivisorCaseInput(a=(0, 0, 1, 2), k=3)"
-        assert vars(inp) == {"a": (0, 0, 1, 2), "k": 3}
+        assert vars(inp) == {"a": (0, 0, 1, 2), "k": 3, "_normal_form": (0, 1, 2)}
         with pytest.raises(dataclasses.FrozenInstanceError):
             inp.k = 4
         with pytest.raises(dataclasses.FrozenInstanceError):

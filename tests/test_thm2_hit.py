@@ -1,11 +1,12 @@
-"""thm2's chain on a cache hit: the normalising shift from one sort, the
-(p, q) boundary check on a list, and one Fraction for the result.  The
+"""thm2's chain on a cache hit: the normal form (t, p, q) from
+``check_twists``'s one sort, and one Fraction for the result.  The
 oracles are the earlier route, copied here as it was: the shift by
-``min``/``count``, ``normalized_pq`` on a tuple, and ``poly(0) + 8*t``."""
+``min``/``count``, the (p, q) left after removing two zeros from the
+shifted tuple, and ``poly(0) + 8*t``."""
 
 import cProfile
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import given, strategies as st
 
 from bottcheck import theorems
 from bottcheck.exact import T, UniPoly
-from bottcheck.rr import HypothesisViolation, normalized_pq
+from bottcheck.rr import HypothesisViolation
 from bottcheck.theorems import (
     DivisorCaseInput,
     DualPathMismatch,
-    _normalizing_shift,
+    check_twists,
     thm2_chain,
     thm2_closed,
 )
@@ -61,7 +62,19 @@ def test_shift_matches_min_count_on_the_whole_small_grid():
     grid = [a for a in product(range(-3, 4), repeat=4) if _with_repeat(a)]
     assert len(grid) == 7 ** 4 - 7 * 6 * 5 * 4
     for a in grid:
-        assert _normalizing_shift(a) == old_normalizing_shift(a), a
+        t = old_normalizing_shift(a)
+        pq = sorted(old_normalized_pq(tuple(ai - t for ai in a)))
+        assert check_twists(a) == (t, *pq), a
+
+
+def test_permutations_of_the_twists_share_one_chain():
+    # p <= q in the normal form, so the order of the twists picks no
+    # other cache entry.
+    theorems.thm2_chain_poly.cache_clear()
+    twists = (-2, 5, -2, 9)
+    values = {thm2_chain(DivisorCaseInput(a, 4)) for a in permutations(twists)}
+    assert values == {thm2_closed(DivisorCaseInput(twists, 4))}
+    assert theorems.thm2_chain_poly.cache_info().currsize == 1
 
 
 _twists = st.lists(st.integers(-60, 60), min_size=3, max_size=3).flatmap(
@@ -92,36 +105,6 @@ def test_constant_chain_adds_the_shift(monkeypatch, poly):
     got = thm2_chain(_INP)
     assert type(got) is Fraction
     assert got == poly(0) + 8 * 2
-
-
-class TestNormalizedPqOnAList:
-    def test_value_is_a_two_tuple(self):
-        assert normalized_pq([0, 3, 0, -1]) == (3, -1) == old_normalized_pq([0, 3, 0, -1])
-        assert normalized_pq([0, 0, 0, 0]) == (0, 0)
-
-    @pytest.mark.parametrize("twists", [[0, 0, 1], [0, 0, 1, 2, 3], []])
-    def test_wrong_length(self, twists):
-        with pytest.raises(ValueError) as err:
-            normalized_pq(twists)
-        assert type(err.value) is ValueError
-        assert str(err.value) == f"need exactly 4 twists, got {len(twists)}"
-
-    @pytest.mark.parametrize("twists", [[0, 1, 2, 3], [1, 1, 2, 2], [0, 1, 1, 1]])
-    def test_fewer_than_two_zeros(self, twists):
-        with pytest.raises(HypothesisViolation) as err:
-            normalized_pq(twists)
-        assert str(err.value) == (
-            "two of the twists must be zero after normalization, "
-            f"got {tuple(twists)}")
-
-    @given(st.lists(st.integers(-3, 3), max_size=6))
-    def test_same_outcome_as_the_tuple_route(self, twists):
-        def outcome(f):
-            try:
-                return f(list(twists))
-            except ValueError as exc:
-                return type(exc), str(exc)
-        assert outcome(normalized_pq) == outcome(old_normalized_pq)
 
 
 def test_a_cache_hit_makes_one_fraction(monkeypatch):
