@@ -81,6 +81,43 @@ _twists = st.lists(st.integers(-60, 60), min_size=3, max_size=3).flatmap(
     lambda three: st.permutations(three + [three[0]]))
 
 
+class TestCheckTwists:
+    """``check_twists`` on its own, where ``normalized_pq`` was tested: the
+    value it returns, and both refusals with their exact type and text."""
+
+    @pytest.mark.parametrize("a, form", [
+        ((0, 3, 0, -1), (0, -1, 3)),
+        ((0, 0, 0, 0), (0, 0, 0)),
+        ((1, 1, 2, 2), (1, 1, 1)),  # t is the smaller of two repeats
+        ((0, 1, 1, 1), (1, -1, 0)),
+    ])
+    def test_value_is_the_normal_form(self, a, form):
+        got = check_twists(a)
+        assert got == form
+        assert got[1:] == tuple(sorted(old_normalized_pq(ai - got[0] for ai in a)))
+
+    @pytest.mark.parametrize("twists", [(0, 0, 1), (0, 0, 1, 2, 3), ()])
+    def test_wrong_length(self, twists):
+        with pytest.raises(ValueError) as err:
+            check_twists(twists)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"need exactly 4 twists, got {len(twists)}"
+
+    @pytest.mark.parametrize("twists", [(0, 1, 2, 3), (3, 2, 1, 0), (-7, 40, 0, 5)])
+    def test_all_distinct(self, twists):
+        with pytest.raises(HypothesisViolation) as err:
+            check_twists(twists)
+        assert str(err.value) == (
+            f"the four twists must not be all distinct, got {twists}")
+
+    @given(_twists)
+    def test_form_rebuilds_the_twists(self, a):
+        t, p, q = check_twists(tuple(a))
+        assert p <= q
+        assert sorted(a) == sorted((t, t, t + p, t + q))
+        assert t == old_normalizing_shift(a)
+
+
 @given(_twists, st.integers(-20, 20))
 def test_chain_matches_the_earlier_route(a, k):
     inp = DivisorCaseInput(tuple(a), k)
