@@ -75,8 +75,8 @@ def sym_power_classes(t, c1, c2) -> SymPowerPolys:
     """Chern numbers of S^t E and (S^t E)(-1) for E of rank 2 on the plane
     with Chern numbers c1, c2.
 
-    The arguments may be numbers or elements of any polynomial ring
-    (UniPoly, Poly); ``t`` is the power, usually a variable.
+    The arguments may be numbers or elements of a polynomial ring, such
+    as ``Poly``; ``t`` is the power, usually a variable.
     """
     C1 = c1 * t * (t + 1) / 2
     C2 = c1 * c1 * t * (t * t - 1) * (3 * t + 2) / 24 + c2 * binom(t + 2, 3)

@@ -49,23 +49,6 @@ class BundleExpr:
     twists: Optional[Tuple[int, ...]] = None
     c1c2: Optional[Tuple[int, int]] = None
 
-    def render(self) -> str:
-        if self.c1c2 is not None:
-            return f"{self.base}: rank2(c1={self.c1c2[0]},c2={self.c1c2[1]})"
-        terms = []
-        i = 0
-        twists = self.twists or ()
-        while i < len(twists):
-            j = i
-            while j < len(twists) and twists[j] == twists[i]:
-                j += 1
-            if j - i == 1:
-                terms.append(f"O({twists[i]})")
-            else:
-                terms.append(f"O({twists[i]})^{j - i}")
-            i = j
-        return f"{self.base}: " + " + ".join(terms)
-
 
 class _Scanner:
     def __init__(self, text: str):

@@ -2,22 +2,23 @@
 
 Everything downstream (Chow classes, Chern polynomials, Riemann-Roch
 values) is built on the types here: arbitrary-precision rationals,
-univariate polynomials over the rationals, and sparse polynomials over
-named variables, optionally in a quotient ring.  There is no floating
+sparse polynomials over named variables, optionally in a quotient ring,
+and the univariate polynomials they are viewed as.  There is no floating
 point anywhere in the package.
 
 Every ring element keeps int numerators over one positive int
 denominator, in lowest terms, and makes Fractions only where a value
-leaves it.  ``_Sparse`` states that stored form once and implements it
-for sparse (monomial, numerator) terms; ``Poly`` here and
-``chow.GradedClass`` are its subclasses and supply only their unit
+leaves it.  ``_Sparse`` states that stored form once and holds the one
+ring arithmetic, on sparse (monomial, numerator) terms; ``Poly`` here
+and ``chow.GradedClass`` are its subclasses and supply only their unit
 monomial, their product of terms and the text of a monomial.  Every
 symbolic form of the package, affine or not, is a plain ``Poly``, so
 ``Poly.subs`` is the one engine that substitutes into one.  ``UniPoly``
-keeps the same
-stored form densely, as a tuple ``num`` of the numerators of 1, t,
-t^2, ....  ``_render`` is the one text form of all of them; ``binom``
-takes a number or any of them as its upper argument.
+is the dense value that ``Poly.as_unipoly`` returns: the same stored
+form as a tuple ``num`` of the numerators of 1, t, t^2, ..., which is
+evaluated, compared and printed but has no arithmetic.  ``_render`` is
+the one text form of all of them; ``binom`` takes a number or a ring
+element as its upper argument.
 
 ``Poly.subs`` and ``Poly.as_unipoly`` at whole numbers, an int or a
 Fraction with denominator 1 for every variable, run int code compiled
@@ -45,7 +46,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -56,10 +56,11 @@ def binom(n, k: int):
     """Generalized binomial coefficient n(n-1)...(n-k+1)/k!.
 
     The upper argument may be any integer or rational, giving a
-    Fraction, or a polynomial (UniPoly, Poly), giving an element of its
-    ring; binom(p, 0) is the ring's unit.  k must be a nonnegative
-    integer.  This is the unique polynomial extension of the
-    combinatorial binomial, so e.g. binom(-1, 4) == 1.
+    Fraction, or a ring element with ``-``, ``*``, ``/`` and ``** 0``
+    (``Poly``, ``GradedClass``), giving an element of its ring;
+    binom(p, 0) is the ring's unit.  k must be a nonnegative integer.
+    This is the unique polynomial extension of the combinatorial
+    binomial, so e.g. binom(-1, 4) == 1.
     """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
@@ -206,79 +207,17 @@ def _render(terms, den: int = 1) -> str:
     return " ".join(parts) or "0"
 
 
-def _convolve(a, b) -> list:
-    """Coefficient list of the product of two integer coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-class _Arithmetic:
-    """What the ring types here share: immutability, and ``+``, ``-``,
-    division by a number and powers through each type's ``_coerce`` (None
-    for an operand it does not take), ``_plus(o, sign)``, ``__neg__`` and
-    ``__mul__``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self * (1 / Fraction(scalar))
-
-    def __pow__(self, n: int):
-        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
-
-        Every intermediate goes through ``check_printable``, so a huge
-        exponent raises ValueError before it exhausts memory.
-        """
-        if n < 0:
-            raise ValueError("negative exponent")
-        what = f"the power ^{n}"
-        out, base, k = None, self, n
-        while k:
-            if k & 1:
-                out = base if out is None else check_printable(out * base, what)
-            k >>= 1
-            if k:
-                base = check_printable(base * base, what)
-        return self._coerce(1) if out is None else out
-
-
-class UniPoly(_Arithmetic):
-    """Univariate polynomial with rational coefficients.
+class UniPoly:
+    """Univariate polynomial with rational coefficients: the dense value
+    that ``Poly.as_unipoly`` returns, to evaluate, compare, print and read.
 
     Stored as integer numerators over one common denominator:
     ``num[i] / den`` is the coefficient of the i-th power, in the form
     of ``_Sparse`` with a dense tuple for its terms: no trailing zero,
     and zero is ``((), 1)``.  ``coeffs`` gives the coefficients as
-    Fractions.  Instances are immutable; all operations return new
-    polynomials.
+    Fractions.  It has no ring arithmetic: one-variable arithmetic runs
+    on ``Poly``, and ``as_unipoly`` views the result.  Instances are
+    immutable.
     """
 
     __slots__ = ("num", "den")
@@ -297,6 +236,9 @@ class UniPoly(_Arithmetic):
         # copy and pickle rebuild through _new: their default protocol
         # assigns the slots, which __setattr__ refuses.
         return type(self)._new, (self.num, self.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _store(self, num, den: int) -> None:
         """Strip trailing zeros and cancel the common factor, then set.
@@ -327,83 +269,25 @@ class UniPoly(_Arithmetic):
         """Degree, or None for the zero polynomial."""
         return len(self.num) - 1 if self.num else None
 
-    def coeff(self, i: int) -> Fraction:
-        return Fraction(self.num[i], self.den) if 0 <= i < len(self.num) else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly._new((other.numerator,), other.denominator)
-        return None
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def _plus(self, o: "UniPoly", sign: int) -> "UniPoly":
-        a, b, den = self.num, o.num, self.den
-        if den != o.den:
-            den = lcm(den, o.den)
-            a = [x * (den // self.den) for x in a]
-            b = [x * (den // o.den) for x in b]
-        if sign > 0:
-            return UniPoly._new([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
-        return UniPoly._new([x - y for x, y in zip_longest(a, b, fillvalue=0)], den)
-
-    def __neg__(self):
-        return UniPoly._new([-n for n in self.num], self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return UniPoly._new([n * p for n in self.num], self.den * other.denominator)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return UniPoly._new(_convolve(self.num, o.num), self.den * o.den)
-
-    __rmul__ = __mul__
-
     def __call__(self, value: Number) -> Fraction:
-        """Evaluate by Horner's rule, on integers.
-
-        At an int the sum of num[i] value^i is accumulated and divided by
-        den.  At p/q the sum of num[i] p^i q^(d-i) is accumulated, and
-        divided by den q^d once at the end.
-        """
-        if not self.num:
-            return Fraction(0)
-        if type(value) is int:
-            acc = 0
-            for c in reversed(self.num):
-                acc = acc * value + c
-            return Fraction(acc) if self.den == 1 else Fraction(acc, self.den)
+        """Evaluate by Horner's rule over the numerators, then divide by
+        ``den`` once: on ints at an int, in Fraction arithmetic at any
+        other value."""
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
-        p, q = value.numerator, value.denominator
-        acc, scale = 0, 1
+        acc = 0
         for c in reversed(self.num):
-            acc = acc * p + c * scale
-            scale *= q
-        return Fraction(acc, self.den * scale // q)
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner) by Horner's rule on UniPoly's own ``*`` and ``+``
-        over the numerators, then one division by ``den``."""
-        inner = self._coerce(inner)
-        acc = UniPoly()
-        for n in reversed(self.num):
-            acc = acc * inner + n
+            acc = acc * value + c
+        if type(acc) is int:
+            return Fraction(acc) if self.den == 1 else Fraction(acc, self.den)
         return acc / self.den
 
     def render(self, var: str = "t") -> str:
@@ -418,12 +302,9 @@ class UniPoly(_Arithmetic):
 
 
 # The slots' own setters, which skip the attribute lookup of
-# ``object.__setattr__``; ``_Arithmetic.__setattr__`` refuses assignment.
+# ``object.__setattr__``; ``UniPoly.__setattr__`` refuses assignment.
 _set_num = UniPoly.num.__set__
 _set_uni_den = UniPoly.den.__set__
-
-#: The identity polynomial t.
-T = UniPoly((0, 1))
 
 
 # --- sparse polynomials over named variables --------------------------------
@@ -579,8 +460,10 @@ def _cancelled(terms, den: int):
     return tuple(terms), den
 
 
-class _Sparse(_Arithmetic):
-    """A sparse element of a ring over the rationals, in stored form.
+class _Sparse:
+    """A sparse element of a ring over the rationals, in stored form, with
+    the one ring arithmetic of the package: ``+``, ``-``, ``*``, division
+    by a number and powers.
 
     The slot ``_terms`` holds (monomial, int numerator) pairs over the
     one int denominator ``den``, in lowest terms:
@@ -595,10 +478,11 @@ class _Sparse(_Arithmetic):
     common factor is cancelled once per result (skipped when the
     denominator is 1).  A sum or a product goes through ``_store``, which
     drops zeros and sorts.  A negation and a multiple by a nonzero int or
-    Fraction (``_scaled``, also behind ``x / n``) skip both: they change
-    no monomial, and they scale every numerator by the same nonzero int,
-    so the stored terms stay sorted, distinct and nonzero; only the gcd
-    can change, and it is cancelled when the new denominator is not 1.
+    Fraction (``_scaled``) skip both: they change no monomial, and they
+    scale every numerator by the same nonzero int, so the stored terms
+    stay sorted, distinct and nonzero; only the gcd can change, and it is
+    cancelled when the new denominator is not 1.  ``x / n`` is ``_scaled``
+    by the numerator and denominator of 1/n, with no Fraction made.
     Zero times anything is the zero element.  Terms already in stored
     form are set through ``_canonical``.  Fractions are made only where a
     value leaves the element: ``coeffs`` and a subclass's coefficient
@@ -645,6 +529,9 @@ class _Sparse(_Arithmetic):
         # copy and pickle rebuild through _new, as UniPoly does; a memo that
         # a subclass keeps in another slot (Poly._compiled) stays behind.
         return type(self)._new, (self._terms, self.den, self.ring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _store(self, terms, den: int, ring) -> None:
         """Drop zero terms, sort, cancel the common factor, then set."""
@@ -698,6 +585,23 @@ class _Sparse(_Arithmetic):
             _accumulate(terms, m, c * b)
         return self._new(terms.items(), den, self.ring)
 
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._plus(o, -1)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
     def __neg__(self):
         return self._canonical(tuple([(m, -c) for m, c in self._terms]), self.den,
                                self.ring)
@@ -724,6 +628,34 @@ class _Sparse(_Arithmetic):
         return self._new(terms.items(), self.den * o.den, self.ring)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        p, q = scalar.numerator, scalar.denominator
+        if not p:
+            raise ZeroDivisionError("division by zero")
+        if p < 0:  # times q/p, the sign moved to the numerator
+            p, q = -p, -q
+        return self._scaled(q, p)
+
+    def __pow__(self, n: int):
+        """x**n for n >= 0 by repeated squaring; x**0 is the unit.
+
+        Every intermediate goes through ``check_printable``, so a huge
+        exponent raises ValueError before it exhausts memory.
+        """
+        if n < 0:
+            raise ValueError("negative exponent")
+        what = f"the power ^{n}"
+        out, base, k = None, self, n
+        while k:
+            if k & 1:
+                out = base if out is None else check_printable(out * base, what)
+            k >>= 1
+            if k:
+                base = check_printable(base * base, what)
+        return self._coerce(1) if out is None else out
 
     def _mono_text(self, m) -> str:
         return "*".join(_power(v, e) for v, e in zip(self.NAMES, m) if e)

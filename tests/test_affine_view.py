@@ -2,11 +2,10 @@
 one ``__pow__`` of the ring types.
 
 ``Poly.subs`` with ``Poly`` values is checked against a term-by-term
-expansion written with ``Poly`` arithmetic; ``UniPoly`` powers against
-repeated products.
+expansion written with ``Poly`` arithmetic; powers of a one-variable
+``Poly`` against repeated products.
 """
 
-import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import bottcheck.cli  # noqa: F401  (imports every module, so every subclass)
 from bottcheck.chow import PLANE_RULE, GradedClass
-from bottcheck.exact import Poly, UniPoly, _Sparse
+from bottcheck.exact import Poly, _Sparse
 
 VARS = ("x", "y", "z")
 scalars = st.one_of(
@@ -90,31 +89,21 @@ def test_affine_times_poly_is_a_poly():
     assert h ** 2 == h * h == Poly({(("h", 2),): 1})
 
 
-# --- one __pow__, in _Arithmetic --------------------------------------------
+# --- one __pow__, in _Sparse -------------------------------------------------
 
-unipolys = st.lists(scalars, max_size=4).map(UniPoly)
+one_variable = st.lists(scalars, max_size=4).map(
+    lambda cs: Poly({(("x", i),) if i else (): c for i, c in enumerate(cs)}))
 
 
-@given(unipolys, st.integers(1, 8))
-def test_unipoly_power_is_repeated_product(p, n):
+@given(one_variable, st.integers(1, 8))
+def test_power_is_repeated_product(p, n):
     assert p ** n == p * p ** (n - 1)
     assert p ** 0 == 1
 
 
-def test_a_huge_unipoly_power_is_refused_at_once():
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="the power"):
-        UniPoly((2,)) ** 30_000_000
-    assert time.perf_counter() - start < 5
-
-
-def test_a_negative_unipoly_power_is_refused():
-    with pytest.raises(ValueError, match="negative exponent"):
-        UniPoly((1, 1)) ** -1
-
-
 def test_one_pow_for_every_ring_type():
-    for cls in (UniPoly, Poly, GradedClass):
+    assert "__pow__" in vars(_Sparse)
+    for cls in (Poly, GradedClass):
         assert "__pow__" not in vars(cls)
 
 

@@ -74,6 +74,24 @@ def _general_subs_den_times_too_much():
     return perturbed
 
 
+def _chain_term_one_more():
+    """``theorems.f_formula``, but one more at y = -5, the last term of
+    thm2's chain."""
+    real = theorems.f_formula
+    return lambda x, y, p, q: real(x, y, p, q) + (1 if y == -5 else 0)
+
+
+def _unipoly_one_more_at_a_negative_int():
+    """``exact.UniPoly.__call__``, but one more at a negative int."""
+    real = exact.UniPoly.__call__
+
+    def perturbed(self, value):
+        out = real(self, value)
+        return out + 1 if type(value) is int and value < 0 else out
+
+    return perturbed
+
+
 class Mutation(NamedTuple):
     module: object
     name: str
@@ -132,6 +150,18 @@ MUTATIONS = {
                  "--c2H", "24", "--H3", "7/2"],
                 ["thm1", "--symbolic-h", "--c13", "4", "--c12H", "6", "--c1H2", "6",
                  "--c2H", "24", "--H3", "6"]),
+    ),
+    "a wrong chain term": Mutation(
+        theorems, "f_formula", _chain_term_one_more,
+        route=(["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "0"],),
+        golden=(["thm2", "--bundle", "P1: O(0)^2 + O(1) + O(2)", "--k", "0"],),
+    ),
+    # Q(-1) is compared against thm3_value, one int expression, which
+    # takes no UniPoly.
+    "UniPoly evaluation one more at a negative int": Mutation(
+        exact.UniPoly, "__call__", _unipoly_one_more_at_a_negative_int,
+        route=(["thm3", "--bundle", "P2: rank2(c1=3,c2=3)"],),
+        golden=(["thm3", "--bundle", "P2: O(-1) + O(4)"],),
     ),
 }
 

@@ -8,6 +8,9 @@ polynomials against the splitting oracle, and the tangent classes in
 the Chow ring) makes 54 Fractions, a count that the return types of the
 API fix.  The counts are the ones this code reaches; a change that
 builds more fails here.
+
+Dividing a ring element by an int scales it by the reciprocal's
+numerator and denominator, so it builds one element and no Fraction.
 """
 
 import cProfile
@@ -76,3 +79,14 @@ def test_a_warm_plane_bundle_check_makes_54_fractions(count, c1, c2):
     assert q_minus_1 == value == theorems.thm3_value(theorems.PlaneBundleInput(c1, c2))
     assert all(x == y for x, y in hrr) and all(x == y for x, y in sym)
     assert degrees == (6, 24)
+
+
+@pytest.mark.parametrize("make", [lambda: exact.Poly.sym("x"),
+                                  lambda: chow.U_class(chow.PlaneBase2(3, 3)) / 2],
+                         ids=["Poly", "GradedClass"])
+def test_a_quotient_by_an_int_makes_no_fraction(count, make):
+    x = make()
+    for n in (3, -3):
+        got, built, made = count(lambda: x / n)
+        assert (built, made) == (1, 0)
+        assert got * n == x and type(got) is type(x)

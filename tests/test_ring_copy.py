@@ -8,6 +8,7 @@ stored form instead, and leaves ``Poly``'s compiled int code behind.
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -33,7 +34,7 @@ ELEMENTS = {
     "Poly with a rule": _plane("U") ** 2 + _plane("H") * _plane("c1") / 2,
     "affine Poly": (1 + 2 * Poly.sym("h") - Poly.sym("c13")) / 4,
     "constant Poly": Poly({(): -5}),
-    "UniPoly": UniPoly((1, -2, 0, 3)) / 5,
+    "UniPoly": UniPoly((Fraction(1, 5), Fraction(-2, 5), 0, Fraction(3, 5))),
     "UniPoly zero": UniPoly(),
     "GradedClass plane": H_class(PlaneBase2(3, 3)) * U_class(PlaneBase2(3, 3)) / 2,
     "GradedClass line": U_class(LineBase4((0, 0, 1, 2))) ** 3,
@@ -63,8 +64,9 @@ def test_a_copy_keeps_working_as_a_ring_element(way):
     assert u(2) == ELEMENTS["UniPoly"](2)
 
 
-def test_a_copy_is_still_immutable():
-    y = copy.deepcopy(ELEMENTS["Poly"])
+@pytest.mark.parametrize("name", ["Poly", "UniPoly"])
+def test_a_copy_is_still_immutable(name):
+    y = copy.deepcopy(ELEMENTS[name])
     with pytest.raises(AttributeError, match="immutable"):
         y.den = 2
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from bottcheck import cli, theorems
+from bottcheck.exact import UniPoly
 from bottcheck.theorems import QPolys
 
 CASES = Path(__file__).resolve().parent / "golden" / "cases_all_geometries.ini"
@@ -24,10 +25,16 @@ COMMANDS = {
 }
 
 
+def _plus_one(u: UniPoly) -> UniPoly:
+    """u + 1, rebuilt from its coefficients."""
+    cs = u.coeffs or (0,)
+    return UniPoly((cs[0] + 1, *cs[1:]))
+
+
 def _shift_q(real):
     def perturbed(inp):
         qs = real(inp)
-        return QPolys(qs.Q1, qs.Q2, qs.Q3, qs.Q + 1)
+        return QPolys(qs.Q1, qs.Q2, qs.Q3, _plus_one(qs.Q))
     return perturbed
 
 
@@ -36,7 +43,7 @@ PERTURBATIONS = {
     "thm1_closed": ("thm1", lambda real: lambda n: real(n) + 1),
     "thm1_derived": ("thm1", lambda real: lambda n: real(n) + 1),
     "thm2_closed": ("thm2", lambda real: lambda inp: real(inp) + 1),
-    "thm2_chain_poly": ("thm2", lambda real: lambda p, q, k: real(p, q, k) + 1),
+    "thm2_chain_poly": ("thm2", lambda real: lambda p, q, k: _plus_one(real(p, q, k))),
     "thm3_value": ("thm3", lambda real: lambda inp: real(inp) + 1),
     "thm3_Q": ("thm3", _shift_q),
     "thm3_hrr_form": ("thm3", lambda real: lambda: real() + 1),

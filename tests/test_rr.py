@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bottcheck.chern import symbolic_degree
-from bottcheck.exact import Poly, T, UniPoly, binom
+from bottcheck.exact import Poly, binom
 from bottcheck.rr import (
     chi_plane,
     euler_jaczewski_chi,
@@ -11,6 +11,7 @@ from bottcheck.rr import (
     f_splitting_oracle,
     hrr_threefold,
 )
+from fraction_poly import FractionPoly, T
 
 C1, C2 = Poly.sym("c1"), Poly.sym("c2")
 
@@ -65,7 +66,7 @@ class TestFFormula:
 
     def test_polynomial_twist_argument(self):
         poly = f_formula(-T - 1, -1, 1, 2)
-        assert isinstance(poly, UniPoly) and poly.is_zero()
+        assert isinstance(poly, FractionPoly) and poly.coeffs == ()
 
     def test_polynomial_y_argument(self):
         poly = f_formula(0, T, 1, 2)
@@ -113,7 +114,7 @@ class TestEulerJaczewski:
 
 
 def test_chi_plane_polynomial_inputs():
-    assert chi_plane(T + 1, UniPoly(), UniPoly()) == T + 1
+    assert chi_plane(T + 1, FractionPoly(), FractionPoly()) == T + 1
 
 
 def test_splitting_oracle_sums_ints_into_one_fraction():

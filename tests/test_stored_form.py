@@ -4,7 +4,7 @@
 ``GradedClass`` keep the stored order of ``x`` and skip
 ``_Sparse._store``'s filter and sort (``_Sparse._scaled``,
 ``_Sparse.__neg__``); ``UniPoly._store`` strips trailing zeros by index
-and ``UniPoly.__call__`` runs Horner's rule on ints without a scale.
+and ``UniPoly.__call__`` runs Horner's rule on ints at an int.
 Each result must still be in stored form:
 
 * sorted, distinct monomials (for a ``UniPoly``, no trailing zero);
@@ -93,10 +93,6 @@ def reference_unipoly(num, den):
     return tuple(n // g for n in num), den // g
 
 
-def general_unipoly_scaled(x, f: Fraction):
-    return reference_unipoly([c * f.numerator for c in x.num], x.den * f.denominator)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_sparse, _scalars)
 def test_a_sparse_scalar_multiple_is_in_stored_form(x, n):
@@ -123,23 +119,6 @@ def test_a_sparse_negation_is_in_stored_form(x):
     assert_sparse_stored_form(got)
     same_sparse(got, general_scaled(x, Fraction(-1)))
     same_sparse(-got, x)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_unipolys, _scalars)
-def test_a_unipoly_scalar_multiple_is_in_stored_form(x, n):
-    assert_unipoly_stored_form(x)
-    want = general_unipoly_scaled(x, Fraction(n))
-    for got in (x * n, n * x):
-        assert_unipoly_stored_form(got)
-        assert (got.num, got.den) == want
-    if n:
-        got = x / n
-        assert_unipoly_stored_form(got)
-        assert (got.num, got.den) == general_unipoly_scaled(x, 1 / Fraction(n))
-    got = -x
-    assert_unipoly_stored_form(got)
-    assert (got.num, got.den) == general_unipoly_scaled(x, Fraction(-1))
 
 
 @settings(max_examples=200, deadline=None)

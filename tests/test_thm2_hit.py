@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bottcheck import theorems
-from bottcheck.exact import T, UniPoly
+from bottcheck.exact import UniPoly
 from bottcheck.rr import HypothesisViolation
 from bottcheck.theorems import (
     DivisorCaseInput,
@@ -130,7 +130,7 @@ _INP = DivisorCaseInput((2, 2, 5, 7), 1)
 
 
 def test_twist_dependent_chain_raises(monkeypatch):
-    monkeypatch.setattr(theorems, "thm2_chain_poly", lambda p, q, k: 3 + T)
+    monkeypatch.setattr(theorems, "thm2_chain_poly", lambda p, q, k: UniPoly((3, 1)))
     with pytest.raises(DualPathMismatch) as err:
         thm2_chain(_INP)
     assert str(err.value) == "chain value unexpectedly depends on the twist: a + 3"
