@@ -101,6 +101,11 @@ def test_power_is_repeated_product(p, n):
     assert p ** 0 == 1
 
 
+def test_a_negative_power_is_refused():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly.sym("x") ** -1
+
+
 def test_one_pow_for_every_ring_type():
     assert "__pow__" in vars(_Sparse)
     for cls in (Poly, GradedClass):

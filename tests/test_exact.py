@@ -42,6 +42,17 @@ class TestBinom:
 T = Poly.sym("t")
 
 
+def poly(cs):
+    """The one-variable Poly in t with coefficients cs, lowest power first."""
+    return Poly({(("t", i),) if i else (): c for i, c in enumerate(cs)})
+
+
+def view(x):
+    """A Poly in t, or the number ``subs`` gives for a constant, as the
+    UniPoly the package reads it as."""
+    return x.as_unipoly("t") if isinstance(x, Poly) else UniPoly((x,))
+
+
 class TestBinomPoly:
     """``binom`` on ``Poly`` in one variable, the ring it serves at run
     time."""
@@ -132,6 +143,26 @@ def test_agreement_at_enough_points_forces_equality(cs1, cs2):
         assert p == q
     else:
         assert p != q
+
+
+@given(st.lists(fractions, max_size=6), st.lists(fractions, max_size=6))
+def test_poly_ring_commutativity(cs1, cs2):
+    p, q = poly(cs1), poly(cs2)
+    assert p * q == q * p
+    assert p + q == q + p
+
+
+@given(st.lists(fractions, max_size=5), st.one_of(st.integers(-20, 20), fractions))
+def test_a_scalar_product_matches_the_constant_product(cs, n):
+    p = poly(cs)
+    assert p * n == p * Poly({(): n})
+    assert n * p == p * Poly({(): n})
+
+
+def test_times_zero_is_the_zero_polynomial():
+    for n in (0, Fraction(0)):
+        assert ((T + 1) * n).as_unipoly("t").coeffs == ()
+        assert (n * (T + 1)) == Poly()
 
 
 class TestAffine:
@@ -275,12 +306,54 @@ def same(p, oracle):
 
 
 coefficients = st.lists(scalars, max_size=5)
+nonzero = scalars.filter(lambda c: c != 0)
 
 
 class TestIntegerNumerators:
+    """``UniPoly`` storage, and one-variable ``Poly`` arithmetic read
+    through ``as_unipoly``, against the Fraction oracle."""
+
     @given(coefficients)
     def test_constructor(self, cs):
         same(UniPoly(cs), FractionPoly(cs))
+        same(view(poly(cs)), FractionPoly(cs))
+
+    @given(coefficients, coefficients)
+    def test_ring_operations(self, cs1, cs2):
+        p, q = poly(cs1), poly(cs2)
+        r, s = FractionPoly(cs1), FractionPoly(cs2)
+        same(view(p + q), r + s)
+        same(view(p - q), r - s)
+        same(view(-p), -r)
+        same(view(p * q), r * s)
+
+    @given(coefficients, scalars)
+    def test_sums_with_a_scalar(self, cs, n):
+        p, r = poly(cs), FractionPoly(cs)
+        same(view(p + n), r + n)
+        same(view(n + p), n + r)
+        same(view(p - n), r - n)
+        same(view(n - p), n - r)
+
+    @given(coefficients, scalars, nonzero)
+    def test_scalar_multiple_and_division(self, cs, n, d):
+        p, r = poly(cs), FractionPoly(cs)
+        same(view(p * n), r * n)
+        same(view(n * p), n * r)
+        same(view(p / d), r / d)
+
+    @given(coefficients, coefficients)
+    def test_compose(self, cs1, cs2):
+        same(view(poly(cs1).subs({"t": poly(cs2)})),
+             FractionPoly(cs1).compose(FractionPoly(cs2)))
+
+    @given(coefficients, scalars)
+    def test_compose_with_a_constant(self, cs, n):
+        same(view(poly(cs).subs({"t": n})), FractionPoly(cs).compose(n))
+
+    @given(st.lists(scalars, max_size=3), st.integers(0, 5))
+    def test_power(self, cs, n):
+        same(view(poly(cs) ** n), FractionPoly(cs) ** n)
 
     @given(coefficients, st.integers(-30, 30), fractions)
     def test_evaluation(self, cs, k, x):
@@ -304,6 +377,12 @@ class TestIntegerNumerators:
         p = UniPoly(cs)
         q = UniPoly._new([n * k for n in p.num], p.den * k)
         assert (q.num, q.den) == (p.num, p.den)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_zero_raises(self, zero):
+        for p in (Poly(), T + Fraction(1, 3)):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
 
     def test_zero_polynomial_is_stored_as_empty_over_one(self):
         for p in (UniPoly(), UniPoly((0, Fraction(0))), UniPoly._new([0, 0], 7),
