@@ -142,15 +142,18 @@ def _agreed(c: CaseRecord, comparison: theorems.Comparison) -> dict:
 #: A record's thm1 fields, as a tuple in the order of NUMERICS_FIELDS.
 _numerics_of = attrgetter(*NUMERICS_FIELDS)
 
+#: The symbol d, for a record that leaves it unset; built once, since
+#: ``Poly.sym`` costs more than either thm1 route on numbers.
+_D = Poly.sym("d")
+
 
 def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
-    fixed = g.fixed
-    if c.d is not None:
+    d = c.d
+    if d is None:
+        d = _D
+    else:
         _check_field(c, "d", _check_discriminant_degree)
-        fixed = {
-            f: v.subs({"d": c.d}) if isinstance(v, Poly) else v
-            for f, v in fixed.items()
-        }
+    fixed = {f: v(d) if callable(v) else v for f, v in g.fixed.items()}
     # The record's own value wins over the geometry's fixed numerics.
     n = ThreefoldNumerics(*[
         fixed.get(f) if v is None else v
@@ -193,9 +196,10 @@ class Geometry:
     theorem, called as ``evaluate(record, row)``; the numeric fields a
     record may set, and those a complete one must set (a template lacks
     one: thm1 and thm2 keep it as a symbol, thm3 refuses); the thm1
-    numerics the geometry fixes, Polys in ``d`` where they depend on it,
-    each overridden by a record's own value; and the note of a thm1
-    verdict."""
+    numerics the geometry fixes, functions of ``d`` where they depend on
+    it (called with the record's int d, or with the symbol d when the
+    record leaves it unset), each overridden by a record's own value; and
+    the note of a thm1 verdict."""
 
     evaluate: Callable
     allowed: tuple
@@ -216,8 +220,7 @@ GEOMETRY_TABLE = {
     "delPezzoFib8-divisorial": _THM2_ROW,
     "conicBundle": Geometry(
         _evaluate_thm1, NUMERICS_FIELDS + ("d",), ("d",),
-        fixed={"c12H": 12 - Poly.sym("d"), "c1H2": 2, "c2H": Poly.sym("d") + 6,
-               "H3": 0},
+        fixed={"c12H": lambda d: 12 - d, "c1H2": 2, "c2H": lambda d: d + 6, "H3": 0},
         note="conic-bundle numerics from the discriminant degree d",
     ),
     "p1BundleOverPlane": Geometry(_evaluate_thm3, ("c1", "c2"), ("c1", "c2")),

@@ -61,14 +61,14 @@ def tensor_c2(r, s, c1, c2, d1, d2):
 class SymPowerPolys:
     """Chern numbers of S^b E and (S^b E)(-1) as polynomials in b.
 
-    ``sym_power_polys`` gives UniPolys; ``sym_power_classes`` on ring
-    elements gives elements of that ring.
+    ``sym_power_polys`` gives UniPolys in b; ``sym_power_form`` gives
+    Polys in b, c1 and c2, as ``sym_power_classes`` does on Polys.
     """
 
-    C1: UniPoly
-    C2: UniPoly
-    A1: UniPoly
-    A2: UniPoly
+    C1: UniPoly | Poly
+    C2: UniPoly | Poly
+    A1: UniPoly | Poly
+    A2: UniPoly | Poly
 
 
 def sym_power_classes(t, c1, c2) -> SymPowerPolys:

@@ -143,8 +143,18 @@ def thm1_closed_form() -> Poly:
     )
 
 
-def thm1_closed(n: ThreefoldNumerics):
-    return thm1_closed_form().subs(n.substitutions())
+def thm1_closed(n: ThreefoldNumerics) -> int | Fraction | Poly:
+    """-chi(X, Omega^2_X(H - K_X)) by the paper's formula
+    (64 + 4h - 2c1^3 - 5(c1^2H + c1H^2) + 3c2H - 2H^3)/4 on the fields
+    when all six are ints or Fractions: an int when the value is whole.
+    On numbers it runs nothing that ``thm1_derived`` runs, not even its
+    substitution map; otherwise ``thm1_closed_form`` is substituted."""
+    h, c13, c12H, c1H2, c2H, H3 = fields = (n.h, n.c13, n.c12H, n.c1H2, n.c2H, n.H3)
+    if not {int, Fraction}.issuperset(map(type, fields)):
+        return thm1_closed_form().subs(n.substitutions())
+    num = 64 + 4 * h - 2 * c13 - 5 * (c12H + c1H2) + 3 * c2H - 2 * H3
+    # A Fraction's // gives an int too.
+    return num // 4 if num % 4 == 0 else Fraction(num, 4)
 
 
 def thm1_derived(n: ThreefoldNumerics):
@@ -248,7 +258,7 @@ def thm2_chain_poly(p: int, q: int, k: int) -> UniPoly:
     return thm2_chain_form().as_unipoly("a", {"p": p, "q": q, "k": k})
 
 
-def thm2_chain(inp: DivisorCaseInput) -> Fraction:
+def thm2_chain(inp: DivisorCaseInput) -> int | Fraction:
     """-chi(X, Omega^2_X(aH + U)) along the pushforward chain.
 
     The chain runs on the twists (0, 0, p, q) of the input's normal form
@@ -263,11 +273,12 @@ def thm2_chain(inp: DivisorCaseInput) -> Fraction:
             f"chain value unexpectedly depends on the twist: {poly.render('a')}"
         )
     num, den = poly.num, poly.den
-    return Fraction((num[0] if num else 0) + 8 * t * den, den)
+    n = (num[0] if num else 0) + 8 * t * den
+    return n if den == 1 else Fraction(n, den)
 
 
-def thm2_closed(inp: DivisorCaseInput) -> Fraction:
-    return Fraction(2 * (sum(inp.a) + 2 * inp.k))
+def thm2_closed(inp: DivisorCaseInput) -> int:
+    return 2 * (sum(inp.a) + 2 * inp.k)
 
 
 def compare_thm2(inp: DivisorCaseInput) -> Comparison:
@@ -302,10 +313,10 @@ class QPolys:
     """Q1, Q2, Q3 and Q = Q1 + Q2 - Q3; UniPolys in b from ``thm3_Q``,
     Polys in (b, c1, c2) in ``thm3_Q_form``."""
 
-    Q1: UniPoly
-    Q2: UniPoly
-    Q3: UniPoly
-    Q: UniPoly
+    Q1: UniPoly | Poly
+    Q2: UniPoly | Poly
+    Q3: UniPoly | Poly
+    Q: UniPoly | Poly
 
 
 @cache
@@ -374,9 +385,9 @@ def thm3_Q(inp: PlaneBundleInput) -> QPolys:
     )
 
 
-def thm3_value(inp: PlaneBundleInput) -> Fraction:
-    """-chi(X, Omega^2_X(H + U)) = c2 - binom(c1, 2), as one Fraction."""
-    return Fraction(2 * inp.c2 - inp.c1 * (inp.c1 - 1), 2)
+def thm3_value(inp: PlaneBundleInput) -> int:
+    """-chi(X, Omega^2_X(H + U)) = c2 - binom(c1, 2)."""
+    return inp.c2 - inp.c1 * (inp.c1 - 1) // 2
 
 
 def thm3_hrr_crosscheck(inp: PlaneBundleInput, b: int) -> Fraction:

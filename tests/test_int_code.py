@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottcheck import bottcases, chern, exact, rr, theorems
+from bottcheck import chern, exact, rr, theorems
 from bottcheck.chow import PLANE_RULE
 from bottcheck.exact import Poly, UniPoly
 from test_no_floats import inexact_nodes
@@ -238,18 +238,17 @@ def test_as_unipoly_errors_keep_their_text(builds):
 
 
 def _cached_form_calls():
-    """One whole-number call into each cached form, as the package makes
-    them: thm1's two forms, thm2's chain, thm3's Q and HRR forms, the
-    symmetric-power form, and the geometry table's forms in d."""
-    theorems.compare_thm1(theorems.ThreefoldNumerics(2, 4, 6, 6, 24, 6))
+    """One whole-number call into each cached form: thm1's two forms,
+    thm2's chain, thm3's Q and HRR forms, and the symmetric-power form.
+    thm1's closed route evaluates the paper's formula on numbers, so its
+    form is substituted directly."""
+    numerics = theorems.ThreefoldNumerics(2, 4, 6, 6, 24, 6)
+    theorems.thm1_closed_form().subs(numerics.substitutions())
+    theorems.thm1_derived(numerics)
     theorems.thm2_chain_poly(3, -1, 2)
     theorems.compare_thm3(theorems.PlaneBundleInput(1, 5))
     theorems.thm3_hrr_crosscheck(theorems.PlaneBundleInput(1, 5), 2)
     chern.sym_power_polys(chern.SurfaceChern(2, 3, 4))
-    for row in bottcases.GEOMETRY_TABLE.values():
-        for value in row.fixed.values():
-            if isinstance(value, Poly):
-                value.subs({"d": 3})
 
 
 def _clear_form_caches():
@@ -274,7 +273,7 @@ def test_generated_source_is_exact_and_names_only_its_parameters(monkeypatch):
     finally:
         _clear_form_caches()
     # thm1 2, thm2 1, the four Q forms and HRR's, HRR's subs, 4 symmetric
-    # powers, and at least one table form
+    # powers
     assert len(sources) >= 13
     for source, arity in sources:
         assert inexact_nodes(source) == []

@@ -28,6 +28,8 @@ GOLDEN = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text("utf-8")
 H, U, S1, C1, C2 = (Poly.sym(s) for s in ("H", "U", "s1", "c1", "c2"))
 THM1 = ["thm1", "--h", "0", "--c13", "4", "--c12H", "6", "--c1H2", "6", "--c2H", "24",
         "--H3", "6"]
+THM1_RATIONAL = ["thm1", "--h", "2", "--c13", "1/2", "--c12H", "6", "--c1H2", "6",
+                 "--c2H", "24", "--H3", "6"]
 
 
 def _int_code_one_more():
@@ -70,6 +72,19 @@ def _general_subs_den_times_too_much():
     def perturbed(self, values):
         out = real(self, values)
         return out if self._whole(values) is not None else out * self.den
+
+    return perturbed
+
+
+def _substitutions_h_one_more():
+    """``theorems.ThreefoldNumerics.substitutions``, but with h one more."""
+    real = theorems.ThreefoldNumerics.substitutions
+
+    def perturbed(self):
+        out = dict(real(self))
+        if "h" in out:
+            out["h"] += 1
+        return out
 
     return perturbed
 
@@ -119,16 +134,17 @@ MUTATIONS = {
         route=(THM1,),
         golden=(THM1,),
     ),
-    # Both thm1 routes substitute through this one engine, so they agree
-    # on the wrong value (57/4 for 14, a numerator one more over 4) and
-    # no route comparison can see it.
+    # thm1's derived route substitutes through the compiled int code and
+    # gives 57/4 (a numerator one more over 4); its closed route
+    # evaluates the paper's formula and gives 14.
     "whole-number Poly.subs one more": Mutation(
         exact, "_int_code", _int_code_one_more,
+        route=(THM1,),
         golden=(THM1,),
     ),
-    # thm1's closed form is built with / 2 and Fraction(5, 4) *, its
-    # derived form with other denominators, so the routes disagree; so do
-    # thm3's, whose Q-polynomials divide by 2 and 24.
+    # thm1's derived form is built with scalar multiples and its closed
+    # route evaluates the paper's formula on numbers, so the routes
+    # disagree; so do thm3's, whose Q-polynomials divide by 2 and 24.
     "scalar multiple with the denominator dropped": Mutation(
         exact._Sparse, "_scaled", _scalar_denominator_dropped,
         route=(THM1, ["thm3", "--bundle", "P2: rank2(c1=3,c2=3)"]),
@@ -140,16 +156,24 @@ MUTATIONS = {
         route=(["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "0"],),
         golden=(["thm2", "--bundle", "P1: O(0)^2 + O(1) + O(2)", "--k", "0"],),
     ),
-    # thm1's two forms are one polynomial, stored alike over the same
-    # denominator, so both routes agree on the wrong value and no route
-    # comparison can see it; the goldens with a rational value or a free h
-    # take the general substitution.
+    # On a rational record thm1's derived route takes the general
+    # substitution and gives 71 for 71/4; its closed route evaluates the
+    # paper's formula.  The goldens with a rational value or a free h take
+    # the general substitution too.
     "general Poly.subs den times too much": Mutation(
         exact.Poly, "subs", _general_subs_den_times_too_much,
+        route=(THM1_RATIONAL,),
         golden=(["thm1", "--h", "2", "--c13", "1/2", "--c12H", "-3/4", "--c1H2", "5/3",
                  "--c2H", "24", "--H3", "7/2"],
                 ["thm1", "--symbolic-h", "--c13", "4", "--c12H", "6", "--c1H2", "6",
                  "--c2H", "24", "--H3", "6"]),
+    ),
+    # thm1's derived route substitutes this map and gives 15; its closed
+    # route reads the record's fields and gives 14.
+    "thm1's substitution map with h one more": Mutation(
+        theorems.ThreefoldNumerics, "substitutions", _substitutions_h_one_more,
+        route=(THM1,),
+        golden=(THM1,),
     ),
     "a wrong chain term": Mutation(
         theorems, "f_formula", _chain_term_one_more,

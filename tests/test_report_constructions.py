@@ -1,11 +1,14 @@
 """What one bott-report record builds, counted.
 
-A warm thm1 record makes one Fraction per route and nothing more: the
-verdict takes the routes' number as it is, and the report writes it
-without a Fraction (``exact._render`` against its earlier Fraction
-route).  Both of thm1's routes substitute the one map that
-``ThreefoldNumerics.substitutions`` builds for the record.  The counts
-are the ones this code reaches; a change that makes more fails here.
+A warm thm1 record whose value is not whole makes one Fraction per
+route and nothing more; a route whose value is whole returns an int and
+makes none.  The verdict takes the routes' number as it is, and the
+report writes it without a Fraction (``exact._render`` against its
+earlier Fraction route).  The one map that
+``ThreefoldNumerics.substitutions`` builds for the record is substituted
+by thm1's derived route, and by its closed route on a symbolic record.
+The counts are the ones this code reaches; a change that makes more
+fails here.
 """
 
 import cProfile
@@ -23,6 +26,7 @@ from bottcheck.theorems import ThreefoldNumerics
 TABLE8 = CaseRecord(id="t", geometry="table8", h=3, c13=-12, c12H=14, c1H2=5, c2H=33,
                     H3=7)
 CONIC = CaseRecord(id="c", geometry="conicBundle", h=2, c13=7, d=5)
+CONIC_TEMPLATE = CaseRecord(id="c", geometry="conicBundle")
 DP8 = CaseRecord(id="d", geometry="delPezzoFib8-small", a=(3, -4, 3, 17), k=-5)
 PLANE = CaseRecord(id="p", geometry="p1BundleOverPlane", c1=-7, c2=12)
 
@@ -53,10 +57,10 @@ def test_a_warm_thm1_record_makes_one_fraction_per_route(count_fractions):
 
 
 @pytest.mark.parametrize("record, fractions", [
-    (TABLE8, 2),  # one per route
-    (CONIC, 4),  # and one for each of the two numerics fixed in d
-    (DP8, 2),  # the chain's and the closed form's
-    (PLANE, 2),  # Q(-1) and the closed form's
+    (TABLE8, 2),  # one per route: its value 45/2 is not whole
+    (CONIC, 2),  # as TABLE8's: the numerics fixed in d are ints
+    (DP8, 0),  # the chain's and the closed form's values are ints
+    (PLANE, 1),  # Q(-1); the closed form's value is an int
 ])
 def test_a_warm_report_row_makes_only_the_routes_fractions(count_fractions, record,
                                                            fractions):
@@ -83,11 +87,13 @@ def test_both_routes_substitute_one_map_per_record(monkeypatch):
         return out
 
     monkeypatch.setattr(ThreefoldNumerics, "substitutions", recording)
-    for rec in (TABLE8, CONIC):
+    # The closed route substitutes only a symbolic record; on numbers it
+    # reads the fields.
+    for rec, calls in ((TABLE8, 1), (CONIC, 1), (CONIC_TEMPLATE, 2)):
         maps.clear()
         evaluate_case(rec)
-        assert len(maps) == 2  # one call per route ...
-        assert maps[0] is maps[1]  # ... and one map built
+        assert len(maps) == calls
+        assert all(m is maps[0] for m in maps)  # one map built
 
 
 def test_the_kept_map_is_outside_the_fields():
