@@ -142,9 +142,10 @@ def _agreed(c: CaseRecord, comparison: theorems.Comparison) -> dict:
 #: A record's thm1 fields, as a tuple in the order of NUMERICS_FIELDS.
 _numerics_of = attrgetter(*NUMERICS_FIELDS)
 
-#: The symbol d, for a record that leaves it unset; built once, since
-#: ``Poly.sym`` costs more than either thm1 route on numbers.
-_D = Poly.sym("d")
+#: The symbols d, k and sum_a, for a record that leaves them unset;
+#: built once, since ``Poly.sym`` costs more than either thm1 route on
+#: numbers.
+_D, _K, _SUM_A = (Poly.sym(s) for s in ("d", "k", "sum_a"))
 
 
 def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
@@ -165,11 +166,11 @@ def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
 
 def _evaluate_thm2(c: CaseRecord, g: "Geometry") -> Verdict:
     if c.a is None:
-        k = Poly.sym("k") if c.k is None else c.k
-        obstruction = 2 * Poly.sym("sum_a") + 4 * k
+        k = _K if c.k is None else c.k
+        obstruction = 2 * _SUM_A + 4 * k
         note = "twists a0..a3 are user input (external classification tables)"
     elif c.k is None:
-        obstruction = 2 * sum(c.a) + 4 * Poly.sym("k")
+        obstruction = 2 * sum(c.a) + 4 * _K
         note = "k is user input"
     else:
         inp = DivisorCaseInput(tuple(c.a), int(c.k))

@@ -15,29 +15,30 @@ from fractions import Fraction
 from functools import cache
 
 from .chow import H_class, PlaneBase2, U_class
-from .exact import Poly, UniPoly, binom
+from .exact import Number, Poly, UniPoly, binom, divided
 
 
 @dataclass(frozen=True)
 class SurfaceChern:
-    """Rank and Chern numbers (coefficients of h, h^2) on the plane, as
-    Fractions.
+    """Rank and Chern numbers (coefficients of h, h^2) on the plane, each
+    an int or a Fraction: kept as given, and any other number converted
+    to a Fraction.
 
     ``__init__`` fills the instance's ``__dict__`` in one update, as
     ``bottcases.CaseRecord``'s does; ``==``, ``hash`` and ``repr`` are the
     dataclass's own."""
 
     rank: int
-    c1: Fraction
-    c2: Fraction
+    c1: Number
+    c2: Number
 
     def __init__(self, rank, c1, c2):
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.__dict__.update({
             "rank": rank,
-            "c1": c1 if type(c1) is Fraction else Fraction(c1),
-            "c2": c2 if type(c2) is Fraction else Fraction(c2),
+            "c1": c1 if isinstance(c1, (int, Fraction)) else Fraction(c1),
+            "c2": c2 if isinstance(c2, (int, Fraction)) else Fraction(c2),
         })
 
 
@@ -51,8 +52,8 @@ def tensor_c2(r, s, c1, c2, d1, d2):
     return (
         s * c2
         + r * d2
-        + (s * (s - 1)) * c1 * c1 / 2
-        + (r * (r - 1)) * d1 * d1 / 2
+        + divided((s * (s - 1)) * c1 * c1, 2)
+        + divided((r * (r - 1)) * d1 * d1, 2)
         + c1 * d1 * (r * s - 1)
     )
 
@@ -78,8 +79,8 @@ def sym_power_classes(t, c1, c2) -> SymPowerPolys:
     The arguments may be numbers or elements of a polynomial ring, such
     as ``Poly``; ``t`` is the power, usually a variable.
     """
-    C1 = c1 * t * (t + 1) / 2
-    C2 = c1 * c1 * t * (t * t - 1) * (3 * t + 2) / 24 + c2 * binom(t + 2, 3)
+    C1 = divided(c1 * t * (t + 1), 2)
+    C2 = divided(c1 * c1 * t * (t * t - 1) * (3 * t + 2), 24) + c2 * binom(t + 2, 3)
     A1 = C1 - (t + 1)
     A2 = C2 + binom(t + 1, 2) - t * C1
     return SymPowerPolys(C1, C2, A1, A2)
@@ -136,7 +137,7 @@ def sym_power_splitting_oracle(c1, c2, b: int) -> SurfaceChern:
     # e2 = (e1^2 - sum of the squares) / 2
     e2, e2_root = s * s - t * t * c2 - u, 2 * s * t + t * t * c1 - v
     assert t == 0 and e2_root == 0, "symmetric functions must be root-free"
-    return SurfaceChern(b + 1, s, Fraction(e2, 2))
+    return SurfaceChern(b + 1, s, divided(e2, 2))
 
 
 # --- symbolic threefold classes -------------------------------------------

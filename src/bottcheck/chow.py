@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Tuple
 
-from .exact import Poly, QuotientRule, _Sparse, common_denominator
+from .exact import Number, Poly, QuotientRule, _Sparse, common_denominator, divided
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
 
@@ -180,7 +180,8 @@ class GradedClass(_Sparse):
     ``terms`` holds (basis monomial, int numerator) pairs over the one
     denominator ``den``, as ``exact._Sparse`` keeps them; ``ring`` is the
     ambient (a ``LineBase4`` or a ``PlaneBase2``).  ``coeffs`` gives the
-    same terms with Fraction coefficients.
+    same terms with Fraction coefficients; ``coeff`` and ``degree`` give
+    one coefficient as an int when it is whole and a Fraction otherwise.
     """
 
     __slots__ = ()
@@ -202,13 +203,14 @@ class GradedClass(_Sparse):
                 terms[m] = terms[m] + a * b if m in terms else a * b
         return _reduce(self.ring.relations, terms.items())
 
-    def coeff(self, i: int, j: int) -> Fraction:
+    def coeff(self, i: int, j: int) -> Number:
+        """The coefficient of H^i U^j, 0 when the monomial is absent."""
         for m, c in self._terms:
             if m == (i, j):
-                return Fraction(c, self.den)
-        return Fraction(0)
+                return divided(c, self.den)
+        return 0
 
-    def degree(self) -> Fraction:
+    def degree(self) -> Number:
         """Top intersection number: the coefficient of the top monomial."""
         return self.coeff(*self.ring.top)
 

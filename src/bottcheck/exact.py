@@ -7,9 +7,11 @@ and the univariate polynomials they are viewed as.  There is no floating
 point anywhere in the package.
 
 Every ring element keeps int numerators over one positive int
-denominator, in lowest terms, and makes Fractions only where a value
-leaves it.  ``_Sparse`` states that stored form once and holds the one
-ring arithmetic, on sparse (monomial, numerator) terms; ``Poly`` here
+denominator, in lowest terms.  A number that leaves the package's
+engines is an int when it is whole and a Fraction only when it is not
+(``divided``); only the ``coeffs`` views are Fractions throughout.
+``_Sparse`` states that stored form once and holds the one ring
+arithmetic, on sparse (monomial, numerator) terms; ``Poly`` here
 and ``chow.GradedClass`` are its subclasses and supply only their unit
 monomial, their product of terms and the text of a monomial.  Every
 symbolic form of the package, affine or not, is a plain ``Poly``, so
@@ -24,11 +26,12 @@ element as its upper argument.
 Fraction with denominator 1 for every variable, run int code compiled
 from the form: a function of the values as positional ints that reads
 the numerators from a tuple, written without any coefficient or name in
-its text, built on the first such call and kept on the form.  The
-result costs one Fraction, or one UniPoly.  A rational or polynomial
-value, a variable left free or a value that is not a number takes
-``subs``'s general substitution, which builds each term on the ring's
-own ``*``, ``**`` and ``+`` and divides by the denominator once
+its text, built on the first such call and kept on the form.  ``subs``
+divides the sum by the form's denominator as ints, so a whole value
+costs no Fraction, and ``as_unipoly`` makes one UniPoly.  A rational or
+polynomial value, a variable left free or a value that is not a number
+takes ``subs``'s general substitution, which builds each term on the
+ring's own ``*``, ``**`` and ``+`` and divides by the denominator once
 (``as_unipoly`` regroups its result); the cached forms of ``theorems``,
 ``chern`` and ``rr`` are substituted at whole numbers on every check,
 and compile once.
@@ -47,6 +50,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction]
@@ -64,8 +68,19 @@ def binom(n, k: int):
     """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
-    top = prod((n - i for i in range(k)), start=n ** 0)
-    return Fraction(top, factorial(k)) if type(top) is int else top / factorial(k)
+    return divided(prod((n - i for i in range(k)), start=n ** 0), factorial(k))
+
+
+def divided(x, n: int):
+    """x / n for an int n > 0, exactly: an int ``x`` gives an int when n
+    divides it and a Fraction otherwise, never a float; a Fraction or a
+    ring element gives ``x / n``."""
+    if type(x) is not int:
+        return x / n
+    if n == 1:
+        return x
+    q, r = divmod(x, n)
+    return Fraction(x, n) if r else q
 
 
 _get_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -277,18 +292,20 @@ class UniPoly:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __call__(self, value: Number) -> Fraction:
+    def __call__(self, value: Number) -> Number:
         """Evaluate by Horner's rule over the numerators, then divide by
         ``den`` once: on ints at an int, in Fraction arithmetic at any
-        other value."""
+        other value.  The value is an int when it is whole and a Fraction
+        otherwise."""
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         acc = 0
         for c in reversed(self.num):
             acc = acc * value + c
         if type(acc) is int:
-            return Fraction(acc) if self.den == 1 else Fraction(acc, self.den)
-        return acc / self.den
+            return divided(acc, self.den)
+        acc /= self.den
+        return acc.numerator if acc.denominator == 1 else acc
 
     def render(self, var: str = "t") -> str:
         return _render(
@@ -485,8 +502,9 @@ class _Sparse:
     by the numerator and denominator of 1/n, with no Fraction made.
     Zero times anything is the zero element.  Terms already in stored
     form are set through ``_canonical``.  Fractions are made only where a
-    value leaves the element: ``coeffs`` and a subclass's coefficient
-    views; ``render`` writes each magnitude from ints.
+    value leaves the element: the ``coeffs`` view, and a subclass's
+    coefficient view when the coefficient is not whole; ``render`` writes
+    each magnitude from ints.
     ``terms`` reads the stored pairs; code in the package reads the slot.
 
     ``ring`` is what the element lives in beyond its monomials (a
@@ -746,7 +764,9 @@ class Poly(_Sparse):
         None, and nothing compiled, unless every value is an int or a
         Fraction with denominator 1 and every variable but ``kept`` gets
         one.  The function is compiled on the first call for each
-        ``kept`` and kept in the slot ``_compiled``."""
+        ``kept`` and kept in the slot ``_compiled``, beside the one
+        ``itemgetter`` that gathers its arguments from ``values`` as a
+        tuple."""
         args = values
         for x in values.values():
             if type(x) is not int:
@@ -759,35 +779,42 @@ class Poly(_Sparse):
                     args[v] = x
                 break
         try:
-            variables, code = self._compiled[kept]
+            gather, code = self._compiled[kept]
         except (AttributeError, KeyError):
             variables = tuple(sorted({v for m, _ in self._terms for v, _ in m} - {kept}))
             if not all(v in args for v in variables):
                 return None
             code = _int_code(self._terms, variables, kept)
+            # itemgetter of one key gives the value, not a 1-tuple, and of
+            # none cannot be made.
+            gather = itemgetter(*variables) if len(variables) > 1 else (
+                lambda args: [args[v] for v in variables])
             if not hasattr(self, "_compiled"):
                 object.__setattr__(self, "_compiled", {})
-            self._compiled[kept] = variables, code
+            self._compiled[kept] = gather, code
         try:
-            return code(*map(args.__getitem__, variables))
+            return code(*gather(args))
         except KeyError:
             return None
 
     def subs(self, values: Mapping[str, Union[Number, "Poly"]]):
         """Substitute numbers, or polynomials without a rule, for variables.
 
-        Returns a Fraction when every variable of the polynomial gets a
-        number.  Otherwise returns a Poly in the variables left and those
-        of the polynomial values, even if it has become constant, so the
-        type depends only on which variables are given and which values
-        are numbers.  Names that do not occur are ignored.  A rule on this polynomial or
-        on a value raises ValueError: its variables are not free.
+        Returns a number when every variable of the polynomial gets one:
+        an int when the value is whole and a Fraction otherwise.
+        Otherwise returns a Poly in the variables left and those of the
+        polynomial values, even if it has become constant, so the type
+        depends only on which variables are given and which values are
+        numbers.  Names that do not occur are ignored.  A rule on this
+        polynomial or on a value raises ValueError: its variables are not
+        free.
 
         When every value is a whole number (an int, or a Fraction with
         denominator 1) and every variable gets one, runs this form's
-        compiled int code (``_whole``) and makes one Fraction.  Any other
-        call, with a rational or polynomial value, a variable left free,
-        or a value that is not a number, builds each term as its
+        compiled int code (``_whole``), and makes a Fraction only when
+        ``den`` does not divide the sum (``divided``).  Any other call,
+        with a rational or polynomial value, a variable left free, or a
+        value that is not a number, builds each term as its
         numerator times the product of its values' powers, a free
         variable standing for itself, on the ring's own ``*``, ``**`` and
         ``+``, and divides the sum by ``den`` once.
@@ -796,7 +823,7 @@ class Poly(_Sparse):
             raise ValueError("cannot substitute into a quotient ring")
         n = self._whole(values)
         if n is not None:
-            return Fraction(n) if self.den == 1 else Fraction(n, self.den)
+            return divided(n, self.den)
         vals = {}
         for v, x in values.items():
             if isinstance(x, Poly):
@@ -816,9 +843,10 @@ class Poly(_Sparse):
                     whole = False
                 c = c * x ** e
             total = total + c
-        if whole:
-            return Fraction(total, self.den)
-        return total / self.den
+        if not whole:
+            return total / self.den
+        total = divided(total, self.den)
+        return total.numerator if total.denominator == 1 else total
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
         """``self.subs(values)`` as a UniPoly in ``var``.

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 
 from .chern import cotangent_twist_e_classes, symbolic_degree
-from .exact import Poly, binom
+from .exact import Poly, binom, divided
 
 
 class HypothesisViolation(ValueError):
@@ -26,13 +26,16 @@ def hrr_threefold(c1, c2, e1, e2, e3, rank: int, degree):
           + (e1^3 - 3 e1 e2 + 3 e3)/6
 
     The classes may live in any ring with +, * and integer scalars;
-    ``degree`` is the top-intersection functional of that ring.
+    ``degree`` is the top-intersection functional of that ring.  The four
+    degrees are summed over their common denominator 24 and divided once,
+    so int degrees give an int when chi is whole.
     """
-    return (
-        rank * degree(c1 * c2) / 24
-        + degree(e1 * (c1 * c1 + c2)) / 12
-        + degree(c1 * (e1 * e1 - 2 * e2)) / 4
-        + degree(e1 * e1 * e1 - 3 * e1 * e2 + 3 * e3) / 6
+    return divided(
+        rank * degree(c1 * c2)
+        + 2 * degree(e1 * (c1 * c1 + c2))
+        + 6 * degree(c1 * (e1 * e1 - 2 * e2))
+        + 4 * degree(e1 * e1 * e1 - 3 * e1 * e2 + 3 * e3),
+        24,
     )
 
 
@@ -56,7 +59,7 @@ def chi_plane(rank, c1, c2):
 
     Arguments may be numbers or polynomials.
     """
-    return rank - c2 + c1 * (c1 + 3) / 2
+    return rank - c2 + divided(c1 * (c1 + 3), 2)
 
 
 def f_formula(x, y, p: int, q: int):

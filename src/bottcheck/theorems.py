@@ -390,7 +390,7 @@ def thm3_value(inp: PlaneBundleInput) -> int:
     return inp.c2 - inp.c1 * (inp.c1 - 1) // 2
 
 
-def thm3_hrr_crosscheck(inp: PlaneBundleInput, b: int) -> Fraction:
+def thm3_hrr_crosscheck(inp: PlaneBundleInput, b: int) -> int | Fraction:
     """chi(X, Omega_X(-H + bU)) computed intrinsically in the Chow ring
     of the plane bundle: ``thm3_hrr_form`` at (b, c1, c2).  Agrees with
     Q(b) from the pushforward route."""
@@ -422,6 +422,6 @@ def thm3_h0_split(a: int, b: int) -> int:
     """
 
     def h2_line(m: int) -> int:
-        return int(binom(-m - 1, 2)) if m <= -3 else 0
+        return binom(-m - 1, 2) if m <= -3 else 0
 
     return h2_line(-b - 1) + h2_line(-a - 1)

@@ -1,9 +1,9 @@
 """Fractions made per check on the plane-bundle and registry paths.
 
-A warm ``thm3_hrr_crosscheck`` runs compiled int code and makes one
-Fraction; the splitting oracle sums its roots on ints and makes two; the
-registry's verdicts read signs from numerators.  The oracles here are the
-earlier routes, copied as they were.
+A warm ``thm3_hrr_crosscheck`` runs compiled int code and returns an int
+without a Fraction; the splitting oracle sums its roots on ints and
+makes none; the registry's verdicts read signs from numerators.  The
+oracles here are the earlier routes, copied as they were.
 """
 
 import cProfile
@@ -85,21 +85,22 @@ def old_conclude(obstruction: Poly) -> str:
 # --- thm3's HRR crosscheck ----------------------------------------------------
 
 
-def test_a_warm_hrr_crosscheck_makes_one_fraction(count_fractions):
+def test_a_warm_hrr_crosscheck_makes_no_fraction(count_fractions):
     bundle = PlaneBundleInput(-7, 12)
     thm3_hrr_crosscheck(bundle, 2)  # compiles the form's int code
     got, made = count_fractions(lambda: thm3_hrr_crosscheck(bundle, 5))
     assert got == thm3_Q(bundle).Q(5)
-    assert made == 1
+    assert type(got) is int
+    assert made == 0
 
 
 # --- the splitting oracle -----------------------------------------------------
 
 
-def test_the_integer_oracle_makes_two_fractions(count_fractions):
+def test_the_integer_oracle_makes_no_fraction(count_fractions):
     got, made = count_fractions(lambda: sym_power_splitting_oracle(3, -8, 6))
     assert got == old_splitting_oracle(3, -8, 6)
-    assert made == 2
+    assert made == 0
 
 
 _whole = st.integers(-60, 60)
@@ -111,7 +112,8 @@ _rational = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 6))
 def test_oracle_matches_the_earlier_route(c1, c2, b):
     got, want = sym_power_splitting_oracle(c1, c2, b), old_splitting_oracle(c1, c2, b)
     assert got == want
-    assert type(got.c1) is Fraction and type(got.c2) is Fraction
+    integral = Fraction(c1).denominator == Fraction(c2).denominator == 1
+    assert {type(got.c1), type(got.c2)} == {int if integral else Fraction}
 
 
 @given(_whole, _whole, st.integers(0, 9))
@@ -134,11 +136,14 @@ def test_the_oracle_still_refuses_a_negative_power():
         sym_power_splitting_oracle(1, 1, -1)
 
 
-def test_surface_chern_keeps_a_fraction_and_converts_the_rest(count_fractions):
+def test_surface_chern_keeps_an_int_or_a_fraction_and_converts_the_rest(
+        count_fractions):
     c1 = Fraction(3, 2)
     e, made = count_fractions(lambda: SurfaceChern(2, c1, 4))
-    assert e.c1 is c1 and type(e.c2) is Fraction and e.c2 == 4
-    assert made == 1
+    assert e.c1 is c1 and type(e.c2) is int and e.c2 == 4
+    assert made == 0
+    e = SurfaceChern(2, "7/2", "4")
+    assert (e.c1, e.c2) == (Fraction(7, 2), 4) and type(e.c2) is Fraction
     with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
         SurfaceChern(0, 1, 1)
 

@@ -7,7 +7,10 @@ arithmetic: thm1's cached form substituted through ``Poly.subs``,
 2(sum a + 2k) and c2 - c1(c1 - 1)/2 as Fractions.  thm1's closed route
 on numbers runs the paper's formula on the record's fields, so it
 reaches no function of the package that its derived route reaches; that
-is checked by recording the functions each route calls.
+is checked by recording the functions each route calls.  So are thm2's
+two routes and thm3's Q(-1) against its closed form, on warm caches;
+thm3's Riemann-Roch polynomial and Q(b) share exactly the view of a
+cached form as a polynomial in b.
 """
 
 import cProfile
@@ -26,11 +29,15 @@ from bottcheck.theorems import (
     DivisorCaseInput,
     PlaneBundleInput,
     ThreefoldNumerics,
+    compare_thm2,
+    compare_thm3,
     thm1_closed,
     thm1_closed_form,
     thm1_derived,
     thm2_chain,
     thm2_closed,
+    thm3_hrr_poly,
+    thm3_Q,
     thm3_value,
 )
 
@@ -135,3 +142,44 @@ def test_thm1s_closed_route_shares_no_engine_with_the_derived_one(numerics):
     assert Poly.subs.__code__ in derived
     assert (exact._int_code.__code__ in derived) == whole
     assert not closed & derived
+
+
+def _named(codes) -> set:
+    """``codes`` without comprehensions and lambdas, which count as the
+    function they are written in (and run inline on later Pythons)."""
+    return {code for code in codes if not code.co_name.startswith("<")}
+
+
+@pytest.mark.parametrize("a, k", [((3, -1, 3, 0), -2), ((0, 0, 1, 2), 0),
+                                  ((5, 5, 5, 5), 3)])
+def test_thm2s_routes_share_no_function(a, k):
+    inp = DivisorCaseInput(a, k)
+    compare_thm2(inp)  # fills the chain cache, as a warm check finds it
+    chain = _reached(lambda: thm2_chain(inp))
+    closed = _reached(lambda: thm2_closed(inp))
+    assert thm2_chain.__code__ in chain and thm2_closed.__code__ in closed
+    assert not chain & closed
+
+
+@pytest.mark.parametrize("c1, c2", [(3, 3), (-7, 11), (40, -40), (0, 0)])
+def test_thm3s_q_at_minus_one_shares_no_function_with_the_closed_form(c1, c2):
+    inp = PlaneBundleInput(c1, c2)
+    compare_thm3(inp)  # compiles the forms' int code
+    q = _reached(lambda: thm3_Q(inp).Q(-1))
+    closed = _reached(lambda: thm3_value(inp))
+    assert exact.UniPoly.__call__.__code__ in q and thm3_value.__code__ in closed
+    assert not q & closed
+
+
+@pytest.mark.parametrize("c1, c2", [(3, 3), (-7, 11), (40, -40), (0, 0)])
+def test_thm3s_hrr_and_q_routes_share_only_the_unipoly_view(c1, c2):
+    """Both polynomials in b are views of cached forms at the bundle's c1
+    and c2, so they share the view and nothing else; a new shared function
+    is a new blind spot of the comparison, and fails here."""
+    inp = PlaneBundleInput(c1, c2)
+    compare_thm3(inp)
+    hrr = _reached(lambda: thm3_hrr_poly(inp))
+    q = _reached(lambda: thm3_Q(inp).Q)
+    assert _named(hrr & q) == {exact.Poly.as_unipoly.__code__, exact.Poly._whole.__code__,
+                               exact.UniPoly._new.__func__.__code__,
+                               exact.UniPoly._store.__code__}

@@ -5,9 +5,9 @@ classes of one bundle cost nine ring elements beside H and U.  A warm
 check of one bundle in the style of the benchmark's ``plane-grid``
 workload (thm3's routes, ten HRR cross-checks, the symmetric-power
 polynomials against the splitting oracle, and the tangent classes in
-the Chow ring) makes 53 Fractions, a count that the return types of the
-API fix: ``thm3_value`` returns an int.  The counts are the ones this
-code reaches; a change that builds more fails here.
+the Chow ring) makes no Fraction: every value it reads is whole, and
+the engines return a whole value as an int.  The counts are the ones
+this code reaches; a change that builds more fails here.
 
 Dividing a ring element by an int scales it by the reciprocal's
 numerator and denominator, so it builds one element and no Fraction.
@@ -72,10 +72,10 @@ def test_the_tangent_classes_build_nine_elements_beside_h_and_u(count, c1, c2):
 
 
 @pytest.mark.parametrize("c1, c2", [(3, 3), (-7, 11), (40, -40), (0, 0)])
-def test_a_warm_plane_bundle_check_makes_53_fractions(count, c1, c2):
+def test_a_warm_plane_bundle_check_makes_no_fraction(count, c1, c2):
     bundle_check(41, 7)  # compiles every form's int code
     (q_minus_1, value, hrr, sym, degrees), _, made = count(lambda: bundle_check(c1, c2))
-    assert made == 53
+    assert made == 0
     assert q_minus_1 == value == theorems.thm3_value(theorems.PlaneBundleInput(c1, c2))
     assert all(x == y for x, y in hrr) and all(x == y for x, y in sym)
     assert degrees == (6, 24)

@@ -60,7 +60,7 @@ def test_a_warm_thm1_record_makes_one_fraction_per_route(count_fractions):
     (TABLE8, 2),  # one per route: its value 45/2 is not whole
     (CONIC, 2),  # as TABLE8's: the numerics fixed in d are ints
     (DP8, 0),  # the chain's and the closed form's values are ints
-    (PLANE, 1),  # Q(-1); the closed form's value is an int
+    (PLANE, 0),  # Q(-1) and the closed form's value are ints
 ])
 def test_a_warm_report_row_makes_only_the_routes_fractions(count_fractions, record,
                                                            fractions):
@@ -94,6 +94,20 @@ def test_both_routes_substitute_one_map_per_record(monkeypatch):
         evaluate_case(rec)
         assert len(maps) == calls
         assert all(m is maps[0] for m in maps)  # one map built
+
+
+@pytest.mark.parametrize("fields, want", [
+    ({}, 2 * Poly.sym("sum_a") + 4 * Poly.sym("k")),
+    ({"k": 3}, 2 * Poly.sym("sum_a") + 12),
+    ({"a": (1, 1, 2, 5)}, 18 + 4 * Poly.sym("k")),
+])
+def test_a_thm2_template_record_builds_no_symbol(monkeypatch, fields, want):
+    """The symbols a dp8 record leaves unset (k, sum_a) are built once, at
+    import, as d is; ``Poly.sym`` costs more than a thm1 route on
+    numbers."""
+    record = CaseRecord(id="x", geometry="delPezzoFib8-small", **fields)
+    monkeypatch.setattr(Poly, "sym", None)  # calling it raises TypeError
+    assert evaluate_case(record).obstruction == want
 
 
 def test_the_kept_map_is_outside_the_fields():

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from bottcheck.chow import PLANE_RULE, GradedClass, LineBase4, PlaneBase2
 from bottcheck.exact import Poly, UniPoly
+from test_int_values import int_when_whole
 
 _ints = st.integers(-60, 60)
 _rationals = _ints | st.builds(Fraction, _ints, st.integers(1, 36))
@@ -134,6 +135,6 @@ def test_unipoly_store_strips_and_cancels_as_the_round_trip_did(num, den):
 @given(_unipolys, st.sampled_from([0, 1, -1]) | st.integers(-10 ** 6, 10 ** 6))
 def test_unipoly_at_an_int_equals_it_at_the_fraction(x, n):
     got = x(n)
-    assert type(got) is Fraction
+    assert int_when_whole(got) and int_when_whole(x(Fraction(n)))
     assert got == x(Fraction(n))
     assert got == sum((c * Fraction(n) ** i for i, c in enumerate(x.coeffs)), Fraction(0))
