@@ -22,19 +22,17 @@ evaluated, compared and printed but has no arithmetic.  ``_render`` is
 the one text form of all of them; ``binom`` takes a number or a ring
 element as its upper argument.
 
-``Poly.subs`` and ``Poly.as_unipoly`` at whole numbers, an int or a
-Fraction with denominator 1 for every variable, run int code compiled
-from the form: a function of the values as positional ints that reads
-the numerators from a tuple, written without any coefficient or name in
-its text, built on the first such call and kept on the form.  ``subs``
-divides the sum by the form's denominator as ints, so a whole value
-costs no Fraction, and ``as_unipoly`` makes one UniPoly.  A rational or
-polynomial value, a variable left free or a value that is not a number
-takes ``subs``'s general substitution, which builds each term on the
-ring's own ``*``, ``**`` and ``+`` and divides by the denominator once
-(``as_unipoly`` regroups its result); the cached forms of ``theorems``,
-``chern`` and ``rr`` are substituted at whole numbers on every check,
-and compile once.
+``Poly.subs`` and ``Poly.as_unipoly`` have one path: they run code
+compiled from the form, a function of the values as positional
+arguments that reads the numerators from a tuple, written in plain
+``*``, ``**`` and ``+`` without any coefficient, name or builtin in its
+text, built on the first call and kept on the form.  At ints it runs in
+int arithmetic: ``subs`` divides the sum by the form's denominator as
+ints, so a whole value costs no Fraction, and ``as_unipoly`` makes one
+UniPoly.  At a Fraction or a polynomial value, or with a variable left
+free as its own symbol, the same code runs on those values' own
+arithmetic, and the sum is divided by the denominator once.  The cached
+forms of ``theorems``, ``chern`` and ``rr`` compile once.
 
 A ``QuotientRule`` carried by a ``Poly`` rewrites every product into
 the normal form of a quotient ring; with c1 and c2 as variables, one
@@ -381,12 +379,14 @@ def _int_source(terms, variables: tuple, kept: str | None = None) -> str:
     """The text of ``lambda c: lambda x0, ..., xn: ...``: given ``c``, the
     numerators of ``terms`` followed by a 0, it makes the function that
     sums those numerators times the powers of ``variables``, named
-    x0...xn in order, at whole numbers.  With ``kept`` it returns instead
-    one such sum per power of ``kept`` (0 up to its highest), a variable
-    not among ``variables``; a power that no term has reads the 0.
+    x0...xn in order, at ints, Fractions or polynomials alike.  With
+    ``kept`` it returns instead one such sum per power of ``kept`` (0 up
+    to its highest), a variable not among ``variables``; a power that no
+    term has reads the 0.
 
-    The text names only ``c`` and the parameters, and uses no number
-    other than an index into ``c`` and an exponent."""
+    The text names only ``c`` and the parameters, uses no number other
+    than an index into ``c`` and an exponent, and no arithmetic but ``*``,
+    ``**`` and ``+``."""
     param = {v: f"x{i}" for i, v in enumerate(variables)}
     sums: dict = {}
     for i, (m, _) in enumerate(terms):
@@ -708,7 +708,7 @@ class Poly(_Sparse):
     of the variables, as a polynomial in the others.
     """
 
-    # The memo of ``_whole``: {kept variable or None: (variables, function)},
+    # The memo of ``_run``: {kept variable or None: (gather, function)},
     # set on the first call; ``==`` and ``hash`` ignore it.
     __slots__ = ("_compiled",)
 
@@ -758,32 +758,18 @@ class Poly(_Sparse):
                 out.append((tuple((v, e) for v, e in m if v not in want), c))
         return Poly._new(out, self.den)
 
-    def _whole(self, values: Mapping, kept: str | None = None):
-        """The int code of this polynomial run at ``values``: the sum of
-        its numerators there, or with ``kept`` one sum per power of it.
-        None, and nothing compiled, unless every value is an int or a
-        Fraction with denominator 1 and every variable but ``kept`` gets
-        one.  The function is compiled on the first call for each
-        ``kept`` and kept in the slot ``_compiled``, beside the one
+    def _run(self, values: Mapping, kept: str | None = None):
+        """This polynomial's compiled code run at ``values``: the sum of
+        its numerators times the powers of the values, or with ``kept``
+        one such sum per power of it; None when a variable but ``kept``
+        gets no value.  The function is compiled on the first call for
+        each ``kept`` and kept in the slot ``_compiled``, beside the one
         ``itemgetter`` that gathers its arguments from ``values`` as a
         tuple."""
-        args = values
-        for x in values.values():
-            if type(x) is not int:
-                args = {}
-                for v, x in values.items():
-                    if type(x) is not int:
-                        if not isinstance(x, Fraction) or x.denominator != 1:
-                            return None
-                        x = x.numerator
-                    args[v] = x
-                break
         try:
             gather, code = self._compiled[kept]
         except (AttributeError, KeyError):
             variables = tuple(sorted({v for m, _ in self._terms for v, _ in m} - {kept}))
-            if not all(v in args for v in variables):
-                return None
             code = _int_code(self._terms, variables, kept)
             # itemgetter of one key gives the value, not a 1-tuple, and of
             # none cannot be made.
@@ -793,7 +779,7 @@ class Poly(_Sparse):
                 object.__setattr__(self, "_compiled", {})
             self._compiled[kept] = gather, code
         try:
-            return code(*gather(args))
+            return code(*gather(values))
         except KeyError:
             return None
 
@@ -809,52 +795,38 @@ class Poly(_Sparse):
         polynomial or on a value raises ValueError: its variables are not
         free.
 
-        When every value is a whole number (an int, or a Fraction with
-        denominator 1) and every variable gets one, runs this form's
-        compiled int code (``_whole``), and makes a Fraction only when
-        ``den`` does not divide the sum (``divided``).  Any other call,
-        with a rational or polynomial value, a variable left free, or a
-        value that is not a number, builds each term as its
-        numerator times the product of its values' powers, a free
-        variable standing for itself, on the ring's own ``*``, ``**`` and
-        ``+``, and divides the sum by ``den`` once.
+        Every call runs this form's compiled code (``_run``) and divides
+        the sum by ``den`` once.  When every value is an int and every
+        variable gets one, the sum is an int, and a Fraction is made only
+        when ``den`` does not divide it (``divided``).  Otherwise a value
+        that is not a number goes through ``Fraction``, a variable
+        without a value stands for itself, and the same code runs on the
+        ring's own ``*``, ``**`` and ``+``.
         """
         if self.ring is not None:
             raise ValueError("cannot substitute into a quotient ring")
-        n = self._whole(values)
-        if n is not None:
-            return divided(n, self.den)
-        vals = {}
-        for v, x in values.items():
-            if isinstance(x, Poly):
-                if x.ring is not None:
-                    raise ValueError(f"the value of {v!r} has a quotient rule")
-            elif not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            vals[v] = x
-        whole = True  # every variable met got a number
-        total = 0
-        for m, c in self._terms:
-            for v, e in m:
-                x = vals.get(v)
-                if x is None:
-                    x = Poly.sym(v)
-                if isinstance(x, Poly):
-                    whole = False
-                c = c * x ** e
-            total = total + c
-        if not whole:
-            return total / self.den
-        total = divided(total, self.den)
-        return total.numerator if total.denominator == 1 else total
+        for x in values.values():
+            if type(x) is not int:
+                break
+        else:
+            n = self._run(values)
+            if n is not None:
+                return divided(n, self.den)
+        vals = _checked(values)
+        for v in {v for m, _ in self._terms for v, _ in m}.difference(vals):
+            vals[v] = Poly.sym(v)
+        total = divided(self._run(vals), self.den)
+        if type(total) is Fraction and total.denominator == 1:
+            return total.numerator
+        return total
 
     def as_unipoly(self, var: str, values: Mapping[str, Number] | None = None) -> UniPoly:
         """``self.subs(values)`` as a UniPoly in ``var``.
 
-        When every value is a whole number, runs the compiled int code for
-        ``var`` (``_whole``), which gives the numerator of each power of
-        ``var``; otherwise takes ``subs`` and reads its terms by their
-        power of ``var``.
+        ``values`` are numbers.  Runs the compiled code for ``var``
+        (``_run``), which gives the sum for each power of ``var``: in ints
+        when every value is an int, and otherwise at ``values`` converted
+        as ``subs`` converts them, put over their common denominator.
 
         ValueError if the polynomial has a rule, if ``values`` names
         ``var``, or if another variable gets no value.
@@ -864,18 +836,31 @@ class Poly(_Sparse):
         values = values or {}
         if var in values:
             raise ValueError(f"{var} is the variable of the UniPoly; it takes no value")
-        nums = self._whole(values, var)
-        if nums is not None:
-            return UniPoly._new(nums, self.den)
-        out = self.subs(values)
-        if not isinstance(out, Poly):
-            return UniPoly._new((out.numerator,), out.denominator)
-        nums = []
-        for m, c in out._terms:
-            if m and (len(m) > 1 or m[0][0] != var):
-                raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
-            e = m[0][1] if m else 0
-            nums.extend([0] * (e + 1 - len(nums)))
-            nums[e] = c
-        return UniPoly._new(nums, out.den)
+        for x in values.values():
+            if type(x) is not int:
+                break
+        else:
+            nums = self._run(values, var)
+            if nums is not None:
+                return UniPoly._new(nums, self.den)
+        sums = self._run(_checked(values), var)
+        if sums is None:
+            raise ValueError(f"{self.render()} is not a polynomial in {var} alone")
+        nums, den = common_denominator(sums)
+        return UniPoly._new(nums, den * self.den)
+
+
+def _checked(values: Mapping) -> dict:
+    """``values`` as a new dict for ``Poly.subs``: a Poly without a rule,
+    an int or a Fraction as it is, anything else through Fraction.
+    ValueError for a Poly with a rule."""
+    out = {}
+    for v, x in values.items():
+        if isinstance(x, Poly):
+            if x.ring is not None:
+                raise ValueError(f"the value of {v!r} has a quotient rule")
+        elif not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        out[v] = x
+    return out
 

@@ -8,7 +8,6 @@ Euler-Jaczewski six-term combination for chi(W, Omega_W(xH + yU)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .chern import cotangent_twist_e_classes, symbolic_degree
@@ -72,12 +71,12 @@ def f_formula(x, y, p: int, q: int):
     return (p + q) * binom(y + 3, 4) + (x + 1) * binom(y + 3, 3)
 
 
-def f_splitting_oracle(x: int, y: int, p: int, q: int) -> Fraction:
+def f_splitting_oracle(x: int, y: int, p: int, q: int) -> int:
     """chi(W, xH + yU) by pushing forward to the line.
 
     Enumerates the monomials of the y-th symmetric power of
-    O^2 + O(p) + O(q) and sums chi of each twisted summand, as ints; only
-    defined for y >= 0.
+    O^2 + O(p) + O(q) and sums chi of each twisted summand, as ints, into
+    an int; only defined for y >= 0.
     """
     if y < 0:
         raise ValueError(f"oracle needs y >= 0, got {y}")
@@ -86,7 +85,7 @@ def f_splitting_oracle(x: int, y: int, p: int, q: int) -> Fraction:
         for j in range(y + 1 - i):
             mult = y - i - j + 1  # exponent splittings over the two O's
             total += mult * (x + i * p + j * q + 1)
-    return Fraction(total)
+    return total
 
 
 def euler_jaczewski_chi(x, y, p: int, q: int):

@@ -99,22 +99,17 @@ class ThreefoldNumerics:
 
     def substitutions(self) -> dict:
         """The fields set, as {symbol: value} for ``subs``: an int, a
-        Fraction or a Poly as it is, anything else through Fraction.
-
-        Built on the first call and kept on the instance, outside the
-        fields, so both of thm1's routes substitute the same map; it must
-        not be modified."""
-        try:
-            return self.__dict__["_substitutions"]
-        except KeyError:
-            pass
+        Fraction or a Poly as it is, anything else through Fraction."""
         out = {}
         for name in NUMERICS_FIELDS:
             v = getattr(self, name)
             if v is not None:
                 out[name] = v if isinstance(v, (int, Fraction, Poly)) else Fraction(v)
-        self.__dict__["_substitutions"] = out
         return out
+
+
+#: The six symbols of thm1's closed form, in the order of ``NUMERICS_FIELDS``.
+_SYMBOLS = tuple(Poly.sym(name) for name in NUMERICS_FIELDS)
 
 
 def check_hodge_number(h) -> None:
@@ -125,34 +120,26 @@ def check_hodge_number(h) -> None:
         raise ValueError("the Hodge number h must be an integer")
 
 
-@cache
-def thm1_closed_form() -> Poly:
-    """The closed form of -chi(X, Omega^2_X(H - K_X)) in the six symbols.
-
-    Built once per process, on the first call; later calls return the
-    same object.  Sharing it is safe because a Poly is immutable.
-    """
-    s = Poly.sym
-    return (
-        16
-        + s("h")
-        - s("c13") / 2
-        - Fraction(5, 4) * (s("c12H") + s("c1H2"))
-        + Fraction(3, 4) * s("c2H")
-        - s("H3") / 2
-    )
-
-
 def thm1_closed(n: ThreefoldNumerics) -> int | Fraction | Poly:
     """-chi(X, Omega^2_X(H - K_X)) by the paper's formula
-    (64 + 4h - 2c1^3 - 5(c1^2H + c1H^2) + 3c2H - 2H^3)/4 on the fields
-    when all six are ints or Fractions: an int when the value is whole.
-    On numbers it runs nothing that ``thm1_derived`` runs, not even its
-    substitution map; otherwise ``thm1_closed_form`` is substituted."""
+    (64 + 4h - 2c1^3 - 5(c1^2H + c1H^2) + 3c2H - 2H^3)/4 on the six
+    fields: an int when the value is whole, a Fraction when it is not, and
+    a Poly when a field is None (its symbol) or a Poly.  When all six are
+    ints or Fractions it runs no function of the package; otherwise a
+    field that is not a Poly, an int or a Fraction goes through Fraction,
+    as in ``substitutions``.  It never substitutes, so it shares no
+    substitution engine with ``thm1_derived``, and
+    ``thm1_closed(ThreefoldNumerics())`` is the closed form in the six
+    symbols."""
     h, c13, c12H, c1H2, c2H, H3 = fields = (n.h, n.c13, n.c12H, n.c1H2, n.c2H, n.H3)
     if not {int, Fraction}.issuperset(map(type, fields)):
-        return thm1_closed_form().subs(n.substitutions())
+        h, c13, c12H, c1H2, c2H, H3 = (
+            s if v is None else v if isinstance(v, (int, Fraction, Poly)) else Fraction(v)
+            for v, s in zip(fields, _SYMBOLS)
+        )
     num = 64 + 4 * h - 2 * c13 - 5 * (c12H + c1H2) + 3 * c2H - 2 * H3
+    if isinstance(num, Poly):
+        return num / 4
     # A Fraction's // gives an int too.
     return num // 4 if num % 4 == 0 else Fraction(num, 4)
 

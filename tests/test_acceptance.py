@@ -33,7 +33,6 @@ from bottcheck.theorems import (
     PlaneBundleInput,
     ThreefoldNumerics,
     thm1_closed,
-    thm1_closed_form,
     thm1_derived,
     thm2_chain,
     thm2_chain_poly,
@@ -53,7 +52,7 @@ def _run(argv):
 def test_criterion_1_twisted_cotangent_identity():
     """Derived twisted-cotangent Euler characteristic equals the closed form."""
     assert thm1_derived(ThreefoldNumerics()) == thm1_closed(ThreefoldNumerics())
-    form = thm1_closed_form()
+    form = thm1_closed(ThreefoldNumerics())
     symbols = ("h", "c13", "c12H", "c1H2", "c2H", "H3")
     assert form.coeff(dict.fromkeys(symbols, 0)) == 16
     assert form.coeff({"h": 1}) == 1

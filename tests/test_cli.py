@@ -211,8 +211,8 @@ class TestBottReportCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_registry_mismatch_exits_1(self, monkeypatch):
-        # thm1_closed_form is cached per process; the comparison against
-        # the derived route must still run on every record.
+        # The derived form is cached per process; the comparison against
+        # the closed route must still run on every record.
         real = theorems.thm1_closed
         monkeypatch.setattr(theorems, "thm1_closed", lambda n: real(n) + 1)
         code, out, err = run(["bott-report"])

@@ -236,7 +236,7 @@ def test_affine_subs_collapses_to_a_number(e, values):
 def test_affine_subs_conic_discriminant():
     d = Poly.sym("d")
     values = {"c12H": 12 - d, "c1H2": 2, "c2H": d + 6, "H3": 0}
-    form = theorems.thm1_closed_form()
+    form = theorems.thm1_closed(theorems.ThreefoldNumerics())
     assert form.subs(values) == subs_reference(form, values)
     assert form.subs(values).coeff({"d": 1}) == 2
 
@@ -286,7 +286,8 @@ def test_thm1_forms_derived_once_per_process(monkeypatch):
 def test_cached_thm1_forms_equal_fresh_derivations():
     cached = rr.chi_twisted_cotangent_symbolic
     assert cached.__wrapped__() == cached()
-    assert theorems.thm1_closed_form.__wrapped__() == theorems.thm1_closed_form()
+    # The closed form is not cached: thm1_closed builds it on each call.
+    assert theorems.thm1_closed(theorems.ThreefoldNumerics()) == cached()
 
 
 # --- integer numerators over one denominator, against the Fraction oracle ---

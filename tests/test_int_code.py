@@ -1,11 +1,13 @@
-"""Whole-number substitution through compiled int code.
+"""Substitution through compiled code.
 
-``Poly.subs`` and ``Poly.as_unipoly`` run a form's compiled int code
-when every value is a whole number and every variable gets one; every
-other call takes the loop.  Both are checked against a term-by-term
-Fraction reference, the loop cases against the results and errors they
-gave before the int code, and the generated source against the package's
-no-float scan.
+``Poly.subs`` and ``Poly.as_unipoly`` run a form's compiled code on
+every call: in int arithmetic when every value is an int and every
+variable gets one, and on the values' own arithmetic otherwise (a
+Fraction, a polynomial, or a variable left free as its own symbol).
+Both are checked against a term-by-term Fraction reference, the other
+calls against the results and errors they gave before they ran the
+compiled code, and the generated source against the package's no-float
+scan.
 """
 
 import ast
@@ -106,8 +108,9 @@ def test_as_unipoly_matches_the_reference(p, var, values):
 @settings(max_examples=60, deadline=None)
 @given(_polys, _assignments)
 def test_compiled_and_loop_agree(p, values):
-    """The loop at x/2, a rational value, against the int code of the
-    form with x/2 put in for x, at x."""
+    """The compiled code at x/2, a rational value, against the code of
+    the form with the polynomial x/2 put in for x, at x: one code run on
+    Fractions, on Polys and on the new form's values."""
     scaled = p.subs({"x": Poly.sym("x") / 2})
     half = dict(values, x=Fraction(values["x"], 2))
     want = scaled if isinstance(scaled, (int, Fraction)) else scaled.subs(values)
@@ -169,9 +172,13 @@ def test_the_memo_does_not_enter_equality_or_hash():
     assert p == q and hash(p) == hash(q)
 
 
-# --- every other call keeps the loop ------------------------------------------
+# --- every other call runs the same code ------------------------------------
+#
+# Each test builds its own form, so that its builds are counted from none.
 
-_P = Poly({(("x", 2),): 3, (("x", 1), ("y", 1)): Fraction(1, 2), (): -1})
+
+def _p() -> Poly:
+    return Poly({(("x", 2),): 3, (("x", 1), ("y", 1)): Fraction(1, 2), (): -1})
 
 
 @pytest.mark.parametrize("values, want", [
@@ -181,21 +188,21 @@ _P = Poly({(("x", 2),): 3, (("x", 1), ("y", 1)): Fraction(1, 2), (): -1})
     ({"x": True, "y": 2}, 3 + 1 - 1),
     ({"x": 1, "y": 2, "z": Fraction(1, 7)}, 3 + 1 - 1),
 ])
-def test_other_numbers_take_the_loop(builds, values, want):
-    got = _P.subs(values)
+def test_other_numbers_run_the_same_code(builds, values, want):
+    got = _p().subs(values)
     assert int_when_whole(got) and got == want
-    assert builds == []
+    assert builds == [(("x", "y"), None)]
 
 
-def test_polynomial_values_and_free_variables_take_the_loop(builds):
-    t = Poly.sym("t")
-    assert _P.subs({"x": t, "y": 2}) == 3 * t ** 2 + t - 1
-    assert _P.subs({"x": 2}) == 11 + Poly.sym("y")
-    assert type(_P.subs({"x": 2})) is Poly
-    assert _P.subs({"y": 0}) == 3 * Poly.sym("x") ** 2 - 1
+def test_polynomial_values_and_free_variables_run_the_same_code(builds):
+    t, p = Poly.sym("t"), _p()
+    assert p.subs({"x": t, "y": 2}) == 3 * t ** 2 + t - 1
+    assert p.subs({"x": 2}) == 11 + Poly.sym("y")
+    assert type(p.subs({"x": 2})) is Poly
+    assert p.subs({"y": 0}) == 3 * Poly.sym("x") ** 2 - 1
     assert (1 + 2 * Poly.sym("h")).subs({"h": Poly.sym("k")}) == 1 + 2 * Poly.sym("k")
-    assert _P.as_unipoly("x", {"y": Fraction(2, 3)}) == UniPoly((-1, Fraction(1, 3), 3))
-    assert builds == []
+    assert p.as_unipoly("x", {"y": Fraction(2, 3)}) == UniPoly((-1, Fraction(1, 3), 3))
+    assert builds == [(("x", "y"), None), (("h",), None), (("y",), "x")]
 
 
 @pytest.mark.parametrize("bad", ["abc", None, object()])
@@ -204,9 +211,10 @@ def test_a_value_that_is_not_a_number_raises_as_fraction_does(builds, bad):
         Fraction(bad)
     except (TypeError, ValueError) as exc:
         kind, text = type(exc), str(exc)
-    for call in (lambda: _P.subs({"x": bad, "y": 1}),
-                 lambda: _P.subs({"x": 1, "y": 1, "unused": bad}),
-                 lambda: _P.as_unipoly("x", {"y": bad})):
+    p = _p()
+    for call in (lambda: p.subs({"x": bad, "y": 1}),
+                 lambda: p.subs({"x": 1, "y": 1, "unused": bad}),
+                 lambda: p.as_unipoly("x", {"y": bad})):
         with pytest.raises(kind) as err:
             call()
         assert str(err.value) == text
@@ -223,16 +231,20 @@ def test_a_form_with_a_rule_raises(builds):
 
 
 def test_as_unipoly_errors_keep_their_text(builds):
+    p = _p()
     with pytest.raises(ValueError) as err:
-        _P.as_unipoly("x", {"x": 1, "y": 2})
+        p.as_unipoly("x", {"x": 1, "y": 2})
     assert str(err.value) == "x is the variable of the UniPoly; it takes no value"
     with pytest.raises(ValueError) as err:
-        _P.as_unipoly("x")
-    assert str(err.value) == f"{_P.render()} is not a polynomial in x alone"
+        p.as_unipoly("x")
+    assert str(err.value) == f"{p.render()} is not a polynomial in x alone"
     with pytest.raises(ValueError) as err:
-        _P.as_unipoly("x", {"z": 4})
+        p.as_unipoly("x", {"z": 4})
     assert "is not a polynomial in x alone" in str(err.value)
-    assert builds == []
+    with pytest.raises(ValueError) as err:
+        p.as_unipoly("x", {"z": Fraction(1, 2)})
+    assert str(err.value) == f"{p.render()} is not a polynomial in x alone"
+    assert builds == [(("y",), "x")]
 
 
 # --- the generated source ---------------------------------------------------
@@ -241,10 +253,11 @@ def test_as_unipoly_errors_keep_their_text(builds):
 def _cached_form_calls():
     """One whole-number call into each cached form: thm1's two forms,
     thm2's chain, thm3's Q and HRR forms, and the symmetric-power form.
-    thm1's closed route evaluates the paper's formula on numbers, so its
-    form is substituted directly."""
+    thm1's closed route evaluates the paper's formula and substitutes
+    nothing, so its form, the formula in the six symbols, is substituted
+    directly."""
     numerics = theorems.ThreefoldNumerics(2, 4, 6, 6, 24, 6)
-    theorems.thm1_closed_form().subs(numerics.substitutions())
+    theorems.thm1_closed(theorems.ThreefoldNumerics()).subs(numerics.substitutions())
     theorems.thm1_derived(numerics)
     theorems.thm2_chain_poly(3, -1, 2)
     theorems.compare_thm3(theorems.PlaneBundleInput(1, 5))
@@ -253,7 +266,7 @@ def _cached_form_calls():
 
 
 def _clear_form_caches():
-    for cached in (theorems.thm1_closed_form, rr.chi_twisted_cotangent_symbolic,
+    for cached in (rr.chi_twisted_cotangent_symbolic,
                    theorems.thm2_chain_form, theorems.thm2_chain_poly,
                    theorems.thm3_Q_form, theorems.thm3_hrr_form, chern.sym_power_form):
         cached.cache_clear()

@@ -3,11 +3,13 @@
 ``thm1_closed``, ``thm2_chain``, ``thm2_closed`` and ``thm3_value``
 return an int when the value is whole and a Fraction only when it is
 not, each checked here against a reference that does not share its
-arithmetic: thm1's cached form substituted through ``Poly.subs``,
-2(sum a + 2k) and c2 - c1(c1 - 1)/2 as Fractions.  thm1's closed route
-on numbers runs the paper's formula on the record's fields, so it
-reaches no function of the package that its derived route reaches; that
-is checked by recording the functions each route calls.  So are thm2's
+arithmetic: thm1's closed form in the six symbols substituted through
+``Poly.subs``, 2(sum a + 2k) and c2 - c1(c1 - 1)/2 as Fractions.
+thm1's closed route runs the paper's formula on the record's fields and
+substitutes nothing, so on numbers it reaches no function of the
+package that its derived route reaches, and on a symbolic record
+neither ``Poly.subs`` nor the compiled code; that is checked by
+recording the functions each route calls.  So are thm2's
 two routes and thm3's Q(-1) against its closed form, on warm caches;
 thm3's Riemann-Roch polynomial and Q(b) share exactly the view of a
 cached form as a polynomial in b.
@@ -32,7 +34,6 @@ from bottcheck.theorems import (
     compare_thm2,
     compare_thm3,
     thm1_closed,
-    thm1_closed_form,
     thm1_derived,
     thm2_chain,
     thm2_closed,
@@ -40,6 +41,10 @@ from bottcheck.theorems import (
     thm3_Q,
     thm3_value,
 )
+
+
+#: thm1's closed form in the six symbols, the reference of its closed route.
+_FORM = thm1_closed(ThreefoldNumerics())
 
 
 def int_when_whole(value) -> bool:
@@ -56,7 +61,7 @@ _numbers = st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3) | st.fractions(
 def test_thm1_closed_is_the_form_on_numbers(values):
     n = ThreefoldNumerics(*values)
     got = thm1_closed(n)
-    assert got == thm1_closed_form().subs(dict(zip(NUMERICS_FIELDS, values)))
+    assert got == _FORM.subs(dict(zip(NUMERICS_FIELDS, values)))
     assert int_when_whole(got)
 
 
@@ -65,7 +70,7 @@ def test_thm1_closed_keeps_the_form_for_a_symbolic_field(values):
     n = ThreefoldNumerics(*values)
     got = thm1_closed(n)
     assert type(got) is Poly
-    assert got == thm1_closed_form().subs(n.substitutions())
+    assert got == _FORM.subs(n.substitutions())
 
 
 def test_thm2_routes_are_ints_on_criterion_3s_grid():
@@ -125,23 +130,23 @@ def _reached(call) -> set:
     ThreefoldNumerics(0, 4, 6, 6, 24, 6),
     ThreefoldNumerics(3, -12, 14, 5, 33, 7),
     ThreefoldNumerics(2, Fraction(1, 2), 6, 6, 24, 6),
+    ThreefoldNumerics(None, 4, 6, 6, 24, 6),
 ])
 def test_thm1s_closed_route_shares_no_engine_with_the_derived_one(numerics):
-    whole = all(type(v) is int for v in numerics.substitutions().values())
-    thm1_closed_form.cache_clear()
     rr.chi_twisted_cotangent_symbolic.cache_clear()
     try:
         closed = _reached(lambda: thm1_closed(numerics))
         derived = _reached(lambda: thm1_derived(numerics))
     finally:
-        thm1_closed_form.cache_clear()
         rr.chi_twisted_cotangent_symbolic.cache_clear()
-    # The recording sees the engines where the derived route runs them:
-    # the compiled int code on whole numbers, the general loop otherwise.
-    assert not {Poly.subs.__code__, exact._int_code.__code__} & closed
-    assert Poly.subs.__code__ in derived
-    assert (exact._int_code.__code__ in derived) == whole
-    assert not closed & derived
+    # The derived route compiles its fresh form on every record, whatever
+    # the values; the closed route substitutes nothing.
+    engines = {Poly.subs.__code__, exact._int_code.__code__}
+    assert engines <= derived
+    assert not engines & closed
+    # A symbolic field makes both routes Poly arithmetic, which they share.
+    if None not in (getattr(numerics, name) for name in NUMERICS_FIELDS):
+        assert not closed & derived
 
 
 def _named(codes) -> set:
@@ -180,6 +185,6 @@ def test_thm3s_hrr_and_q_routes_share_only_the_unipoly_view(c1, c2):
     compare_thm3(inp)
     hrr = _reached(lambda: thm3_hrr_poly(inp))
     q = _reached(lambda: thm3_Q(inp).Q)
-    assert _named(hrr & q) == {exact.Poly.as_unipoly.__code__, exact.Poly._whole.__code__,
+    assert _named(hrr & q) == {exact.Poly.as_unipoly.__code__, exact.Poly._run.__code__,
                                exact.UniPoly._new.__func__.__code__,
                                exact.UniPoly._store.__code__}

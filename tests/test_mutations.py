@@ -30,6 +30,8 @@ THM1 = ["thm1", "--h", "0", "--c13", "4", "--c12H", "6", "--c1H2", "6", "--c2H",
         "--H3", "6"]
 THM1_RATIONAL = ["thm1", "--h", "2", "--c13", "1/2", "--c12H", "6", "--c1H2", "6",
                  "--c2H", "24", "--H3", "6"]
+THM1_SYMBOLIC_H = ["thm1", "--symbolic-h", "--c13", "4", "--c12H", "6", "--c1H2", "6",
+                   "--c2H", "24", "--H3", "6"]
 
 
 def _int_code_one_more():
@@ -64,14 +66,18 @@ def _twists_q_one_more():
     return perturbed
 
 
-def _general_subs_den_times_too_much():
-    """``exact.Poly.subs``, but a call that ``_whole`` refuses returns
-    ``den`` times its value."""
+def _subs_den_times_too_much_off_ints():
+    """``exact.Poly.subs``, but ``den`` times its value when the values
+    that its compiled code runs at are not all ints: a value that is not
+    an int, or a variable of the form left free as its own symbol."""
     real = exact.Poly.subs
 
     def perturbed(self, values):
         out = real(self, values)
-        return out if self._whole(values) is not None else out * self.den
+        free = {v for m, _ in self.terms for v, _ in m} - values.keys()
+        if free or any(type(x) is not int for x in values.values()):
+            return out * self.den
+        return out
 
     return perturbed
 
@@ -156,17 +162,16 @@ MUTATIONS = {
         route=(["thm2", "--bundle", "P1: O(0)^2 + O(1)^2", "--k", "0"],),
         golden=(["thm2", "--bundle", "P1: O(0)^2 + O(1) + O(2)", "--k", "0"],),
     ),
-    # On a rational record thm1's derived route takes the general
-    # substitution and gives 71 for 71/4; its closed route evaluates the
-    # paper's formula.  The goldens with a rational value or a free h take
-    # the general substitution too.
-    "general Poly.subs den times too much": Mutation(
-        exact.Poly, "subs", _general_subs_den_times_too_much,
-        route=(THM1_RATIONAL,),
+    # thm1's derived route substitutes; its closed route evaluates the
+    # paper's formula on the fields and never does.  So on a rational
+    # record the derived route gives 71 for 71/4, and with h free it gives
+    # 56 + 4*h for 14 + h.
+    "Poly.subs at values that are not all ints": Mutation(
+        exact.Poly, "subs", _subs_den_times_too_much_off_ints,
+        route=(THM1_RATIONAL, THM1_SYMBOLIC_H),
         golden=(["thm1", "--h", "2", "--c13", "1/2", "--c12H", "-3/4", "--c1H2", "5/3",
                  "--c2H", "24", "--H3", "7/2"],
-                ["thm1", "--symbolic-h", "--c13", "4", "--c12H", "6", "--c1H2", "6",
-                 "--c2H", "24", "--H3", "6"]),
+                THM1_SYMBOLIC_H),
     ),
     # thm1's derived route substitutes this map and gives 15; its closed
     # route reads the record's fields and gives 14.
@@ -191,7 +196,7 @@ MUTATIONS = {
 
 
 def _clear_form_caches():
-    for cached in (theorems.thm1_closed_form, rr.chi_twisted_cotangent_symbolic,
+    for cached in (rr.chi_twisted_cotangent_symbolic,
                    theorems.thm2_chain_form, theorems.thm2_chain_poly,
                    theorems.thm3_Q_form, theorems.thm3_hrr_form, chern.sym_power_form,
                    chow._skeletons):
@@ -235,3 +240,16 @@ def test_every_detector_catches_its_mutation(monkeypatch, fresh_forms, name):
         assert route_fails(argv), argv
     for argv in mutation.golden:
         assert golden_changes(argv), argv
+
+
+def test_the_builtin_report_catches_subs_off_ints(monkeypatch, fresh_forms):
+    """The built-in registry holds records with a free field (the conic's
+    d, table 8's h); thm1's closed route substitutes none of them, so
+    ``Poly.subs`` wrong off ints fails the report."""
+    assert run(["bott-report"])["code"] == 0
+    monkeypatch.setattr(exact.Poly, "subs", _subs_den_times_too_much_off_ints())
+    _clear_form_caches()
+    got = run(["bott-report"])
+    assert got["code"] == 1 and got["out"] == ""
+    assert got["err"].startswith("MISMATCH: record ")
+    assert got["err"].endswith(": closed and derived obstruction disagree\n")

@@ -15,7 +15,7 @@ import pytest
 from bottcheck.bottcases import Verdict, builtin_registry, evaluate_case
 from bottcheck.chow import PLANE_RULE, H_class, LineBase4, PlaneBase2, U_class
 from bottcheck.exact import Poly, UniPoly
-from bottcheck.theorems import thm1_closed_form
+from bottcheck.theorems import ThreefoldNumerics, thm1_closed
 
 ROUND_TRIPS = {
     "copy": copy.copy,
@@ -72,9 +72,9 @@ def test_a_copy_is_still_immutable(name):
 
 
 def test_pickle_leaves_the_compiled_code_behind():
-    form = thm1_closed_form()
+    form = thm1_closed(ThreefoldNumerics())
     values = {"h": 1, "c13": 2, "c12H": 3, "c1H2": 4, "c2H": 5, "H3": 6}
-    want = form.subs(values)  # compiles the form, if nothing had yet
+    want = form.subs(values)  # compiles the new form
     assert hasattr(form, "_compiled")
     loaded = pickle.loads(pickle.dumps(form))
     assert not hasattr(loaded, "_compiled")

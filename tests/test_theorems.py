@@ -11,7 +11,6 @@ from bottcheck.theorems import (
     PlaneBundleInput,
     ThreefoldNumerics,
     thm1_closed,
-    thm1_closed_form,
     thm1_derived,
     thm2_chain,
     thm2_chain_poly,
@@ -29,7 +28,7 @@ class TestThm1:
         assert thm1_derived(n) == thm1_closed(n)
 
     def test_closed_form_coefficients(self):
-        form = thm1_closed_form()
+        form = thm1_closed(ThreefoldNumerics())
         assert form.coeff(dict.fromkeys(("h", "c13", "c12H", "c1H2", "c2H", "H3"), 0)) == 16
         assert form.coeff({"h": 1}) == 1
         assert form.coeff({"c13": 1}) == Fraction(-1, 2)
