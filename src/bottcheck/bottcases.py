@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Optional, Tuple
 
 from . import theorems
-from .exact import Poly, check_digits, check_printable, parse_rational, quoted
+from .exact import (
+    Number, Poly, check_digits, check_printable, parse_rational, quoted, rendered,
+)
 from .theorems import (
     NUMERICS_FIELDS,
     DivisorCaseInput,
@@ -68,12 +69,12 @@ class CaseRecord:
 
     id: str
     geometry: str
-    h: Optional[Fraction] = None
-    c13: Optional[Fraction] = None
-    c12H: Optional[Fraction] = None
-    c1H2: Optional[Fraction] = None
-    c2H: Optional[Fraction] = None
-    H3: Optional[Fraction] = None
+    h: Optional[Number] = None
+    c13: Optional[Number] = None
+    c12H: Optional[Number] = None
+    c1H2: Optional[Number] = None
+    c2H: Optional[Number] = None
+    H3: Optional[Number] = None
     d: Optional[int] = None
     a: Optional[Tuple[int, int, int, int]] = None
     k: Optional[int] = None
@@ -92,9 +93,11 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class Verdict:
-    """An evaluated record; built as ``CaseRecord`` is, in one update."""
+    """An evaluated record, built as ``CaseRecord`` is, in one update.  The
+    obstruction is the int or Fraction that its routes agreed on, or the
+    ``Poly`` of a template, whose free fields stay symbols."""
 
-    obstruction: Poly
+    obstruction: Number | Poly
     conclusion: str
     note: str = ""
 
@@ -104,13 +107,17 @@ class Verdict:
         )
 
 
-def _conclude(obstruction: Poly) -> str:
-    # The numerators are over a positive denominator, so they carry the
-    # signs of the coefficients.  The terms are sorted, so the constant
-    # term, the monomial (), comes first.
-    const, terms = 0, obstruction._terms
-    if terms and not terms[0][0]:
-        const, terms = terms[0][1], terms[1:]
+def _conclude(obstruction) -> str:
+    """The conclusion from the sign of ``obstruction`` for every h >= 0:
+    a number's own sign, or a ``Poly``'s read from its terms."""
+    const, terms = obstruction, ()
+    if isinstance(obstruction, Poly):
+        # The numerators are over a positive denominator, so they carry the
+        # signs of the coefficients.  The terms are sorted, so the constant
+        # term, the monomial (), comes first.
+        const, terms = 0, obstruction._terms
+        if terms and not terms[0][0]:
+            const, terms = terms[0][1], terms[1:]
     if not terms:
         if const == 0:
             return NEEDS_H0_CHECK
@@ -121,14 +128,6 @@ def _conclude(obstruction: Poly) -> str:
         if terms[0][1] >= 0 and const > 0:
             return FAILS_BY_NEGATIVE_CHI
     return INCONCLUSIVE
-
-
-def _as_poly(value) -> Poly:
-    """A route's value as a Poly: itself, or the constant of an int or a
-    Fraction, built from its numerator and denominator."""
-    if isinstance(value, Poly):
-        return value
-    return Poly._new((((), value.numerator),), value.denominator)
 
 
 def _agreed(c: CaseRecord, comparison: theorems.Comparison) -> dict:
@@ -160,7 +159,7 @@ def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
         fixed.get(f) if v is None else v
         for f, v in zip(NUMERICS_FIELDS, _numerics_of(c))
     ])
-    obstruction = _as_poly(_agreed(c, theorems.compare_thm1(n))["closed"])
+    obstruction = _agreed(c, theorems.compare_thm1(n))["closed"]
     return Verdict(obstruction, _conclude(obstruction), g.note)
 
 
@@ -174,7 +173,7 @@ def _evaluate_thm2(c: CaseRecord, g: "Geometry") -> Verdict:
         note = "k is user input"
     else:
         inp = DivisorCaseInput(tuple(c.a), int(c.k))
-        obstruction = _as_poly(_agreed(c, theorems.compare_thm2(inp))["closed"])
+        obstruction = _agreed(c, theorems.compare_thm2(inp))["closed"]
         note = ""
     return Verdict(obstruction, _conclude(obstruction), note)
 
@@ -184,9 +183,9 @@ def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
     if missing:
         raise RegistryError(c.id, ",".join(missing), "required for a plane bundle")
     inp = PlaneBundleInput(int(c.c1), int(c.c2))
-    obstruction = _as_poly(_agreed(c, theorems.compare_thm3(inp))["closed"])
+    obstruction = _agreed(c, theorems.compare_thm3(inp))["closed"]
     note = ""
-    if obstruction.is_zero():
+    if obstruction == 0:
         note = "h^0 follow-up required; split approximants via thm3_h0_split"
     return Verdict(obstruction, _conclude(obstruction), note)
 
@@ -310,31 +309,31 @@ def builtin_registry() -> tuple:
         CaseRecord(
             id="table8-no1",
             geometry="table8",
-            c13=Fraction(4),
-            c12H=Fraction(6),
-            c1H2=Fraction(6),
-            c2H=Fraction(24),
-            H3=Fraction(6),
+            c13=4,
+            c12H=6,
+            c1H2=6,
+            c2H=24,
+            H3=6,
             provenance="Cutrone-Marshburn Table 8, No. 1",
         ),
         CaseRecord(
             id="table8-no2",
             geometry="table8",
-            c13=Fraction(2),
-            c12H=Fraction(4),
-            c1H2=Fraction(4),
-            c2H=Fraction(24),
-            H3=Fraction(4),
+            c13=2,
+            c12H=4,
+            c1H2=4,
+            c2H=24,
+            H3=4,
             provenance="Cutrone-Marshburn Table 8, No. 2",
         ),
         CaseRecord(
             id="table9",
             geometry="table9",
-            c13=Fraction(2),
-            c12H=Fraction(5),
-            c1H2=Fraction(10),
-            c2H=Fraction(45),
-            H3=Fraction(20),
+            c13=2,
+            c12H=5,
+            c1H2=10,
+            c2H=45,
+            H3=20,
             provenance="Cutrone-Marshburn Table 9",
         ),
         CaseRecord(
@@ -349,7 +348,6 @@ def builtin_registry() -> tuple:
 # --- registry file format --------------------------------------------------
 
 _NUMERIC_FIELDS = (*NUMERICS_FIELDS, "d", "a", "k", "c1", "c2")
-_REGISTRY_FIELDS = ("geometry", *_NUMERIC_FIELDS, "provenance")
 
 
 def _read_number(text: str):
@@ -420,14 +418,15 @@ def _check_field(c: CaseRecord, name: str, check: Callable):
         raise RegistryError(c.id, name, str(exc)) from None
 
 
-def _validate(c: CaseRecord, complete: bool = True):
-    """RegistryError for the first fault in ``c``; a field that its
-    geometry requires may be missing only when ``complete`` is false."""
+def _validate(c: CaseRecord):
+    """RegistryError for the first fault in ``c``, a record read from a
+    case file: an unknown geometry, a field its geometry does not use, a
+    missing field that it requires, or a field that breaks its hypothesis."""
     row = _row(c)
     for name in _NUMERIC_FIELDS:
         if name not in row.allowed and getattr(c, name) is not None:
             raise RegistryError(c.id, name, f"not used by geometry {c.geometry!r}")
-    for name in row.required if complete else ():
+    for name in row.required:
         if getattr(c, name) is None:
             raise RegistryError(c.id, name, "required for this geometry")
     for name, check in _FIELD_CHECKS:
@@ -485,47 +484,6 @@ def load_registry(path) -> list:
     return [_parse_record(record_id, items) for record_id, items in records.items()]
 
 
-def serialize_registry(records) -> str:
-    """The case file that ``load_registry`` reads back as ``records``:
-    ``[id]``, a ``field = value`` line per field set, and a blank line,
-    per record.  RegistryError for what the reader would not give back:
-    an empty id, which makes the header ``[]``; a repeated id; an id or a
-    value with a line break, which it would split; a value with leading or
-    trailing whitespace, which it would strip; a record that fails the
-    reader's own checks (``_validate``), except that a field its geometry
-    requires may be missing: the built-in templates (``conic`` has no
-    ``d``) are written as they are, and the reader refuses them."""
-    lines = []
-    seen = set()
-    for rec in records:
-        if not rec.id:
-            raise RegistryError(rec.id, "id", "an empty id cannot be written")
-        if rec.id in seen:
-            raise RegistryError(rec.id, "id", "a repeated id cannot be written")
-        seen.add(rec.id)
-        _check_one_line(rec.id, "id", rec.id)
-        _validate(rec, complete=False)
-        lines.append(f"[{rec.id}]\n")
-        for field in _REGISTRY_FIELDS:
-            value = getattr(rec, field)
-            if value is None or value == "":
-                continue
-            text = ",".join(map(str, value)) if field == "a" else str(value)
-            _check_one_line(rec.id, field, text)
-            if text != text.strip():
-                raise RegistryError(
-                    rec.id, field, "leading or trailing whitespace cannot be written"
-                )
-            lines.append(f"{field} = {text}\n")
-        lines.append("\n")
-    return "".join(lines)
-
-
-def _check_one_line(record_id: str, field: str, text: str):
-    if "\n" in text or "\r" in text:
-        raise RegistryError(record_id, field, "a line break cannot be written")
-
-
 # --- reporting -------------------------------------------------------------
 
 
@@ -548,7 +506,7 @@ def report_rows(cases) -> list:
             {
                 "id": rec.id,
                 "geometry": rec.geometry,
-                "obstruction": verdict.obstruction.render(),
+                "obstruction": rendered(verdict.obstruction),
                 "conclusion": verdict.conclusion,
                 "provenance": rec.provenance,
             }
@@ -610,7 +568,6 @@ __all__ = [
     "evaluate_case",
     "builtin_registry",
     "load_registry",
-    "serialize_registry",
     "report_rows",
     "report_text",
     "report_json",

@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 from . import bottcases, theorems
 from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
 from .exact import (
-    QUOTE_LIMIT, Poly, check_digits, check_printable, max_str_digits, parse_rational,
-    quoted, shortened,
+    QUOTE_LIMIT, check_digits, check_printable, max_str_digits, parse_rational, quoted,
+    rendered, shortened,
 )
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
@@ -279,10 +279,6 @@ _int = _option_type(lambda text: int(check_digits(text)), "invalid int value: ")
 _rat = _option_type(parse_rational, "expected an integer or p/q, got ")
 
 
-def _render(value) -> str:
-    return value.render() if isinstance(value, Poly) else str(value)
-
-
 def _verdict(comparison, out) -> int:
     """Print whether a theorem's routes agree; the exit code."""
     ok = comparison.mismatch is None
@@ -318,8 +314,8 @@ def _cmd_thm1(args, out) -> int:
     comparison = theorems.compare_thm1(n)
     values = comparison.values
     _check_results(*values.items())
-    print(f"closed:  {_render(values['closed'])}", file=out)
-    print(f"derived: {_render(values['derived'])}", file=out)
+    print(f"closed:  {rendered(values['closed'])}", file=out)
+    print(f"derived: {rendered(values['derived'])}", file=out)
     return _verdict(comparison, out)
 
 

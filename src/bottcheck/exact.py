@@ -19,7 +19,8 @@ symbolic form of the package, affine or not, is a plain ``Poly``, so
 is the dense value that ``Poly.as_unipoly`` returns: the same stored
 form as a tuple ``num`` of the numerators of 1, t, t^2, ..., which is
 evaluated, compared and printed but has no arithmetic.  ``_render`` is
-the one text form of all of them; ``binom`` takes a number or a ring
+the one text form of all of them, and ``rendered`` that of a route
+value, a number or a ``Poly``; ``binom`` takes a number or a ring
 element as its upper argument.
 
 ``Poly.subs`` and ``Poly.as_unipoly`` have one path: they run code
@@ -218,6 +219,12 @@ def _render(terms, den: int = 1) -> str:
             else:
                 parts.append(f"-{body}" if n < 0 else body)
     return " ".join(parts) or "0"
+
+
+def rendered(value) -> str:
+    """The text of a route value: a ``Poly``'s ``render()``, else ``str``
+    of its number, the text that ``render()`` gives for that constant."""
+    return value.render() if isinstance(value, Poly) else str(value)
 
 
 class UniPoly:

@@ -6,21 +6,22 @@ cached form cleared before and after, and names its detectors:
 * ``route``: a CLI command whose route comparison must fail, exit 1
   with ``MISMATCH`` as its last line;
 * ``golden``: a CLI command whose transcript must differ from the one
-  recorded in ``golden/cli_transcripts.json``.
+  recorded in ``golden/cli_transcripts.json``; ``{golden}`` in its
+  arguments stands for the ``golden`` directory, as it does there.
 
 Every detector is run on the unperturbed package first and must pass
 there, so an entry cannot be caught by a detector that always fires.
 """
 
-import io
 import json
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
-from bottcheck import chern, chow, cli, exact, rr, theorems
+from bottcheck import bottcases, chern, chow, exact, rr, theorems
 from bottcheck.exact import Poly, QuotientRule
+from test_cli_golden import transcript as run
 
 TRANSCRIPTS = Path(__file__).resolve().parent / "golden" / "cli_transcripts.json"
 GOLDEN = {tuple(t["argv"]): t for t in json.loads(TRANSCRIPTS.read_text("utf-8"))}
@@ -113,6 +114,20 @@ def _unipoly_one_more_at_a_negative_int():
     return perturbed
 
 
+def _fixed_numerics_override_the_record():
+    """``bottcases._numerics_of``, but None for every field that the
+    record's geometry fixes, so the geometry's value wins over the
+    record's own."""
+    real = bottcases._numerics_of
+
+    def perturbed(record):
+        fixed = bottcases.GEOMETRY_TABLE[record.geometry].fixed
+        return tuple(None if f in fixed else v
+                     for f, v in zip(theorems.NUMERICS_FIELDS, real(record)))
+
+    return perturbed
+
+
 class Mutation(NamedTuple):
     module: object
     name: str
@@ -192,6 +207,14 @@ MUTATIONS = {
         route=(["thm3", "--bundle", "P2: rank2(c1=3,c2=3)"],),
         golden=(["thm3", "--bundle", "P2: O(-1) + O(4)"],),
     ),
+    # Both thm1 routes read the same ThreefoldNumerics, built after the
+    # record and its geometry are merged, so no route comparison can see
+    # the merge; the rows dp6-own-c12H and conic-own-c2H of the golden
+    # case file set a field their geometry fixes.
+    "the geometry's fixed numerics override the record": Mutation(
+        bottcases, "_numerics_of", _fixed_numerics_override_the_record,
+        golden=(["bott-report", "--cases", "{golden}/cases_all_geometries.ini"],),
+    ),
 }
 
 
@@ -208,12 +231,6 @@ def fresh_forms():
     _clear_form_caches()
     yield
     _clear_form_caches()
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = cli.run(argv, out=out, err=err)
-    return {"argv": argv, "code": code, "out": out.getvalue(), "err": err.getvalue()}
 
 
 def route_fails(argv) -> bool:

@@ -69,12 +69,27 @@ def test_a_warm_report_row_makes_only_the_routes_fractions(count_fractions, reco
     assert made == fractions
 
 
-def test_a_verdict_takes_the_routes_number_as_it_is(count_fractions):
-    for value in (Fraction(87, 4), Fraction(-3), 0, 12, -5, Fraction(1, 10 ** 30)):
-        got, made = count_fractions(lambda: bottcases._as_poly(value))
-        assert made == 0
-        assert type(got) is Poly and got == value
-        assert got.coeffs == ((((), value),) if value else ())
+WHOLE_TABLE8 = CaseRecord(id="w", geometry="table8", h=0, c13=4, c12H=6, c1H2=6, c2H=24,
+                          H3=6)
+
+
+@pytest.mark.parametrize("record, value", [(WHOLE_TABLE8, 14), (DP8, 18), (PLANE, -16)])
+def test_a_verdict_takes_the_routes_number_as_it_is(count_fractions, record, value):
+    evaluate_case(record)
+    verdict, made = count_fractions(lambda: evaluate_case(record))
+    assert made == 0
+    assert type(verdict.obstruction) is int and verdict.obstruction == value
+
+
+def test_the_builtin_numerics_are_ints_and_its_report_makes_no_fraction(
+        count_fractions):
+    for rec in bottcases.builtin_registry():
+        for name in ("h", "c13", "c12H", "c1H2", "c2H", "H3", "d", "k", "c1", "c2"):
+            value = getattr(rec, name)
+            assert value is None or type(value) is int, (rec.id, name)
+    report_json(bottcases.builtin_registry())
+    _, made = count_fractions(lambda: report_json(bottcases.builtin_registry()))
+    assert made == 0
 
 
 def test_both_routes_substitute_one_map_per_record(monkeypatch):
