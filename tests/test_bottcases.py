@@ -496,6 +496,29 @@ class TestCaseFileGrammar:
         assert rec.provenance == f"x{char}y"
 
 
+class TestALineBreakEndsTheValue:
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+    def test_a_value_or_an_id_cannot_hold_a_line_break(self, tmp_path, brk):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, f"[a]\ngeometry = table8\nprovenance = x{brk}y\n",
+                       newline="")
+        assert (err.value.record_id, err.value.field) == (None, None)
+        assert str(err.value) == (
+            "line 4: expected [id], field = value or a comment, got 'y'")
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, f"[a{brk}b]\ngeometry = table8\n", newline="")
+        assert str(err.value) == (
+            "line 1: expected [id], field = value or a comment, got '[a'")
+
+    def test_layout(self, tmp_path):
+        records = [CaseRecord(id="x", geometry="delPezzoFib8-small", a=(0, 0, 1, 2),
+                              k=-1, provenance="p"),
+                   CaseRecord(id="y", geometry="table8", c13=Fraction(1, 2))]
+        assert _load_text(tmp_path, (
+            "[x]\ngeometry = delPezzoFib8-small\na = 0,0,1,2\nk = -1\n"
+            "provenance = p\n\n[y]\ngeometry = table8\nc13 = 1/2\n\n")) == records
+
+
 class TestObstructionTooLongToPrint:
     def test_report_names_the_record(self):
         limit = sys.get_int_max_str_digits()

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bottcheck import cli
 from bottcheck.bottcases import (
-    GEOMETRIES, CaseRecord, _READERS, _read_records, load_registry,
+    GEOMETRIES, CaseRecord, RegistryError, _READERS, _read_records, load_registry,
 )
 
 
@@ -191,6 +191,38 @@ def test_serialized_records_read_back(case_path, drawn):
     records = [CaseRecord(id=rid, geometry=g, **fields) for rid, (g, fields) in drawn]
     _write(case_path, _configparser_write(records))
     assert load_registry(case_path) == records
+
+
+@pytest.mark.parametrize("text, record_id, field", [
+    ("[]\ngeometry = table8\n", None, None),
+    ("[x]\ngeometry = table8\n\n[x]\ngeometry = table9\n", "x", "id"),
+    ("[x]\ngeometry = table8\nk = 5\n", "x", "k"),
+    ("[x]\ngeometry = delPezzoFib8-small\na = 0,0,1\nk = 0\n", "x", "a"),
+    ("[x]\ngeometry = conicBundle\nd = 1\na = 0,0,1,2\n", "x", "a"),
+])
+def test_the_reader_refuses_a_record_no_case_file_holds(case_path, text, record_id,
+                                                        field):
+    """An empty id, a repeated id, a field the geometry does not use and an
+    ``a`` of the wrong length are each refused, naming the record and the
+    field where the file has them."""
+    _write(case_path, text)
+    with pytest.raises(RegistryError) as err:
+        load_registry(case_path)
+    assert (err.value.record_id, err.value.field) == (record_id, field)
+
+
+@pytest.mark.parametrize("text, record", [
+    ("[x]\ngeometry = table8\nprovenance =  padded \n",
+     CaseRecord(id="x", geometry="table8", provenance="padded")),
+    ("[x]\ngeometry = table8\nprovenance = tab\t\n",
+     CaseRecord(id="x", geometry="table8", provenance="tab")),
+    ("[x]\ngeometry =  table8\n", CaseRecord(id="x", geometry="table8")),
+])
+def test_a_value_is_read_without_its_padding(case_path, text, record):
+    """A value's leading and trailing whitespace is no part of it, so a
+    record whose geometry or provenance is padded has no case file."""
+    _write(case_path, text)
+    assert load_registry(case_path) == [record]
 
 
 def test_the_fields_are_the_ones_the_reader_reads():
