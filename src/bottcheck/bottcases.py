@@ -10,16 +10,17 @@ reported obstruction, so a record is never silently specialized.
 ``Geometry`` row per name, giving the evaluator of its theorem, the
 numeric fields a record of it may set and those a complete record must
 set, the numerics the geometry fixes, and the note its verdicts carry.
-The reader's checks (``_validate``) and ``evaluate_case`` both read the
-row.  Whether two routes agree is decided by ``theorems.compare_thm*``,
-the same comparison the CLI prints; an evaluator raises
-``DualPathMismatch`` naming the record when one fails.
+``_FIELDS`` says how each field is read, typed and checked; a record checks
+itself against both when it is made (``_validate``).  Whether two routes
+agree is decided by ``theorems.compare_thm*``, the same comparison the CLI
+prints; an evaluator raises ``DualPathMismatch`` naming the record if not.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Optional, Tuple
@@ -61,11 +62,11 @@ class CaseRecord:
     """One record of a case registry.
 
     ``__init__`` takes the fields, by keyword or in order, as the one
-    ``dataclass`` would write; it fills the instance's ``__dict__`` in
-    one update instead of one ``object.__setattr__`` per field, so a
-    record costs less than half as much to build.  ``fields``, ``replace``,
-    ``==``, ``hash``, ``repr`` and the refusal to assign are the
-    dataclass's own."""
+    ``dataclass`` would write, fills ``__dict__`` in one update (not one
+    ``object.__setattr__`` per field), and raises RegistryError (``_validate``)
+    for all the reader refuses but a missing required field, so a template
+    can be built.  ``fields``, ``replace`` (which re-checks), ``==``, ``hash``,
+    ``repr`` and the refusal to assign are the dataclass's own."""
 
     id: str
     geometry: str
@@ -89,6 +90,7 @@ class CaseRecord:
             "c1H2": c1H2, "c2H": c2H, "H3": H3, "d": d, "a": a, "k": k, "c1": c1,
             "c2": c2, "provenance": provenance,
         })
+        _validate(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,7 @@ _D, _K, _SUM_A = (Poly.sym(s) for s in ("d", "k", "sum_a"))
 
 
 def _evaluate_thm1(c: CaseRecord, g: "Geometry") -> Verdict:
-    d = c.d
-    if d is None:
-        d = _D
-    else:
-        _check_field(c, "d", _check_discriminant_degree)
+    d = _D if c.d is None else c.d
     fixed = {f: v(d) if callable(v) else v for f, v in g.fixed.items()}
     # The record's own value wins over the geometry's fixed numerics.
     n = ThreefoldNumerics(*[
@@ -172,17 +170,15 @@ def _evaluate_thm2(c: CaseRecord, g: "Geometry") -> Verdict:
         obstruction = 2 * sum(c.a) + 4 * _K
         note = "k is user input"
     else:
-        inp = DivisorCaseInput(tuple(c.a), int(c.k))
+        inp = DivisorCaseInput(c.a, c.k)
         obstruction = _agreed(c, theorems.compare_thm2(inp))["closed"]
         note = ""
     return Verdict(obstruction, _conclude(obstruction), note)
 
 
 def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
-    missing = [f for f in g.required if getattr(c, f) is None]
-    if missing:
-        raise RegistryError(c.id, ",".join(missing), "required for a plane bundle")
-    inp = PlaneBundleInput(int(c.c1), int(c.c2))
+    _require(c, g)
+    inp = PlaneBundleInput(c.c1, c.c2)
     obstruction = _agreed(c, theorems.compare_thm3(inp))["closed"]
     note = ""
     if obstruction == 0:
@@ -194,8 +190,8 @@ def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
 class Geometry:
     """A row of ``GEOMETRY_TABLE``: the evaluator of the geometry's
     theorem, called as ``evaluate(record, row)``; the numeric fields a
-    record may set, and those a complete one must set (a template lacks
-    one: thm1 and thm2 keep it as a symbol, thm3 refuses); the thm1
+    record may set, and those a complete one must set (``_require``; a
+    template lacks one: thm1 and thm2 keep it as a symbol); the thm1
     numerics the geometry fixes, functions of ``d`` where they depend on
     it (called with the record's int d, or with the symbol d when the
     record leaves it unset), each overridden by a record's own value; and
@@ -232,20 +228,13 @@ GEOMETRY_TABLE = {
 GEOMETRIES = tuple(GEOMETRY_TABLE)
 
 
-def _row(c: CaseRecord) -> Geometry:
-    row = GEOMETRY_TABLE.get(c.geometry)
-    if row is None:
-        raise RegistryError(c.id, "geometry", f"unknown geometry {quoted(c.geometry)}")
-    return row
-
-
 def evaluate_case(c: CaseRecord) -> Verdict:
     """Route a case to its evaluator and classify the obstruction.
 
     Deterministic and independent of any registry context; parameters
     the record leaves unset appear as symbols in the obstruction.
     """
-    row = _row(c)
+    row = GEOMETRY_TABLE[c.geometry]
     return row.evaluate(c, row)
 
 
@@ -345,9 +334,7 @@ def builtin_registry() -> tuple:
     )
 
 
-# --- registry file format --------------------------------------------------
-
-_NUMERIC_FIELDS = (*NUMERICS_FIELDS, "d", "a", "k", "c1", "c2")
+# --- the fields of a record and the case-file format -----------------------
 
 
 def _read_number(text: str):
@@ -366,36 +353,6 @@ def _read_twists(text: str) -> tuple:
     return tuple(map(int, check_digits(text).split(",")))
 
 
-#: How the reader reads each field's stripped value.
-_READERS = {
-    "geometry": str,
-    **dict.fromkeys(NUMERICS_FIELDS, _read_number),
-    **dict.fromkeys(("d", "k", "c1", "c2"), _read_int),
-    "a": _read_twists,
-    "provenance": str,
-}
-
-
-def _parse_record(section: str, items: dict) -> CaseRecord:
-    kwargs = {"id": section}
-    for key, value in items.items():
-        read = _READERS.get(key)
-        if read is None:
-            raise RegistryError(section, key, "unknown field")
-        value = value.strip()
-        try:
-            kwargs[key] = read(value)
-        except OverflowError as exc:
-            raise RegistryError(section, key, str(exc)) from None
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RegistryError(section, key, f"cannot parse {quoted(value)}") from exc
-    if "geometry" not in kwargs:
-        raise RegistryError(section, "geometry", "required for every record")
-    record = CaseRecord(**kwargs)
-    _validate(record)
-    return record
-
-
 def _check_discriminant_degree(d) -> None:
     """HypothesisViolation unless ``d``, the degree of a conic bundle's
     discriminant curve, is positive."""
@@ -403,35 +360,77 @@ def _check_discriminant_degree(d) -> None:
         raise HypothesisViolation("discriminant degree must be > 0")
 
 
-#: The hypothesis each numeric field that has one must meet.
-_FIELD_CHECKS = (
-    ("h", check_hodge_number), ("a", check_twists), ("d", _check_discriminant_degree),
-)
+def _check_int_twists(a) -> None:
+    """ValueError unless the twists ``a`` are ints; then ``check_twists``."""
+    if not all(type(x) is int for x in a):
+        raise ValueError(f"the twists must be ints, got {a!r}")
+    check_twists(a)
 
 
-def _check_field(c: CaseRecord, name: str, check: Callable):
-    """``check`` on the field ``name`` of ``c``; its ValueError as a
-    RegistryError naming the record and the field."""
-    try:
-        check(getattr(c, name))
-    except ValueError as exc:
-        raise RegistryError(c.id, name, str(exc)) from None
+#: Each field after the id: how the reader reads its stripped text, the types
+#: its value may have (None: text, which every geometry uses), its hypothesis.
+_FIELDS = {
+    "geometry": (str, None, None),
+    **dict.fromkeys(NUMERICS_FIELDS, (_read_number, (int, Fraction), None)),
+    "h": (_read_number, (int, Fraction), check_hodge_number),
+    "d": (_read_int, (int,), _check_discriminant_degree),
+    "a": (_read_twists, (tuple,), _check_int_twists),
+    **dict.fromkeys(("k", "c1", "c2"), (_read_int, (int,), None)),
+    "provenance": (str, None, None),
+}
+_CHECKED = [(name, types, check) for name, (_, types, check) in _FIELDS.items() if types]
 
 
-def _validate(c: CaseRecord):
-    """RegistryError for the first fault in ``c``, a record read from a
-    case file: an unknown geometry, a field its geometry does not use, a
-    missing field that it requires, or a field that breaks its hypothesis."""
-    row = _row(c)
-    for name in _NUMERIC_FIELDS:
-        if name not in row.allowed and getattr(c, name) is not None:
-            raise RegistryError(c.id, name, f"not used by geometry {c.geometry!r}")
+def _validate(c: dict) -> None:
+    """RegistryError for the first fault in the fields ``c`` of a record:
+    an unknown geometry, then a field its geometry does not use, then a
+    field of a type ``_FIELDS`` does not give it, or that breaks its
+    hypothesis.  A missing required field is ``_require``'s."""
+    record_id, geometry = c["id"], c["geometry"]
+    row = GEOMETRY_TABLE.get(geometry)
+    if row is None:
+        raise RegistryError(record_id, "geometry", f"unknown geometry {quoted(geometry)}")
+    set_fields = [spec for spec in _CHECKED if c[spec[0]] is not None]
+    for name, _, _ in set_fields:
+        if name not in row.allowed:
+            raise RegistryError(record_id, name, f"not used by geometry {geometry!r}")
+    for name, types, check in set_fields:
+        value = c[name]
+        try:
+            if type(value) not in types:
+                kinds = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"must be of type {kinds}, got {value!r}")
+            if check is not None:
+                check(value)
+        except ValueError as exc:
+            raise RegistryError(record_id, name, str(exc)) from None
+
+
+def _require(c: CaseRecord, row: Geometry) -> None:
+    """RegistryError for the first field that ``row`` requires and ``c`` lacks."""
     for name in row.required:
         if getattr(c, name) is None:
             raise RegistryError(c.id, name, "required for this geometry")
-    for name, check in _FIELD_CHECKS:
-        if getattr(c, name) is not None:
-            _check_field(c, name, check)
+
+
+def _parse_record(section: str, items: dict) -> CaseRecord:
+    kwargs = {"id": section}
+    for key, value in items.items():
+        spec = _FIELDS.get(key)
+        if spec is None:
+            raise RegistryError(section, key, "unknown field")
+        value = value.strip()
+        try:
+            kwargs[key] = spec[0](value)
+        except OverflowError as exc:
+            raise RegistryError(section, key, str(exc)) from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RegistryError(section, key, f"cannot parse {quoted(value)}") from exc
+    if "geometry" not in kwargs:
+        raise RegistryError(section, "geometry", "required for every record")
+    record = CaseRecord(**kwargs)
+    _require(record, GEOMETRY_TABLE[record.geometry])
+    return record
 
 
 # One stripped line of a case file: blank or a comment, a record header

@@ -282,13 +282,13 @@ class PlaneBundleInput:
     split: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        if type(self.c1) is not int or type(self.c2) is not int:
+            raise ValueError(f"c1 and c2 must be ints, got ({self.c1!r}, {self.c2!r})")
         if self.split is not None:
             a, b = self.split
             if a + b != self.c1 or a * b != self.c2:
-                raise ValueError(
-                    f"split pair {self.split} is inconsistent with "
-                    f"(c1, c2) = ({self.c1}, {self.c2})"
-                )
+                raise ValueError(f"split pair {self.split} is inconsistent with "
+                                 f"(c1, c2) = ({self.c1}, {self.c2})")
 
     @staticmethod
     def from_split(a: int, b: int) -> "PlaneBundleInput":

@@ -559,3 +559,60 @@ class TestGeometryTable:
                          c13=Fraction(1, 2))
         symbolic = evaluate_case(replace(rec, d=None)).obstruction
         assert evaluate_case(rec).obstruction == symbolic.subs({"d": 4})
+
+
+class TestARecordChecksItself:
+    """``CaseRecord`` refuses, when it is made, all that the reader refuses
+    in a record but a missing required field; so no evaluator sees it."""
+
+    @pytest.mark.parametrize("geometry, fields, field, message", [
+        ("table8", {"h": -3}, "h", "the Hodge number h must be >= 0"),
+        ("delPezzoFib8-small", {"a": (0, 1, 2, 3)}, "a",
+         "the four twists must not be all distinct, got (0, 1, 2, 3)"),
+        ("table8", {"k": 5}, "k", "not used by geometry 'table8'"),
+        ("p1BundleOverPlane", {"c1": Fraction(7, 2), "c2": 3}, "c1",
+         "must be of type int, got Fraction(7, 2)"),
+        ("delPezzoFib8-small", {"k": Fraction(1, 2)}, "k",
+         "must be of type int, got Fraction(1, 2)"),
+        ("conicBundle", {"d": Fraction(5, 2)}, "d", "must be of type int, got Fraction(5, 2)"),
+        ("table8", {"c13": 0.1}, "c13", "must be of type int or Fraction, got 0.1"),
+        ("delPezzoFib8-small", {"a": [0, 0, 1, 2], "k": 0}, "a",
+         "must be of type tuple, got [0, 0, 1, 2]"),
+        ("delPezzoFib8-small", {"a": (0, 0, Fraction(1, 2), 1)}, "a",
+         "the twists must be ints, got (0, 0, Fraction(1, 2), 1)"),
+        ("nonsense", {}, "geometry", "unknown geometry 'nonsense'"),
+    ])
+    def test_a_bad_record_is_refused_when_it_is_made(self, geometry, fields, field,
+                                                     message):
+        with pytest.raises(RegistryError) as err:
+            CaseRecord(id="x", geometry=geometry, **fields)
+        assert (err.value.record_id, err.value.field) == ("x", field)
+        assert str(err.value) == f"record 'x', field {field!r}: {message}"
+
+    def test_replace_and_with_twists_check_again(self):
+        dp8 = CaseRecord(id="x", geometry="delPezzoFib8-small", k=0)
+        with pytest.raises(RegistryError) as err:
+            with_twists(dp8, [0, 1, 2, 3])
+        assert (err.value.record_id, err.value.field) == ("x", "a")
+        with pytest.raises(RegistryError) as err:
+            replace(CaseRecord(id="t", geometry="table8"), h=-1)
+        assert (err.value.record_id, err.value.field) == ("t", "h")
+
+    def test_a_plane_bundle_without_c1_gives_the_readers_message(self, tmp_path):
+        message = "record 'p', field 'c1': required for this geometry"
+        with pytest.raises(RegistryError) as err:
+            evaluate_case(CaseRecord(id="p", geometry="p1BundleOverPlane", c2=3))
+        assert str(err.value) == message
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, "[p]\ngeometry = p1BundleOverPlane\nc2 = 3\n")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, field", [
+        ("[r]\ngeometry = conicBundle\nh = -1\nk = 2\n", "k"),
+        ("[r]\ngeometry = conicBundle\nh = -1\n", "h"),
+    ])
+    def test_a_record_reports_an_unused_field_then_a_hypothesis_then_a_missing_one(
+            self, tmp_path, text, field):
+        with pytest.raises(RegistryError) as err:
+            _load_text(tmp_path, text)
+        assert (err.value.record_id, err.value.field) == ("r", field)

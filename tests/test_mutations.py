@@ -128,6 +128,17 @@ def _fixed_numerics_override_the_record():
     return perturbed
 
 
+def _unipoly_plus_b_plus_one():
+    """``exact.Poly.as_unipoly``, but with b + 1 added to every view in b."""
+    real = exact.Poly.as_unipoly
+    b_plus_one = Poly.sym("b") + 1
+
+    def perturbed(self, var, values=None):
+        return real(self + b_plus_one if var == "b" else self, var, values)
+
+    return perturbed
+
+
 class Mutation(NamedTuple):
     module: object
     name: str
@@ -214,6 +225,21 @@ MUTATIONS = {
     "the geometry's fixed numerics override the record": Mutation(
         bottcases, "_numerics_of", _fixed_numerics_override_the_record,
         golden=(["bott-report", "--cases", "{golden}/cases_all_geometries.ini"],),
+    ),
+    # A record's check is the one place that refuses h = 1/2; without it
+    # both thm1 routes evaluate the record as it is and agree, so no route
+    # comparison can see the check skipped.  The report exits 0 instead of 2.
+    "a record skips its check": Mutation(
+        bottcases, "_validate", lambda: lambda fields: None,
+        golden=(["bott-report", "--cases", "{golden}/cases_bad_h.ini"],),
+    ),
+    # thm3's Q(-1) and its HRR = Q(b) check both read the views in b, and a
+    # multiple of b + 1 is 0 at b = -1, so no route comparison sees it; the
+    # Q lines change.  ROADMAP item 2's lattice count is the planned detector.
+    "as_unipoly plus b + 1 in b": Mutation(
+        exact.Poly, "as_unipoly", _unipoly_plus_b_plus_one,
+        golden=(["thm3", "--bundle", "P2: rank2(c1=3,c2=3)"],
+                ["thm3", "--bundle", "P2: O(-1) + O(4)"]),
     ),
 }
 

@@ -5,7 +5,7 @@ hypothesis that a conic bundle's record carries.
 encoder instead of calling ``json.dumps``; ``json.dumps`` of the same
 rows stays its reference.  ``CaseRecord`` has its own ``__init__`` and
 keeps the rest of its dataclass contract.  A discriminant degree d <= 0
-is refused by the reader and the evaluator alike.
+is refused by the reader and by the record itself when it is made.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ from bottcheck.bottcases import (
     CaseRecord,
     RegistryError,
     builtin_registry,
-    evaluate_case,
     load_registry,
     report_json,
     report_rows,
@@ -118,10 +117,9 @@ def test_the_reader_refuses_a_discriminant_degree_below_1(tmp_path, d):
 
 
 @pytest.mark.parametrize("d", [0, -3])
-def test_the_evaluator_refuses_it_too(d):
-    rec = CaseRecord(id="c", geometry="conicBundle", d=d)
+def test_the_record_refuses_it_when_it_is_made(d):
     with pytest.raises(RegistryError) as err:
-        evaluate_case(rec)
+        CaseRecord(id="c", geometry="conicBundle", d=d)
     assert str(err.value) == D_MESSAGE
 
 

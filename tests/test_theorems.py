@@ -170,6 +170,13 @@ class TestThm3:
         with pytest.raises(ValueError):
             PlaneBundleInput(3, 3, (0, 3))
 
+    @pytest.mark.parametrize("c1, c2", [(Fraction(7, 2), 3), (3, Fraction(3)), (True, 0)])
+    def test_chern_numbers_that_are_not_ints_are_refused(self, c1, c2):
+        """thm3's closed form floors c1(c1 - 1)/2, so c1 = 7/2 would give
+        -1 against Q(-1) = -11/8: a false mismatch, not a refusal."""
+        with pytest.raises(ValueError, match="c1 and c2 must be ints"):
+            PlaneBundleInput(c1, c2)
+
     def test_from_split(self):
         inp = PlaneBundleInput.from_split(0, 3)
         assert (inp.c1, inp.c2) == (3, 0)
