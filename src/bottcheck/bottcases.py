@@ -19,7 +19,6 @@ prints; an evaluator raises ``DualPathMismatch`` naming the record if not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -27,7 +26,8 @@ from typing import Callable, Optional, Tuple
 
 from . import theorems
 from .exact import (
-    Number, Poly, check_digits, check_printable, parse_rational, quoted, rendered,
+    Number, Poly, check_digits, check_printable, immutable, parse_rational, quoted,
+    rendered, replace, shortened,
 )
 from .theorems import (
     NUMERICS_FIELDS,
@@ -47,41 +47,45 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 class RegistryError(ValueError):
     """A registry record or file is malformed; carries record id and
-    field, both None when the fault lies in the file outside any record."""
+    field, both None when the fault lies in the file outside any record.
+    An id that is not text, which only a record built in Python can have,
+    is named by its ``repr``."""
 
     def __init__(self, record_id: Optional[str], field: Optional[str], message: str):
         self.record_id = record_id
         self.field = field
         if record_id is not None:
-            message = f"record {quoted(record_id)}, field {quoted(field)}: {message}"
+            name = (quoted(record_id) if isinstance(record_id, str)
+                    else shortened(repr(record_id)))
+            message = f"record {name}, field {quoted(field)}: {message}"
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@immutable
 class CaseRecord:
     """One record of a case registry.
 
-    ``__init__`` takes the fields, by keyword or in order, as the one
-    ``dataclass`` would write, fills ``__dict__`` in one update (not one
-    ``object.__setattr__`` per field), and raises RegistryError (``_validate``)
+    ``__init__`` takes the fields, by keyword or in order, fills
+    ``__dict__`` in one update, and raises RegistryError (``_validate``)
     for all the reader refuses but a missing required field, so a template
-    can be built.  ``fields``, ``replace`` (which re-checks), ``==``, ``hash``,
-    ``repr`` and the refusal to assign are the dataclass's own."""
+    can be built.  ``_fields``, ``==``, ``hash``, ``repr``, the refusal to
+    assign and ``exact.replace`` (which re-checks) are
+    ``exact.immutable``'s."""
 
     id: str
     geometry: str
-    h: Optional[Number] = None
-    c13: Optional[Number] = None
-    c12H: Optional[Number] = None
-    c1H2: Optional[Number] = None
-    c2H: Optional[Number] = None
-    H3: Optional[Number] = None
-    d: Optional[int] = None
-    a: Optional[Tuple[int, int, int, int]] = None
-    k: Optional[int] = None
-    c1: Optional[int] = None
-    c2: Optional[int] = None
-    provenance: str = ""
+    h: Optional[Number]
+    c13: Optional[Number]
+    c12H: Optional[Number]
+    c1H2: Optional[Number]
+    c2H: Optional[Number]
+    H3: Optional[Number]
+    d: Optional[int]
+    a: Optional[Tuple[int, int, int, int]]
+    k: Optional[int]
+    c1: Optional[int]
+    c2: Optional[int]
+    provenance: str
 
     def __init__(self, id, geometry, h=None, c13=None, c12H=None, c1H2=None, c2H=None,
                  H3=None, d=None, a=None, k=None, c1=None, c2=None, provenance=""):
@@ -93,7 +97,7 @@ class CaseRecord:
         _validate(self.__dict__)
 
 
-@dataclass(frozen=True)
+@immutable
 class Verdict:
     """An evaluated record, built as ``CaseRecord`` is, in one update.  The
     obstruction is the int or Fraction that its routes agreed on, or the
@@ -101,7 +105,7 @@ class Verdict:
 
     obstruction: Number | Poly
     conclusion: str
-    note: str = ""
+    note: str
 
     def __init__(self, obstruction, conclusion, note=""):
         self.__dict__.update(
@@ -186,7 +190,7 @@ def _evaluate_thm3(c: CaseRecord, g: "Geometry") -> Verdict:
     return Verdict(obstruction, _conclude(obstruction), note)
 
 
-@dataclass(frozen=True)
+@immutable
 class Geometry:
     """A row of ``GEOMETRY_TABLE``: the evaluator of the geometry's
     theorem, called as ``evaluate(record, row)``; the numeric fields a
@@ -199,9 +203,15 @@ class Geometry:
 
     evaluate: Callable
     allowed: tuple
-    required: tuple = ()
-    fixed: dict = field(default_factory=dict)
-    note: str = ""
+    required: tuple
+    fixed: dict
+    note: str
+
+    def __init__(self, evaluate, allowed, required=(), fixed=None, note=""):
+        self.__dict__.update({
+            "evaluate": evaluate, "allowed": allowed, "required": required,
+            "fixed": {} if fixed is None else fixed, "note": note,
+        })
 
 
 _THM2_ROW = Geometry(_evaluate_thm2, ("a", "k"), ("k",))
@@ -367,26 +377,37 @@ def _check_int_twists(a) -> None:
     check_twists(a)
 
 
-#: Each field after the id: how the reader reads its stripped text, the types
-#: its value may have (None: text, which every geometry uses), its hypothesis.
+#: Each field of a record: how the reader reads its stripped text (None for
+#: the id, which the record's header gives), the types its value may have,
+#: its hypothesis.  A field of text is set in every record and every geometry
+#: uses it; any other may be left unset, None.
 _FIELDS = {
-    "geometry": (str, None, None),
+    "id": (None, (str,), None),
+    "geometry": (str, (str,), None),
     **dict.fromkeys(NUMERICS_FIELDS, (_read_number, (int, Fraction), None)),
     "h": (_read_number, (int, Fraction), check_hodge_number),
     "d": (_read_int, (int,), _check_discriminant_degree),
     "a": (_read_twists, (tuple,), _check_int_twists),
     **dict.fromkeys(("k", "c1", "c2"), (_read_int, (int,), None)),
-    "provenance": (str, None, None),
+    "provenance": (str, (str,), None),
 }
-_CHECKED = [(name, types, check) for name, (_, types, check) in _FIELDS.items() if types]
+_TEXT = [name for name, (_, types, _) in _FIELDS.items() if types == (str,)]
+_CHECKED = [
+    (name, types, check) for name, (_, types, check) in _FIELDS.items() if types != (str,)
+]
 
 
 def _validate(c: dict) -> None:
     """RegistryError for the first fault in the fields ``c`` of a record:
-    an unknown geometry, then a field its geometry does not use, then a
-    field of a type ``_FIELDS`` does not give it, or that breaks its
-    hypothesis.  A missing required field is ``_require``'s."""
-    record_id, geometry = c["id"], c["geometry"]
+    a field of text that is not a str, then an unknown geometry, then a
+    field its geometry does not use, then a field of a type ``_FIELDS``
+    does not give it, or that breaks its hypothesis.  A missing required
+    field is ``_require``'s."""
+    record_id = c["id"]
+    for name in _TEXT:
+        if type(c[name]) is not str:
+            raise RegistryError(record_id, name, f"must be of type str, got {c[name]!r}")
+    geometry = c["geometry"]
     row = GEOMETRY_TABLE.get(geometry)
     if row is None:
         raise RegistryError(record_id, "geometry", f"unknown geometry {quoted(geometry)}")
@@ -417,7 +438,7 @@ def _parse_record(section: str, items: dict) -> CaseRecord:
     kwargs = {"id": section}
     for key, value in items.items():
         spec = _FIELDS.get(key)
-        if spec is None:
+        if spec is None or spec[0] is None:
             raise RegistryError(section, key, "unknown field")
         value = value.strip()
         try:

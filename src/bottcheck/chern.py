@@ -10,23 +10,22 @@ P^1-bundle over the plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .chow import H_class, PlaneBase2, U_class
-from .exact import Number, Poly, UniPoly, binom, divided
+from .exact import Number, Poly, UniPoly, binom, divided, immutable
 
 
-@dataclass(frozen=True)
+@immutable
 class SurfaceChern:
     """Rank and Chern numbers (coefficients of h, h^2) on the plane, each
     an int or a Fraction: kept as given, and any other number converted
     to a Fraction.
 
     ``__init__`` fills the instance's ``__dict__`` in one update, as
-    ``bottcases.CaseRecord``'s does; ``==``, ``hash`` and ``repr`` are the
-    dataclass's own."""
+    ``bottcases.CaseRecord``'s does; ``==``, ``hash`` and ``repr`` are
+    ``exact.immutable``'s."""
 
     rank: int
     c1: Number
@@ -58,7 +57,7 @@ def tensor_c2(r, s, c1, c2, d1, d2):
     )
 
 
-@dataclass(frozen=True)
+@immutable
 class SymPowerPolys:
     """Chern numbers of S^b E and (S^b E)(-1) as polynomials in b.
 
@@ -70,6 +69,9 @@ class SymPowerPolys:
     C2: UniPoly | Poly
     A1: UniPoly | Poly
     A2: UniPoly | Poly
+
+    def __init__(self, C1, C2, A1, A2):
+        self.__dict__.update({"C1": C1, "C2": C2, "A1": A1, "A2": A2})
 
 
 def sym_power_classes(t, c1, c2) -> SymPowerPolys:

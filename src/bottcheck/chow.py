@@ -53,12 +53,13 @@ y-th symmetric power of E on the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Tuple
 
-from .exact import Number, Poly, QuotientRule, _Sparse, common_denominator, divided
+from .exact import (
+    Number, Poly, QuotientRule, _Sparse, common_denominator, divided, immutable,
+)
 
 Monomial = Tuple[int, int]  # (power of H, power of U)
 
@@ -122,7 +123,7 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@immutable
 class LineBase4:
     twists: Tuple[int, int, int, int]
 
@@ -136,7 +137,7 @@ class LineBase4:
         )
 
 
-@dataclass(frozen=True)
+@immutable
 class PlaneBase2:
     c1: int
     c2: int

@@ -9,19 +9,17 @@ mismatch, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional, Tuple
 
-from . import bottcases, theorems
+from . import theorems
 from .chow import GradedClass, H_class, LineBase4, PlaneBase2, U_class, unit
 from .exact import (
-    QUOTE_LIMIT, check_digits, check_printable, max_str_digits, parse_rational, quoted,
-    rendered, shortened,
+    QUOTE_LIMIT, check_digits, check_printable, immutable, max_str_digits,
+    parse_rational, quoted, rendered, shortened,
 )
 from .rr import HypothesisViolation, f_formula, f_splitting_oracle
 
@@ -43,11 +41,14 @@ MAX_NESTING = 100
 # --- bundle expressions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@immutable
 class BundleExpr:
     base: str  # "P1" or "P2"
-    twists: Optional[Tuple[int, ...]] = None
-    c1c2: Optional[Tuple[int, int]] = None
+    twists: Optional[Tuple[int, ...]]
+    c1c2: Optional[Tuple[int, int]]
+
+    def __init__(self, base, twists=None, c1c2=None):
+        self.__dict__.update({"base": base, "twists": twists, "c1c2": c1c2})
 
 
 class _Scanner:
@@ -270,6 +271,8 @@ def _option_type(parse, message: str):
         except OverflowError as exc:
             raise _ParserExit(2, f"error: {exc}\n", "err") from None
         except (ValueError, ZeroDivisionError) as exc:
+            import argparse  # loaded by build_parser, which calls this
+
             raise argparse.ArgumentTypeError(f"{message}{quoted(text)}") from exc
 
     return convert
@@ -383,6 +386,9 @@ def _cmd_chi_f(args, out) -> int:
 
 
 def _cmd_bott_report(args, out) -> int:
+    # The case-file reader is loaded by the one command that uses it.
+    from . import bottcases
+
     if args.cases is not None:
         records = bottcases.load_registry(args.cases)
     else:
@@ -408,32 +414,33 @@ class _ParserExit(Exception):
     or "err"."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that holds no stream: help, usage errors and
-    exits raise ``_ParserExit``, and ``run`` writes the text to its own
-    ``out`` or ``err``.  A negative fraction such as ``-1/2`` is read as
-    a value, not as a flag."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$"
-        )
-
-    def print_help(self, file=None):
-        raise _ParserExit(0, self.format_help(), "out")
-
-    def exit(self, status=0, message=None):
-        raise _ParserExit(status, message or "", "err")
-
-    def error(self, message):
-        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
-
-
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The bottcheck parser, built once per process.  It writes nothing
-    itself; see ``_Parser``."""
+def build_parser():
+    """The bottcheck parser, built once per process, and the one place
+    that loads ``argparse``.  It writes nothing itself; see ``_Parser``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser that holds no stream: help, usage errors and
+        exits raise ``_ParserExit``, and ``run`` writes the text to its own
+        ``out`` or ``err``.  A negative fraction such as ``-1/2`` is read
+        as a value, not as a flag."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(
+                rf"{self._negative_number_matcher.pattern}|^-\d+/\d+$"
+            )
+
+        def print_help(self, file=None):
+            raise _ParserExit(0, self.format_help(), "out")
+
+        def exit(self, status=0, message=None):
+            raise _ParserExit(status, message or "", "err")
+
+        def error(self, message):
+            self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="bottcheck",
         description="Exact Euler-characteristic obstruction checks for "
@@ -508,8 +515,8 @@ def run(argv, out=None, err=None) -> int:
     except theorems.DualPathMismatch as exc:
         print(f"MISMATCH: {exc}", file=err)
         return 1
-    except (InputError, HypothesisViolation, bottcases.RegistryError,
-            ValueError, OSError) as exc:
+    # bottcases.RegistryError is a ValueError.
+    except (InputError, HypothesisViolation, ValueError, OSError) as exc:
         print(f"error: {_cut_arguments(str(exc), argv)}", file=err)
         return 2
 

@@ -40,16 +40,19 @@ the normal form of a quotient ring; with c1 and c2 as variables, one
 such rule holds a Chow ring symbolic in its own parameters (the
 "abstract variety" of Katz and Stromme's Schubert; Fulton, Intersection
 Theory, 3.2).
+
+``immutable`` makes each record class of the package, this one's
+``QuotientRule`` among them, from plain functions that it shares, so
+that importing the package generates no code.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction]
@@ -225,6 +228,61 @@ def rendered(value) -> str:
     """The text of a route value: a ``Poly``'s ``render()``, else ``str``
     of its number, the text that ``render()`` gives for that constant."""
     return value.render() if isinstance(value, Poly) else str(value)
+
+
+def immutable(cls):
+    """Make ``cls``, which defines its own ``__init__``, an immutable record
+    of the fields that its annotations name, in order (``cls._fields``).
+
+    ``==`` compares the fields of two records of the same class and gives
+    ``NotImplemented`` for any other object; ``hash`` and ``repr`` read the
+    fields only, and assigning or deleting an attribute raises
+    AttributeError.  The methods are plain functions shared by every
+    record class, so making a class a record writes and compiles no code;
+    an ``__init__`` fills ``__dict__`` itself, and ``replace`` copies a
+    record through it."""
+    cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    # The one value that == compares and hash reads: the field, or the
+    # tuple of them.
+    cls._key = attrgetter(*cls._fields)
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        key = self._key
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _record_hash(self):
+    return hash(self._key(self))
+
+
+def _record_repr(self):
+    fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(rec, **changes):
+    """A copy of the record ``rec`` with ``changes``, made by its class's
+    ``__init__``, so that it is checked again as a new record is."""
+    values = {name: getattr(rec, name) for name in rec._fields}
+    values.update(changes)
+    return rec.__class__(**values)
 
 
 class UniPoly:
@@ -422,7 +480,7 @@ def _int_code(terms, variables: tuple, kept: str | None = None):
     return make((*(n for _, n in terms), 0))
 
 
-@dataclass(frozen=True)
+@immutable
 class QuotientRule:
     """Relations lhs = rhs that define a quotient of a polynomial ring.
 
@@ -438,9 +496,9 @@ class QuotientRule:
 
     relations: tuple
 
-    def __post_init__(self):
+    def __init__(self, relations):
         rels = []
-        for lhs, rhs in self.relations:
+        for lhs, rhs in relations:
             rhs = rhs if isinstance(rhs, Poly) else Poly({(): rhs})
             if (lhs.rule is not None or lhs.den != 1 or len(lhs._terms) != 1
                     or lhs._terms[0][1] != 1 or not lhs._terms[0][0]):
@@ -452,7 +510,7 @@ class QuotientRule:
                     f"a relation's right side needs integer coefficients, got {rhs!r}"
                 )
             rels.append((lhs._terms[0][0], rhs._terms))
-        object.__setattr__(self, "relations", tuple(rels))
+        self.__dict__.update({"relations": tuple(rels)})
 
     def reduce(self, terms: dict) -> dict:
         """The normal form of a {monomial: int} dict, as a new dict."""

@@ -11,7 +11,6 @@ case registry both report from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import NamedTuple, Optional, Tuple, Union
@@ -24,7 +23,7 @@ from .chern import (
     tensor_c2,
 )
 from . import chow
-from .exact import Poly, UniPoly, binom
+from .exact import Poly, UniPoly, binom, immutable
 from .rr import (
     HypothesisViolation,
     chi_plane,
@@ -73,7 +72,7 @@ def _compare(label: str, value, other_label: str, other) -> Comparison:
     )
 
 
-@dataclass(frozen=True)
+@immutable
 class ThreefoldNumerics:
     """Intersection numerics of a weak Fano threefold of Picard rank 2.
 
@@ -85,12 +84,12 @@ class ThreefoldNumerics:
     the fields only.
     """
 
-    h: NumericsValue = None
-    c13: NumericsValue = None
-    c12H: NumericsValue = None
-    c1H2: NumericsValue = None
-    c2H: NumericsValue = None
-    H3: NumericsValue = None
+    h: NumericsValue
+    c13: NumericsValue
+    c12H: NumericsValue
+    c1H2: NumericsValue
+    c2H: NumericsValue
+    H3: NumericsValue
 
     def __init__(self, h=None, c13=None, c12H=None, c1H2=None, c2H=None, H3=None):
         self.__dict__.update(
@@ -176,7 +175,7 @@ def check_twists(a) -> Tuple[int, int, int]:
     raise HypothesisViolation(f"the four twists must not be all distinct, got {a}")
 
 
-@dataclass(frozen=True)
+@immutable
 class DivisorCaseInput:
     """A divisor X in |kH + 2U| on the rank-4 bundle over the line; no
     route depends on the twist a of aH + U, so it is not an input.
@@ -184,8 +183,8 @@ class DivisorCaseInput:
     ``__init__`` fills the instance's ``__dict__`` in one update, as
     ``ThreefoldNumerics``'s does, with the fields and, outside them, the
     normal form (t, p, q) that ``check_twists`` returns for the twists,
-    which ``thm2_chain`` reads; ``fields``, ``==``, ``hash``, ``repr``
-    and the refusal to assign are the dataclass's own."""
+    which ``thm2_chain`` reads; ``==``, ``hash`` and ``repr`` read the
+    fields only, and assigning is refused (``exact.immutable``)."""
 
     a: Tuple[int, int, int, int]
     k: int
@@ -273,29 +272,30 @@ def compare_thm2(inp: DivisorCaseInput) -> Comparison:
     return _compare("chain", thm2_chain(inp), "closed", thm2_closed(inp))
 
 
-@dataclass(frozen=True)
+@immutable
 class PlaneBundleInput:
     """A rank-2 bundle on the plane, abstract (c1, c2) or split (a, b)."""
 
     c1: int
     c2: int
-    split: Optional[Tuple[int, int]] = None
+    split: Optional[Tuple[int, int]]
 
-    def __post_init__(self):
-        if type(self.c1) is not int or type(self.c2) is not int:
-            raise ValueError(f"c1 and c2 must be ints, got ({self.c1!r}, {self.c2!r})")
-        if self.split is not None:
-            a, b = self.split
-            if a + b != self.c1 or a * b != self.c2:
-                raise ValueError(f"split pair {self.split} is inconsistent with "
-                                 f"(c1, c2) = ({self.c1}, {self.c2})")
+    def __init__(self, c1, c2, split=None):
+        if type(c1) is not int or type(c2) is not int:
+            raise ValueError(f"c1 and c2 must be ints, got ({c1!r}, {c2!r})")
+        if split is not None:
+            a, b = split
+            if a + b != c1 or a * b != c2:
+                raise ValueError(f"split pair {split} is inconsistent with "
+                                 f"(c1, c2) = ({c1}, {c2})")
+        self.__dict__.update({"c1": c1, "c2": c2, "split": split})
 
     @staticmethod
     def from_split(a: int, b: int) -> "PlaneBundleInput":
         return PlaneBundleInput(a + b, a * b, (a, b))
 
 
-@dataclass(frozen=True)
+@immutable
 class QPolys:
     """Q1, Q2, Q3 and Q = Q1 + Q2 - Q3; UniPolys in b from ``thm3_Q``,
     Polys in (b, c1, c2) in ``thm3_Q_form``."""
@@ -304,6 +304,9 @@ class QPolys:
     Q2: UniPoly | Poly
     Q3: UniPoly | Poly
     Q: UniPoly | Poly
+
+    def __init__(self, Q1, Q2, Q3, Q):
+        self.__dict__.update({"Q1": Q1, "Q2": Q2, "Q3": Q3, "Q": Q})
 
 
 @cache

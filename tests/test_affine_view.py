@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bottcheck.cli  # noqa: F401  (imports every module, so every subclass)
+import bottcheck.cli  # noqa: F401  (loads every module that defines a subclass)
 from bottcheck.chow import PLANE_RULE, GradedClass
 from bottcheck.exact import Poly, _Sparse
 from test_int_values import int_when_whole

@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from bottcheck.bottcases import (
     with_twists,
 )
 from bottcheck.bottcases import _parse_record
-from bottcheck.exact import Poly
+from bottcheck.exact import Poly, replace
 from bottcheck.theorems import ThreefoldNumerics
 from test_case_files import _configparser_write
 
@@ -158,8 +157,9 @@ class TestRegistry:
             ("h = 3\n[r]\ngeometry = table8\n", None, None),
             ("[r]\ngeometry = table8\n[r]\ngeometry = table9\n", "r", "id"),
             ("[r]\ngeometry = table8\nh = 1\nh = 2\n", "r", "h"),
+            ("[r]\ngeometry = table8\nid = s\n", "r", "id"),
         ],
-        ids=["no-section-header", "duplicate-section", "duplicate-option"],
+        ids=["no-section-header", "duplicate-section", "duplicate-option", "id-line"],
     )
     def test_malformed_file_rejected(self, tmp_path, text, record_id, field):
         path = tmp_path / "bad.ini"
@@ -588,6 +588,20 @@ class TestARecordChecksItself:
             CaseRecord(id="x", geometry=geometry, **fields)
         assert (err.value.record_id, err.value.field) == ("x", field)
         assert str(err.value) == f"record 'x', field {field!r}: {message}"
+
+    @pytest.mark.parametrize("fields, field, message", [
+        ({"provenance": None}, "provenance", "must be of type str, got None"),
+        ({"provenance": 5}, "provenance", "must be of type str, got 5"),
+        ({"geometry": ["table8"]}, "geometry", "must be of type str, got ['table8']"),
+        ({"id": 7}, "id", "must be of type str, got 7"),
+    ])
+    def test_a_field_of_text_must_be_a_str(self, fields, field, message):
+        fields = {"id": "x", "geometry": "table8", **fields}
+        with pytest.raises(RegistryError) as err:
+            CaseRecord(**fields)
+        assert (err.value.record_id, err.value.field) == (fields["id"], field)
+        name = "7" if field == "id" else "'x'"
+        assert str(err.value) == f"record {name}, field {field!r}: {message}"
 
     def test_replace_and_with_twists_check_again(self):
         dp8 = CaseRecord(id="x", geometry="delPezzoFib8-small", k=0)

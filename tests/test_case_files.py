@@ -226,4 +226,5 @@ def test_a_value_is_read_without_its_padding(case_path, text, record):
 
 
 def test_the_fields_are_the_ones_the_reader_reads():
-    assert _FIELDS == tuple(bottcases._FIELDS)
+    # The id is in the field table too, but its header gives it, not a line.
+    assert _FIELDS == tuple(name for name, (read, _, _) in bottcases._FIELDS.items() if read)

@@ -7,7 +7,6 @@ checked in ``tests/test_chow.py`` against relations the tests state on
 their own.
 """
 
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -86,10 +85,10 @@ def test_the_skeletons_are_split_once_per_rule_value():
         (3, 0, ()), (0, 2, (((1, 1), 3), ((2, 0), 5))))
 
 
-def test_the_ambients_keep_their_dataclass_contract():
+def test_the_ambients_keep_their_record_contract():
     # Each fills __dict__ in one update; relations stay outside the fields.
-    assert [f.name for f in dataclasses.fields(PlaneBase2)] == ["c1", "c2"]
-    assert [f.name for f in dataclasses.fields(LineBase4)] == ["twists"]
+    assert PlaneBase2._fields == ("c1", "c2")
+    assert LineBase4._fields == ("twists",)
     plane, line = PlaneBase2(Fraction(6, 2), -5), LineBase4([1, -2, 0, Fraction(4)])
     assert (type(plane.c1), plane.c1, plane.c2) == (int, 3, -5)
     assert line.twists == (1, -2, 0, 4) and type(line.twists[3]) is int
@@ -98,7 +97,7 @@ def test_the_ambients_keep_their_dataclass_contract():
     assert repr(plane) == "PlaneBase2(c1=3, c2=-5)"
     assert repr(line) == "LineBase4(twists=(1, -2, 0, 4))"
     for ambient in (plane, line):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ambient.relations = ()
     with pytest.raises(ValueError, match=r"^c2 must be an integer, got Fraction\(1, 2\)$"):
         PlaneBase2(1, Fraction(1, 2))

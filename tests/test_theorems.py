@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -93,19 +92,19 @@ class TestThm2:
         with pytest.raises(HypothesisViolation):
             DivisorCaseInput((0, 1, 2, 3), 0)
 
-    def test_divisor_input_keeps_its_dataclass_contract(self):
-        # Its own __init__ fills __dict__ in one update; the rest is the
-        # dataclass's, as for bottcases.CaseRecord.
-        assert [f.name for f in dataclasses.fields(DivisorCaseInput)] == ["a", "k"]
+    def test_divisor_input_keeps_its_record_contract(self):
+        # Its own __init__ fills __dict__ in one update; the rest is
+        # exact.immutable's, as for bottcases.CaseRecord.
+        assert DivisorCaseInput._fields == ("a", "k")
         inp = DivisorCaseInput((0, 0, 1, 2), 3)
         assert inp == DivisorCaseInput(a=(0, 0, 1, 2), k=3)
         assert hash(inp) == hash(DivisorCaseInput((0, 0, 1, 2), 3))
         assert inp != DivisorCaseInput((0, 0, 1, 2), 4)
         assert repr(inp) == "DivisorCaseInput(a=(0, 0, 1, 2), k=3)"
         assert vars(inp) == {"a": (0, 0, 1, 2), "k": 3, "_normal_form": (0, 1, 2)}
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             inp.k = 4
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del inp.a
         with pytest.raises(TypeError, match="missing 1 required positional argument: 'k'"):
             DivisorCaseInput((0, 0, 1, 2))
